@@ -1,12 +1,27 @@
 """Matrix-free smallest eigenpairs of the normal operator.
 
 LOBPCG on D_s^T D_s, preconditioned by the inverse of its translation
-invariant part: the Fourier multiplier 1 / (|derivative symbol|^2
-+ s^2 mean|w|^2).  The multiplier is even and positive, so the
-preconditioner is symmetric positive definite as a real-linear operator and
-costs one FFT pair per application.  Only the matvec of the normal operator
-enters; residuals are checked explicitly and non-convergence is reported in
-the result, never silently dropped.
+invariant part, shifted: the Fourier multiplier
+
+    1 / (|derivative symbol|^2 + shift),
+    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2).
+
+For constant w, D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the
+multiplier is the shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest
+cluster and LOBPCG converges in a few iterations; where w vanishes on the
+grid (min|w|^2 = 0) it is the plain s^2 mean|w|^2 shift.  The multiplier is
+even and positive for any positive shift, so the preconditioner is
+symmetric positive definite as a real-linear operator, and the shift moves
+only the speed of convergence, never the answer.  It costs one FFT pair per
+application.
+
+A sweep over s warm-starts each solve with the whole Ritz block of the
+previous s (``EigenResult.block``, the k wanted pairs and the guard
+columns), orthonormalized by QR; the lowest modes move continuously in s,
+so the block is already close to the new invariant subspace.  Only the
+matvec of the normal operator enters; residuals are checked explicitly,
+stalled solves are restarted with a widened block, and non-convergence is
+reported in the result, never silently dropped.
 """
 
 from __future__ import annotations
@@ -29,6 +44,9 @@ class EigenResult:
     converged: np.ndarray     # residual <= tol * opnorm_estimate
     iterations: int
     opnorm_estimate: float
+    block: np.ndarray         # whole Ritz block of the last LOBPCG run, with
+                              # ``vectors`` as its leading columns; the warm
+                              # start for the next s
 
     @property
     def all_converged(self) -> bool:
@@ -42,12 +60,14 @@ def fourier_preconditioner(op: TorusOperator):
     m = np.fft.fftfreq(N, d=1.0 / N)
     sym = (8.0 * np.sin(m * h) - np.sin(2.0 * m * h)) / (6.0 * h)
     sym_sq = sym ** 2
-    shift = max(float(s * s * np.mean(np.abs(op.w) ** 2)), 1e-2)
+    w_sq = np.abs(op.w) ** 2
+    shift = max(float(s * s * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
     mult = 1.0 / (sym_sq[:, None] + sym_sq[None, :] + shift)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        u = flat_to_complex(x, N)
-        return complex_to_flat(np.fft.ifft2(np.fft.fft2(u) * mult))
+        f = np.fft.fft2(flat_to_complex(x, N))
+        f *= mult
+        return complex_to_flat(np.fft.ifft2(f))
 
     return apply
 
@@ -69,20 +89,29 @@ def estimate_opnorm(matvec, nreal: int, seed: int = 0, iters: int = 15) -> float
 def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
                         seed: int = 0, maxiter: int = 800,
                         precond=None, opnorm: float | None = None,
-                        weight: float = 1.0) -> EigenResult:
+                        weight: float = 1.0,
+                        start: np.ndarray | None = None) -> EigenResult:
     """k smallest eigenpairs of a symmetric PSD operator given by matvec.
 
     ``weight`` is the per-component L2 cell weight (h^2 for grid fields);
     returned vectors have unit weighted norm.  Residual convergence is
-    measured against ``tol * opnorm``.
+    measured against ``tol * opnorm``.  ``start`` is a start block of at
+    least k columns, such as the ``block`` of a solve for a nearby
+    operator; without it the start block is random (seeded by ``seed``).
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if opnorm is None:
         opnorm = estimate_opnorm(matvec, nreal, seed=seed + 1)
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((nreal, min(max(k + 2, 4), nreal)))
-    x0[:, 0] = 1.0  # constant field: exact kernel direction when w = 0
+    if start is None:
+        x0 = rng.standard_normal((nreal, min(max(k + 2, 4), nreal)))
+        x0[:, 0] = 1.0  # constant field: exact kernel direction when w = 0
+    else:
+        x0 = np.asarray(start, dtype=float)
+        if x0.shape[0] != nreal or not k <= x0.shape[1] <= nreal:
+            raise ValueError(f"start block of shape {x0.shape} does not fit "
+                             f"{nreal} rows and k = {k}")
     x0, _ = np.linalg.qr(x0)
 
     operator = LinearOperator((nreal, nreal), matvec=matvec, dtype=float)
@@ -107,13 +136,14 @@ def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
     for attempt in range(3):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            values, vectors, hist = lobpcg(
+            values, block, hist = lobpcg(
                 operator, x0, M=preconditioner, tol=0.2 * threshold,
                 maxiter=maxiter, largest=False, retResidualNormsHistory=True)
         iterations += len(hist)
-        order = np.argsort(values)[:k]
-        values = np.asarray(values)[order]
-        vectors = np.asarray(vectors)[:, order]
+        order = np.argsort(values)
+        block = np.asarray(block)[:, order]
+        values = np.asarray(values)[order[:k]]
+        vectors = block[:, :k]
         residuals = _residuals(values, vectors)
         if np.all(residuals <= threshold):
             break
@@ -123,20 +153,23 @@ def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
     converged = residuals <= threshold
 
     values = np.clip(values, 0.0, None)
-    norms = np.sqrt(weight) * np.linalg.norm(vectors, axis=0)
-    vectors = vectors / norms[None, :]
+    # normalized in place: the wanted vectors stay the leading columns of
+    # the block, so a sweep holds one copy of them
+    vectors /= np.sqrt(weight) * np.linalg.norm(vectors, axis=0)
     return EigenResult(values, vectors, residuals, converged,
-                       iterations, opnorm)
+                       iterations, opnorm, block)
 
 
-def normal_eigenpairs(op: TorusOperator, config: SimConfig) -> EigenResult:
-    """Smallest eigenpairs of D_s^T D_s with the standard preconditioner."""
+def normal_eigenpairs(op: TorusOperator, config: SimConfig,
+                      start: np.ndarray | None = None) -> EigenResult:
+    """Smallest eigenpairs of D_s^T D_s with the standard preconditioner,
+    optionally warm-started from the ``block`` of the previous s."""
     return smallest_eigenpairs(
         op.normal_matvec, op.nreal, config.eig_count,
         tol=config.eig_tol, seed=config.seed, maxiter=config.max_iterations,
         precond=fourier_preconditioner(op),
         opnorm=op.sigma_max_bound() ** 2,
-        weight=op.h * op.h)
+        weight=op.h * op.h, start=start)
 
 
 def dense_sigma_min(op: TorusOperator) -> float:

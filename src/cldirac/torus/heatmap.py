@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import TWO_PI
@@ -19,12 +17,18 @@ _STOPS = [
 ]
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0) * (len(_STOPS) - 1)
-    k = min(int(t), len(_STOPS) - 2)
+def _colors(t: np.ndarray) -> np.ndarray:
+    """'#rrggbb' per entry of ``t`` (clipped to [0, 1]), interpolating the
+    stops linearly; the same float arithmetic as a per-value loop."""
+    t = np.clip(np.asarray(t, float), 0.0, 1.0) * (len(_STOPS) - 1)
+    k = np.minimum(t.astype(int), len(_STOPS) - 2)
     f = t - k
-    rgb = [(1 - f) * a + f * b for a, b in zip(_STOPS[k], _STOPS[k + 1])]
-    return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * c)) for c in rgb))
+    stops = np.array(_STOPS)
+    rgb = (1 - f)[..., None] * stops[k] + f[..., None] * stops[k + 1]
+    r, g, b = np.moveaxis(np.rint(255 * rgb).astype(int), -1, 0)
+    codes, index = np.unique((r << 16) | (g << 8) | b, return_inverse=True)
+    names = np.array([f"#{c:06x}" for c in codes.tolist()])
+    return names[index.reshape(t.shape)]
 
 
 def write_heatmap_svg(path, density: np.ndarray, zeros, delta: float,
@@ -42,14 +46,12 @@ def write_heatmap_svg(path, density: np.ndarray, zeros, delta: float,
     ]
     if title:
         parts.append(f"<title>{title}</title>")
-    for ix in range(n):
-        x = ix * cell
-        for iy in range(n):
-            col = _color(math.sqrt(density[ix, iy] / peak))
-            parts.append(
-                f'<rect x="{x:.2f}" y="{iy * cell:.2f}" '
-                f'width="{cell + 0.5:.2f}" height="{cell + 0.5:.2f}" '
-                f'fill="{col}"/>')
+    colors = _colors(np.sqrt(density / peak)).tolist()
+    coords = [f"{i * cell:.2f}" for i in range(n)]
+    size = f'width="{cell + 0.5:.2f}" height="{cell + 0.5:.2f}"'
+    parts.extend(
+        f'<rect x="{coords[ix]}" y="{coords[iy]}" {size} fill="{col}"/>'
+        for ix, row in enumerate(colors) for iy, col in enumerate(row))
     scale = SIZE / TWO_PI
     radius = delta * scale
     for (zx, zy) in zeros:

@@ -1,33 +1,20 @@
-"""Grid kernels for the deformed operator: numba with a numpy fallback.
+"""Grid kernels for the deformed operator, in numpy.
 
 The hot loop is the matvec of D_s and of its transpose on an (N, N) complex
-field.  Both backends implement the identical arithmetic:
+field:
 
     forward    v = (Dx + i Dy) u - s*conj(w*u)
     transpose  u = -(Dx - i Dy) v - s*conj(w*v)
 
-with Dx, Dy the 4th-order centered periodic differences.  The default
-backend is numba when importable; set CLDIRAC_NO_NUMBA=1 to force the pure
-numpy path (both remain importable for the benchmark).
+with Dx, Dy the 4th-order centered periodic differences.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("CLDIRAC_NO_NUMBA", "") not in ("", "0")
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    _HAVE_NUMBA = False
-
-BACKEND = "numba" if (_HAVE_NUMBA and not _FORCE_NUMPY) else "numpy"
+# Name of the kernel implementation, recorded in every report.
+BACKEND = "numpy"
 
 
 def _deriv4(u: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -35,68 +22,9 @@ def _deriv4(u: np.ndarray, axis: int, h: float) -> np.ndarray:
             - (np.roll(u, -2, axis) - np.roll(u, 2, axis))) / (12.0 * h)
 
 
-def ds_apply_numpy(u, w, s, h):
+def ds_apply(u, w, s, h):
     return _deriv4(u, 0, h) + 1j * _deriv4(u, 1, h) - s * np.conj(w * u)
 
 
-def dst_apply_numpy(v, w, s, h):
+def dst_apply(v, w, s, h):
     return -(_deriv4(v, 0, h) - 1j * _deriv4(v, 1, h)) - s * np.conj(w * v)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _ds_kernel(u, w, s, c1, c2, out):  # pragma: no cover - jitted
-        n = u.shape[0]
-        for ix in range(n):
-            xp1 = (ix + 1) % n
-            xp2 = (ix + 2) % n
-            xm1 = (ix - 1) % n
-            xm2 = (ix - 2) % n
-            for iy in range(n):
-                yp1 = (iy + 1) % n
-                yp2 = (iy + 2) % n
-                ym1 = (iy - 1) % n
-                ym2 = (iy - 2) % n
-                dx = c1 * (u[xp1, iy] - u[xm1, iy]) + c2 * (u[xp2, iy] - u[xm2, iy])
-                dy = c1 * (u[ix, yp1] - u[ix, ym1]) + c2 * (u[ix, yp2] - u[ix, ym2])
-                out[ix, iy] = dx + 1j * dy - s * np.conj(w[ix, iy] * u[ix, iy])
-
-    @njit(cache=True)
-    def _dst_kernel(v, w, s, c1, c2, out):  # pragma: no cover - jitted
-        n = v.shape[0]
-        for ix in range(n):
-            xp1 = (ix + 1) % n
-            xp2 = (ix + 2) % n
-            xm1 = (ix - 1) % n
-            xm2 = (ix - 2) % n
-            for iy in range(n):
-                yp1 = (iy + 1) % n
-                yp2 = (iy + 2) % n
-                ym1 = (iy - 1) % n
-                ym2 = (iy - 2) % n
-                dx = c1 * (v[xp1, iy] - v[xm1, iy]) + c2 * (v[xp2, iy] - v[xm2, iy])
-                dy = c1 * (v[ix, yp1] - v[ix, ym1]) + c2 * (v[ix, yp2] - v[ix, ym2])
-                out[ix, iy] = -(dx - 1j * dy) - s * np.conj(w[ix, iy] * v[ix, iy])
-
-    def ds_apply_numba(u, w, s, h):
-        out = np.empty_like(u)
-        _ds_kernel(u, w, s, 8.0 / (12.0 * h), -1.0 / (12.0 * h), out)
-        return out
-
-    def dst_apply_numba(v, w, s, h):
-        out = np.empty_like(v)
-        _dst_kernel(v, w, s, 8.0 / (12.0 * h), -1.0 / (12.0 * h), out)
-        return out
-
-else:
-    ds_apply_numba = None
-    dst_apply_numba = None
-
-
-if BACKEND == "numba":
-    ds_apply = ds_apply_numba
-    dst_apply = dst_apply_numba
-else:
-    ds_apply = ds_apply_numpy
-    dst_apply = dst_apply_numpy

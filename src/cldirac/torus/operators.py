@@ -8,7 +8,9 @@ trivially-connected trivial line bundle sends a function u to
 and the conjugate-linear perturbation with coefficient field w adds
 -s*conj(w*u).  Fields carry four reals per site (Re u, Im u, Re v, Im v);
 conjugation is not complex-linear, so the eigenproblem runs over the real
-vector space.  Flat vectors are [Re u.ravel(), Im u.ravel()].
+vector space.  Flat vectors interleave the parts site by site,
+[Re u00, Im u00, Re u01, Im u01, ...], which is the memory layout of a
+C-ordered complex128 grid, so the two forms are views of one buffer.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def flat_to_complex(x: np.ndarray, N: int) -> np.ndarray:
-    half = N * N
-    return (x[:half] + 1j * x[half:]).reshape(N, N)
+    """(N, N) complex view of a flat real vector.  It copies only when ``x``
+    is not contiguous, as a column of a C-ordered block is."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return x.reshape(-1).view(np.complex128).reshape(N, N)
 
 
 def complex_to_flat(u: np.ndarray) -> np.ndarray:
-    return np.concatenate([u.real.ravel(), u.imag.ravel()])
+    """Flat real view of a complex grid (a copy only if ``u`` is not a
+    contiguous complex128 array)."""
+    return np.ascontiguousarray(u, dtype=np.complex128).reshape(-1).view(np.float64)
 
 
 @dataclass

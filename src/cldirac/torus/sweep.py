@@ -1,9 +1,11 @@
 """Deformation sweep: eigenmodes, localization mass, and report assembly.
 
 For each deformation strength s the sweep solves for the low eigenpairs of
-D_s^T D_s, measures the L2 mass of the lowest eigenvector outside the
-delta-neighborhood of the singular set, and records the smallest singular
-value sigma_min = sqrt(lambda_min).  Concentration shows up as outside-mass
+D_s^T D_s, warm-started from the Ritz block of the previous s, measures the
+L2 mass of the lowest eigenvector (followed from the previous s when the
+lowest eigenvalue is degenerate) outside the delta-neighborhood of the
+singular set, and records the smallest singular value
+sigma_min = sqrt(lambda_min).  Concentration shows up as outside-mass
 decreasing in s with s * mass bounded; for presets with empty singular set
 the interesting column is sigma_min instead (and outside-mass is 1 by
 definition).  Reports are plain dicts keyed by a versioned schema, with CSV
@@ -22,7 +24,8 @@ import numpy as np
 from . import kernels
 from .config import TWO_PI, SimConfig, phi_field, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import LatticeField, TorusOperator, assemble, flat_to_complex
+from .operators import (LatticeField, TorusOperator, assemble, complex_to_flat,
+                        flat_to_complex)
 
 SCHEMA_VERSION = 1
 
@@ -94,6 +97,8 @@ class SpectralReport:
     backend: str
     seconds: float
     notes: list = field(default_factory=list)
+    # lowest eigenvector per row, for the heatmaps; not serialized
+    fields: list = field(default_factory=list, repr=False)
 
     @property
     def all_converged(self) -> bool:
@@ -137,9 +142,28 @@ class SpectralReport:
                                 + [f"{r.outside_mass:.12g}", f"{r.sigma_min:.12g}"])
 
 
-def lowest_field(op: TorusOperator, result: EigenResult) -> LatticeField:
-    u = flat_to_complex(result.vectors[:, 0], op.N)
-    return LatticeField.from_complex(u=u)
+def lowest_field(op: TorusOperator, result: EigenResult,
+                 previous: LatticeField | None = None) -> LatticeField:
+    """The eigenvector of the smallest eigenvalue, as a unit field.
+
+    That eigenvalue can be degenerate (sin_zeros has an exact
+    8-dimensional kernel), and then the solver's order inside the cluster
+    is rounding noise.  Given the field of the previous s, the element of
+    the cluster nearest to it is taken instead, so a sweep follows one mode
+    across s.  The cluster is the eigenvalues that the solve does not
+    resolve from the smallest: within eig_tol * opnorm of it.
+    """
+    vector = result.vectors[:, 0]
+    if previous is not None:
+        resolution = op.config.eig_tol * result.opnorm_estimate
+        size = int(np.sum(result.values <= result.values[0] + resolution))
+        cluster = result.vectors[:, :size]
+        weight = op.h * op.h
+        nearest = cluster @ (weight * (cluster.T @ complex_to_flat(previous.u())))
+        norm = math.sqrt(weight) * np.linalg.norm(nearest)
+        if norm > 0:
+            vector = nearest / norm
+    return LatticeField.from_complex(u=flat_to_complex(vector, op.N))
 
 
 def run_sweep(config: SimConfig) -> SpectralReport:
@@ -149,11 +173,13 @@ def run_sweep(config: SimConfig) -> SpectralReport:
     zeros = zero_locations(config, w)
     rows = []
     fields = []
+    start = None
     for s in config.s_values:
         ts = time.monotonic()
         op = assemble(config, s)
-        result = normal_eigenpairs(op, config)
-        zeta = lowest_field(op, result)
+        result = normal_eigenpairs(op, config, start=start)
+        start = result.block
+        zeta = lowest_field(op, result, fields[-1] if fields else None)
         mass = outside_mass(zeta.normalized(), config, zeros)
         rows.append(SweepRow(
             s=float(s),
@@ -175,6 +201,6 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         fit=fit,
         backend=kernels.BACKEND,
         seconds=time.monotonic() - t0,
+        fields=fields,
     )
-    report.fields = fields  # kept for heatmap rendering; not serialized
     return report

@@ -1,5 +1,6 @@
 """Torus simulator: config, kernels, operator oracles, eigensolver, sweep."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from cldirac.torus import (
     LatticeField,
     SimConfig,
     assemble,
+    complex_to_flat,
     dense_sigma_min,
+    flat_to_complex,
     fourier_preconditioner,
     normal_eigenpairs,
     outside_mass,
@@ -21,8 +24,8 @@ from cldirac.torus import (
     write_heatmap_svg,
     zero_locations,
 )
-from cldirac.torus import kernels
 from cldirac.torus.config import ConfigError, load_config
+from cldirac.torus.heatmap import _STOPS, _colors
 from cldirac.torus.sweep import fit_loglog, lowest_field
 
 TWO_PI = 2.0 * math.pi
@@ -94,23 +97,6 @@ def test_custom_zero_bracketing():
         assert dist < 3 * cfg.spacing
 
 
-# -- kernels ------------------------------------------------------------------
-
-def test_kernel_backends_agree():
-    if kernels.ds_apply_numba is None:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(1)
-    n, h, s = 32, TWO_PI / 32, 7.0
-    u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = np.arange(n) * h
-    w = np.sin(x)[:, None] + 1j * np.sin(x)[None, :] + 0j
-    for fwd_np, fwd_nb in ((kernels.ds_apply_numpy, kernels.ds_apply_numba),
-                           (kernels.dst_apply_numpy, kernels.dst_apply_numba)):
-        a = fwd_np(u, w, s, h)
-        b = fwd_nb(u, w, s, h)
-        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
-
-
 # -- operator oracles ---------------------------------------------------------
 
 def _config(N=32, preset="sin_zeros", s=(4.0,), **kw):
@@ -131,6 +117,16 @@ def test_fourier_symbol_zero_field():
         assert abs(ratio - math.hypot(symx, symy)) < 1e-10
         # 4th-order accuracy: close to the continuum symbol |i m - k|
         assert abs(ratio - math.hypot(m, k)) < 2e-3
+
+
+def test_flat_views_share_memory():
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    x = complex_to_flat(u)
+    assert np.shares_memory(x, u)
+    assert x[0] == u[0, 0].real and x[1] == u[0, 0].imag
+    back = flat_to_complex(x, 16)
+    assert np.shares_memory(back, u) and np.array_equal(back, u)
 
 
 def test_constant_field_action():
@@ -216,6 +212,21 @@ def test_constant_preset_eigenvalue_oracle():
     assert abs(dense_sigma_min(op) - s) < 1e-9 * s
 
 
+def test_warm_start_matches_cold_solve():
+    # a solve started from the Ritz block of a nearby s finds the same
+    # eigenvalues as a solve from a random block; ten pairs reach past the
+    # 8-dimensional kernel to nonzero eigenvalues
+    cfg = _config(N=16, preset="sin_zeros", s=(4.0, 8.0), eig_count=10,
+                  eig_tol=1e-9)
+    previous = normal_eigenpairs(assemble(cfg, 4.0), cfg)
+    op = assemble(cfg, 8.0)
+    cold = normal_eigenpairs(op, cfg)
+    warm = normal_eigenpairs(op, cfg, start=previous.block)
+    assert cold.all_converged and warm.all_converged
+    bound = cfg.eig_tol * warm.opnorm_estimate
+    assert np.max(np.abs(warm.values - cold.values)) <= bound
+
+
 def test_eigenvector_orthonormality():
     cfg = _config(N=16, preset="sin_zeros", s=(4.0,), eig_count=4, eig_tol=1e-8)
     op = assemble(cfg, 4.0)
@@ -280,6 +291,28 @@ def test_run_sweep_concentration_small():
     assert body["fit"] is not None and body["fit"]["slope"] < 0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_constant_preset_converges_in_few_iterations(seed):
+    # the shifted preconditioner is the shift-invert of D_s^T D_s for
+    # constant w, and each s starts from the previous Ritz block
+    cfg = dataclasses.replace(load_config(preset_path("constant.cfg")), seed=seed)
+    report = run_sweep(cfg)
+    assert report.all_converged
+    assert max(r.iterations for r in report.rows) <= 10
+    assert all(abs(r.sigma_min - r.s) <= 0.01 * r.s for r in report.rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_sin_zeros_preset_concentrates_for_each_seed(seed):
+    cfg = dataclasses.replace(load_config(preset_path("sin_zeros.cfg")), seed=seed)
+    report = run_sweep(cfg)
+    assert report.all_converged
+    masses = [r.outside_mass for r in report.rows]
+    assert all(b < a for a, b in zip(masses, masses[1:]))
+    bound = report.rows[0].s * masses[0]
+    assert all(r.s * r.outside_mass <= bound * (1 + 1e-9) for r in report.rows)
+
+
 def test_run_sweep_reproducible():
     cfg = SimConfig(N=16, s_values=(4.0,), phi_preset="sin_zeros",
                     delta=0.5, eig_count=2, eig_tol=1e-7, seed=5)
@@ -305,6 +338,25 @@ def test_csv_and_heatmap_outputs(tmp_path):
     text = svg_path.read_text()
     assert text.startswith("<svg") and 'width="512"' in text
     assert text.count("<circle") >= len(report.zeros)
+
+
+def _scalar_color(t):
+    t = min(max(t, 0.0), 1.0) * (len(_STOPS) - 1)
+    k = min(int(t), len(_STOPS) - 2)
+    f = t - k
+    rgb = [(1 - f) * a + f * b for a, b in zip(_STOPS[k], _STOPS[k + 1])]
+    return "#{:02x}{:02x}{:02x}".format(*(int(round(255 * c)) for c in rgb))
+
+
+def test_vectorized_colors_match_scalar_formula():
+    stops = np.linspace(0.0, 1.0, len(_STOPS))
+    t = np.concatenate([
+        np.random.default_rng(6).random(20000), stops,
+        np.nextafter(stops, 2.0), np.nextafter(stops, -1.0), [-0.5, 1.5]])
+    assert _colors(t).tolist() == [_scalar_color(float(v)) for v in t]
+    grid = t[:400].reshape(20, 20)
+    assert _colors(grid).tolist() == [[_scalar_color(float(v)) for v in row]
+                                      for row in grid]
 
 
 def test_fit_loglog():

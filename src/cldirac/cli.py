@@ -16,13 +16,10 @@ import sys
 import time
 
 from . import __version__
+from .errors import UsageError
 from .suites import condition_suite, verify_suite
 
 SCHEMA_VERSION = 1
-
-
-class UsageError(Exception):
-    pass
 
 
 def _versions() -> dict:
@@ -64,8 +61,6 @@ def _write_json(out_dir: str, name: str, payload: dict, echo: bool) -> str:
 
 def _cmd_verify(args) -> int:
     n_max = args.n_max if args.n_max is not None else (7 if args.long else 4)
-    if not 1 <= n_max <= 8:
-        raise UsageError(f"--n-max must be in 1..8, got {n_max}")
     t0 = time.monotonic()
     records = verify_suite(n_max=n_max, trials=args.trials, seed=args.seed)
     failures = [r for r in records if not r.passed]
@@ -100,53 +95,43 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} expects a comma-separated integer list") from exc
 
 
+_CONDITION_LINES = {
+    "correct": lambda row: (f"n={row['n']} r={row['r']} {row['phi_class']}: "
+                            f"max defect {row['max_defect']} over {row['trials']} trials"),
+    "wrong": lambda row: (f"n={row['n']} wrong class ({row['phi_class']}): "
+                          f"nonzero-defect rate {row['nonzero_rate']:.3f}"),
+    "odd_rank": lambda row: (f"n={row['n']} r={row['r']} antisymmetric: "
+                             + (f"det = 0 in {row['trials']}/{row['trials']} trials"
+                                if row["all_singular"] else "nonsingular draw found")),
+}
+
+
 def _cmd_condition(args) -> int:
     if args.n_list is not None:
         n_list = _parse_int_list(args.n_list, "--n-list")
     else:
         n_list = [1, 3, 5] if args.long else [1, 3]
     r_list = _parse_int_list(args.r_list, "--r-list")
-    if not n_list or not r_list:
-        raise UsageError("need at least one n and one r")
-    try:
-        t0 = time.monotonic()
-        report = condition_suite(n_list, r_list, trials=args.trials,
-                                 seed=args.seed, wrong_trials=args.wrong_trials)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    body = report.to_dict()
-    failures = (sum(1 for row in body["correct_class"] if row["max_defect"] != 0.0)
-                + sum(1 for row in body["wrong_class"] if row["nonzero_rate"] < 0.95)
-                + sum(1 for row in body["odd_rank_det"] if not row["all_singular"]))
+    t0 = time.monotonic()
+    report = condition_suite(n_list, r_list, trials=args.trials,
+                             seed=args.seed, wrong_trials=args.wrong_trials)
+    verdicts = list(report.verdicts())
+    failures = sum(1 for _kind, _row, ok in verdicts if not ok)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        **body,
+        **report.to_dict(),
         "manifest": _manifest(
             "condition",
             {"n_list": n_list, "r_list": r_list, "trials": args.trials,
              "wrong_trials": args.wrong_trials},
             args.seed, t0,
-            {"pass": len(body["correct_class"]) + len(body["wrong_class"])
-             + len(body["odd_rank_det"]) - failures, "fail": failures}),
+            {"pass": len(verdicts) - failures, "fail": failures}),
     }
     path = _write_json(args.out, "condition.json", payload, args.json)
-    for row in body["correct_class"]:
-        status = "ok " if row["max_defect"] == 0.0 else "FAIL"
-        print(f"[{status}] n={row['n']} r={row['r']} {row['phi_class']}: "
-              f"max defect {row['max_defect']} over {row['trials']} trials")
-    for row in body["wrong_class"]:
-        status = "ok " if row["nonzero_rate"] >= 0.95 else "FAIL"
-        print(f"[{status}] n={row['n']} wrong class ({row['phi_class']}): "
-              f"nonzero-defect rate {row['nonzero_rate']:.3f}")
-    for row in body["odd_rank_det"]:
-        status = "ok " if row["all_singular"] else "FAIL"
-        print(f"[{status}] n={row['n']} r={row['r']} antisymmetric: "
-              f"det = 0 in {row['trials']}/{row['trials']} trials"
-              if row["all_singular"] else
-              f"[{status}] n={row['n']} r={row['r']} antisymmetric: "
-              f"nonsingular draw found")
+    for kind, row, ok in verdicts:
+        print(f"[{'ok ' if ok else 'FAIL'}] {_CONDITION_LINES[kind](row)}")
     print(f"report: {path}")
-    return 0 if report.passed else 1
+    return 0 if not failures else 1
 
 
 def _resolve_config(path: str):
@@ -162,7 +147,7 @@ def _resolve_config(path: str):
 def _cmd_simulate(args) -> int:
     from .torus.config import ConfigError, load_config
     from .torus.heatmap import write_heatmap_svg
-    from .torus.sweep import run_sweep
+    from .torus.sweep import check_sweep, run_sweep
 
     try:
         config = load_config(_resolve_config(args.config))
@@ -170,29 +155,7 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"bad config: {exc}") from exc
     t0 = time.monotonic()
     report = run_sweep(config)
-
-    # contract assertions
-    problems = []
-    if not report.all_converged:
-        bad = [r.s for r in report.rows if not r.converged]
-        problems.append(f"solver did not converge at s = {bad}")
-    masses = [r.outside_mass for r in report.rows]
-    svals = [r.s for r in report.rows]
-    if report.zeros:
-        if any(b >= a for a, b in zip(masses, masses[1:])):
-            problems.append("outside-mass not strictly decreasing in s")
-        bound = svals[0] * masses[0]
-        if any(s * m > bound * (1 + 1e-9) for s, m in zip(svals, masses)):
-            problems.append("s * outside-mass exceeds its value at the smallest s")
-    elif config.preset_kind == "constant":
-        # with w constant, sigma_min(D_s) = s * |w| exactly on the discrete
-        # Fourier modes
-        scale = abs(config.constant_value)
-        for r in report.rows:
-            if abs(r.sigma_min - scale * r.s) > 0.01 * scale * r.s:
-                problems.append(
-                    f"sigma_min {r.sigma_min:.6f} deviates from "
-                    f"{scale:g} * s = {scale * r.s:g} by >1%")
+    problems = check_sweep(report, config)
 
     payload = report.to_dict()
     payload["assertions"] = {"passed": not problems, "problems": problems}
@@ -272,9 +235,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,9 @@ real covector gamma is
 
     c(gamma) x = sqrt2 * (gamma^{0,1} ^ x  -  contract(gamma^{1,0}, x)),
 
-which flips chirality, is skew-adjoint, and squares to -|gamma|^2.  In exact
-mode the sqrt2 factor lives in the formal sqrt2 slot of the scalar tower, so
-these relations hold with exactly zero defect.
+which flips chirality, is skew-adjoint, and squares to -|gamma|^2.  The
+sqrt2 factor lives in the formal sqrt2 slot of the scalar tower, so these
+relations hold with exactly zero defect.
 
 Spinors with values in a rank-r twisting bundle are vectors of r forms in a
 unitary frame.  Symbol operators wrap c(gamma) (x) Id as chirality-labelled

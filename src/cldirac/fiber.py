@@ -9,8 +9,10 @@ A real covector gamma is stored through the coefficients a_i of its (0,1)
 part gamma^{0,1} = sum a_i thb^i; the (1,0) part sum conj(a_i) th^i is forced
 by conjugation and never stored.
 
-Everything here is an immutable value and every operation is a pure
-function, so trial sweeps can share objects freely across threads.
+Every coefficient is an ExactComplex, the one scalar tower (scalars.py), so
+identities hold with exactly zero defect.  Everything here is an immutable
+value and every operation is a pure function, so trial sweeps can share
+objects freely across threads.
 """
 
 from __future__ import annotations
@@ -26,14 +28,10 @@ from .scalars import (
     EC_SQRT2,
     EC_ZERO,
     ExactComplex,
-    SQRT2_FLOAT,
     conj,
     is_zero,
     scalar_text,
 )
-
-EXACT = "exact"
-FLOAT = "float"
 
 
 class ContextMismatchError(ValueError):
@@ -48,80 +46,35 @@ class ChiralityError(ValueError):
     """Spinor chirality missing, inconsistent, or incompatible."""
 
 
+_I_POWERS = (EC_ONE, EC_I, -EC_ONE, -EC_I)
+
+
 @dataclass(frozen=True)
 class FiberContext:
-    """Model fiber C^n with a declared scalar mode ('exact' or 'float')."""
+    """Model fiber C^n; its scalars are ExactComplex values in Q(i, sqrt2)."""
 
     n: int
-    mode: str = EXACT
+
+    zero = EC_ZERO
+    one = EC_ONE
+    i = EC_I
+    sqrt2 = EC_SQRT2
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"complex dimension must be >= 1, got {self.n}")
-        if self.mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown scalar mode {self.mode!r}")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.mode == EXACT
+    def coerce(self, x) -> ExactComplex:
+        """x as a scalar; ints and Fractions are taken in, anything else
+        (a float, say) raises TypeError."""
+        return x if isinstance(x, ExactComplex) else ExactComplex(x)
 
-    # -- scalar factory -----------------------------------------------------
+    def rational(self, num, den=1) -> ExactComplex:
+        return ExactComplex(Fraction(num, den))
 
-    def coerce(self, x):
-        if self.is_exact:
-            if isinstance(x, ExactComplex):
-                return x
-            if isinstance(x, (int, Fraction)):
-                return ExactComplex(x)
-            raise TypeError(
-                f"exact-mode scalars must be rational, got {type(x).__name__}")
-        if isinstance(x, ExactComplex):
-            return x.to_complex()
-        if isinstance(x, (int, float, complex, Fraction)):
-            return complex(x)
-        raise TypeError(f"cannot use {type(x).__name__} as a scalar")
-
-    @property
-    def zero(self):
-        return EC_ZERO if self.is_exact else 0j
-
-    @property
-    def one(self):
-        return EC_ONE if self.is_exact else 1 + 0j
-
-    @property
-    def i(self):
-        return EC_I if self.is_exact else 1j
-
-    @property
-    def sqrt2(self):
-        return EC_SQRT2 if self.is_exact else complex(SQRT2_FLOAT)
-
-    def rational(self, num, den=1):
-        if self.is_exact:
-            return ExactComplex(Fraction(num, den))
-        return complex(num / den)
-
-    def cnum(self, re, im=0):
-        """Complex scalar with rational (or float-mode float) parts."""
-        if self.is_exact:
-            return ExactComplex(_as_frac(re), _as_frac(im))
-        return complex(re, im)
-
-    def ipow(self, e: int):
-        """i**e as a context scalar."""
-        e %= 4
-        if self.is_exact:
-            return (EC_ONE, EC_I, -EC_ONE, -EC_I)[e]
-        return (1 + 0j, 1j, -1 - 0j, -1j)[e]
-
-
-def _as_frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected rational, got {type(x).__name__}")
+    def ipow(self, e: int) -> ExactComplex:
+        """i**e."""
+        return _I_POWERS[e % 4]
 
 
 def _same_ctx(a: FiberContext, b: FiberContext):
@@ -340,9 +293,6 @@ class Covector:
     def part10(self) -> Form:
         return Form(self.ctx, {((i,), ()): conj(c) for i, c in enumerate(self.a, 1)})
 
-    def as_form(self) -> Form:
-        return self.part10() + self.part01()
-
     def norm_sq(self):
         """|gamma|^2 = 2 sum |a_i|^2 for the real covector."""
         acc = self.ctx.zero
@@ -434,17 +384,11 @@ def inner(x: Form, y: Form):
     return acc
 
 
-def real_inner(x: Form, y: Form):
-    from .scalars import real_part
-    return real_part(inner(x, y))
-
-
 # -- randomized inputs -------------------------------------------------------
 #
-# Exact mode draws coefficients with numerator in [-3, 3] and denominator in
-# {1, 2, 3} per real/imaginary part (small rationals keep Fraction growth
-# negligible across long identity chains); floating mode draws from the unit
-# box.  Everything is deterministic in the seed.
+# Coefficients have numerator in [-3, 3] and denominator in {1, 2, 3} per
+# real/imaginary part (small rationals keep Fraction growth negligible
+# across long identity chains).  Everything is deterministic in the seed.
 
 def _rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
@@ -456,20 +400,14 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
 
 
-def random_scalar(ctx: FiberContext, rng: random.Random):
-    if ctx.is_exact:
-        return ExactComplex(random_rational(rng), random_rational(rng))
-    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+def random_scalar(ctx: FiberContext, rng: random.Random) -> ExactComplex:
+    return ExactComplex(random_rational(rng), random_rational(rng))
 
 
-def random_unit_scalar(ctx: FiberContext, seed):
-    """Unit-modulus scalar; exact mode uses z^2/|z|^2 for a Gaussian
-    integer z, which has modulus exactly 1 in Q(i)."""
+def random_unit_scalar(ctx: FiberContext, seed) -> ExactComplex:
+    """Unit-modulus scalar z^2/|z|^2 for a Gaussian integer z, which has
+    modulus exactly 1 in Q(i)."""
     rng = _rng(seed)
-    if not ctx.is_exact:
-        phase = rng.uniform(0.0, 2.0 * 3.141592653589793)
-        import cmath
-        return cmath.exp(1j * phase)
     while True:
         a = rng.randint(-3, 3)
         b = rng.randint(-3, 3)
@@ -489,14 +427,6 @@ def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
         for tj in subsets_increasing(ctx.n, q):
             terms[(ti, tj)] = random_scalar(ctx, rng)
     return Form(ctx, terms)
-
-
-def random_nonzero_form(ctx: FiberContext, p: int, q: int, rng) -> Form:
-    rng = _rng(rng)
-    while True:
-        f = random_form(ctx, p, q, rng)
-        if not f.is_zero():
-            return f
 
 
 def random_covector(ctx: FiberContext, seed) -> Covector:

@@ -19,7 +19,7 @@ cancellation
 
 holds exactly for symmetric phi when n = 1 mod 4 and antisymmetric phi when
 n = 3 mod 4.  `concentrating_defect` measures the worst basis-vector norm of
-that sum, exactly in exact mode.
+that sum; whether it is zero is decided exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .fiber import (
     zero_form,
 )
 from .hodge import tau_graded
-from .scalars import ExactComplex, conj, is_zero, real_to_float, to_complex
+from .scalars import ExactComplex, conj, is_zero, real_to_float
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -71,12 +71,8 @@ class PhiMap:
         object.__setattr__(self, "entries", rows)
         u = self.ctx.coerce(self.eta_scalar)
         object.__setattr__(self, "eta_scalar", u)
-        uu = u * conj(u)
-        if self.ctx.is_exact:
-            if uu != 1:
-                raise ValueError("eta scalar must have modulus exactly 1")
-        elif abs(to_complex(uu) - 1.0) > 1e-12:
-            raise ValueError("eta scalar must have modulus 1")
+        if u * conj(u) != 1:
+            raise ValueError("eta scalar must have modulus exactly 1")
         for i in range(self.r):
             for j in range(i, self.r):
                 a, b = rows[i][j], rows[j][i]
@@ -170,8 +166,7 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     over the standard basis of S+ (x) E.
 
     Exactly 0.0 when the class matches the dimension (symmetric for
-    n = 1 mod 4, antisymmetric for n = 3 mod 4); the zero test is exact in
-    exact mode."""
+    n = 1 mod 4, antisymmetric for n = 3 mod 4); the zero test is exact."""
     _require_odd(phi.ctx)
     _same_ctx(phi.ctx, g.ctx)
     sig_d = symbol(g, phi.r, "D")
@@ -212,22 +207,14 @@ def _exact_det(rows):
 
 
 def singular_verdict(phi: PhiMap) -> SingularVerdict:
-    """det(phi_ij) and whether the fiber map is singular; exact mode decides
-    exactly, floating mode at 1e-12 of the matrix norm scale."""
-    if phi.ctx.is_exact:
-        det = _exact_det(phi.entries)
-        return SingularVerdict(det, is_zero(det))
-    import numpy as np
-    mat = np.array([[to_complex(x) for x in row] for row in phi.entries])
-    det = complex(np.linalg.det(mat))
-    scale = max(float(np.linalg.norm(mat)), 1.0) ** phi.r
-    return SingularVerdict(det, abs(det) < 1e-12 * scale)
+    """Exact det(phi_ij) and whether the fiber map is singular."""
+    det = _exact_det(phi.entries)
+    return SingularVerdict(det, is_zero(det))
 
 
-def random_phi(ctx: FiberContext, r: int, symmetry: str, seed,
-               random_eta: bool = True) -> PhiMap:
-    """Random PhiMap of the declared class; entries are small rationals in
-    exact mode, unit-box complexes otherwise."""
+def random_phi(ctx: FiberContext, r: int, symmetry: str, seed) -> PhiMap:
+    """Random PhiMap of the declared class, with small rational entries and
+    a random unit scalar framing K."""
     rng = _rng(seed)
     entries = [[ctx.zero for _ in range(r)] for _ in range(r)]
     for i in range(r):
@@ -245,18 +232,16 @@ def random_phi(ctx: FiberContext, r: int, symmetry: str, seed,
                 entries[i][j] = c
                 if i != j:
                     entries[j][i] = random_scalar(ctx, rng)
-    eta = random_unit_scalar(ctx, rng) if random_eta else ctx.one
     return PhiMap(ctx, r, tuple(tuple(row) for row in entries),
-                  eta_scalar=eta, declared_class=symmetry)
+                  eta_scalar=random_unit_scalar(ctx, rng), declared_class=symmetry)
 
 
-def random_nonzero_phi(ctx: FiberContext, r: int, symmetry: str, rng,
-                       random_eta: bool = True) -> PhiMap:
+def random_nonzero_phi(ctx: FiberContext, r: int, symmetry: str, rng) -> PhiMap:
     rng = _rng(rng)
     if symmetry == ANTISYMMETRIC and r == 1:
         raise ValueError("antisymmetric 1x1 maps are identically zero")
     while True:
-        phi = random_phi(ctx, r, symmetry, rng, random_eta=random_eta)
+        phi = random_phi(ctx, r, symmetry, rng)
         if not phi.is_zero():
             return phi
 

@@ -1,11 +1,9 @@
-"""Scalar towers for the two fiber modes.
+"""The one scalar tower of the fiber calculus: the field Q(i, sqrt2).
 
-Exact mode works in the field Q(i, sqrt2): values (a + b*sqrt2) with a and b
-complex rationals held as Fraction pairs.  The formal sqrt2 slot (multiplied
-out via sqrt2*sqrt2 = 2) keeps Clifford factors exact, so identity defects
-are provably zero rather than merely small.  Floating mode uses the builtin
-complex.  Both towers share one operator surface (+, -, *, /, conjugate), so
-the algebra layer above is mode-agnostic.
+Values are (a + b*sqrt2) with a and b complex rationals held as Fraction
+pairs.  The formal sqrt2 slot (multiplied out via sqrt2*sqrt2 = 2) keeps
+Clifford factors exact, so identity defects are provably zero rather than
+merely small.  Floats appear only in ``to_complex``, for display.
 """
 
 from __future__ import annotations
@@ -172,39 +170,29 @@ EC_I = ExactComplex(0, 1)
 EC_SQRT2 = ExactComplex(0, 0, 1)
 
 
-# -- mode-agnostic helpers --------------------------------------------------
+# -- helpers -----------------------------------------------------------------
 
 def conj(z):
     return z.conjugate()
 
 
 def is_zero(z) -> bool:
-    return z == 0
-
-
-def to_complex(z) -> complex:
-    if isinstance(z, ExactComplex):
-        return z.to_complex()
-    return complex(z)
+    return not z
 
 
 def abs_sq(z):
-    """z * conj(z); exact (and real) in exact mode."""
+    """z * conj(z); exact and real."""
     return z * z.conjugate()
 
 
 def real_part(z):
-    """Real part in the scalar's own tower (ExactComplex stays exact)."""
-    if isinstance(z, ExactComplex):
-        return ExactComplex(z.ar, 0, z.br, 0)
-    return complex(z).real
+    """Real part, still exact."""
+    return ExactComplex(z.ar, 0, z.br, 0)
 
 
 def real_to_float(z) -> float:
-    return to_complex(z).real
+    return z.to_complex().real
 
 
 def scalar_text(z) -> str:
-    if isinstance(z, ExactComplex):
-        return z.text()
-    return repr(z)
+    return z.text()

@@ -26,10 +26,12 @@ from importlib import resources
 
 import numpy as np
 
+from ..errors import UsageError
+
 TWO_PI = 2.0 * math.pi
 
 
-class ConfigError(ValueError):
+class ConfigError(UsageError):
     """Bad simulation configuration or config file."""
 
 
@@ -53,25 +55,42 @@ class SimConfig:
             raise ConfigError(f"N must be a power of two, got {self.N}")
         if not self.s_values:
             raise ConfigError("need at least one s value")
-        if any(s <= 0 for s in self.s_values):
-            raise ConfigError("s values must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in self.s_values):
+            raise ConfigError("s values must be positive and finite")
         if any(b <= a for a, b in zip(self.s_values, self.s_values[1:])):
             raise ConfigError("s values must be strictly increasing")
+        if not math.isfinite(self.delta):
+            raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.delta <= self.spacing:
             raise ConfigError(
                 f"delta = {self.delta} must exceed the grid spacing "
                 f"{self.spacing:.4f}")
         if self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1")
-        if self.eig_tol <= 0:
-            raise ConfigError("eig_tol must be positive")
+        # LOBPCG runs with up to eig_count + 4 columns, and scipy's lobpcg
+        # needs 5 per column in the problem size for its iterative path
+        if 5 * (self.eig_count + 4) > 2 * self.N * self.N:
+            raise ConfigError(
+                f"eig_count = {self.eig_count} is too large for N = {self.N}: "
+                f"need 5 * (eig_count + 4) <= 2 N^2")
+        if not (math.isfinite(self.eig_tol) and self.eig_tol > 0):
+            raise ConfigError("eig_tol must be positive and finite")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         kind = self.preset_kind
         if kind == "constant":
-            if self.constant_value == 0:
+            value = self.constant_value
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ConfigError("constant preset needs a finite value")
+            if value == 0:
                 raise ConfigError("constant preset needs a nonzero value")
         elif kind == "custom":
             if not self.fourier_coeffs:
                 raise ConfigError("custom preset needs fourier_coeffs")
+            if not all(np.isfinite(c) for _mx, _my, c in self.fourier_coeffs):
+                raise ConfigError("fourier_coeffs must be finite")
         elif kind != "sin_zeros":
             raise ConfigError(f"unknown phi preset {self.phi_preset!r}")
 
@@ -87,7 +106,10 @@ class SimConfig:
     def constant_value(self) -> complex:
         if self.preset_kind != "constant":
             raise ConfigError("not a constant preset")
-        inside = self.phi_preset.split("(", 1)[1].rstrip(") ")
+        text = self.phi_preset.strip()
+        if not text.endswith(")") or text.count("(") != 1 or text.count(")") != 1:
+            raise ConfigError(f"expected constant(<complex>), got {text!r}")
+        inside = text[text.index("(") + 1:-1]
         try:
             return complex(inside.replace(" ", ""))
         except ValueError as exc:
@@ -127,9 +149,10 @@ def parse_config_text(text: str) -> SimConfig:
         values[key] = val
     kwargs = {}
     if "N" in values:
-        kwargs["N"] = int(values["N"])
+        kwargs["N"] = _number(int, "N", values["N"])
     if "s_values" in values:
-        kwargs["s_values"] = tuple(float(tok) for tok in values["s_values"].split(","))
+        kwargs["s_values"] = tuple(_number(float, "s_values", tok)
+                                   for tok in values["s_values"].split(","))
     if "phi_preset" in values:
         kwargs["phi_preset"] = values["phi_preset"]
     if "fourier_coeffs" in values:
@@ -141,19 +164,32 @@ def parse_config_text(text: str) -> SimConfig:
             toks = [t.strip() for t in chunk.split(",")]
             if len(toks) != 4:
                 raise ConfigError("fourier_coeffs entries are mx,my,re,im")
-            coeffs.append((int(toks[0]), int(toks[1]),
-                           complex(float(toks[2]), float(toks[3]))))
+            mx, my = (_number(int, "fourier_coeffs", t) for t in toks[:2])
+            re, im = (_number(float, "fourier_coeffs", t) for t in toks[2:])
+            coeffs.append((mx, my, complex(re, im)))
         kwargs["fourier_coeffs"] = tuple(coeffs)
     for key, cast in (("delta", float), ("eig_count", int), ("eig_tol", float),
                       ("seed", int), ("max_iterations", int)):
         if key in values:
-            kwargs[key] = cast(values[key])
+            kwargs[key] = _number(cast, key, values[key])
     return SimConfig(**kwargs)
 
 
+def _number(cast, key: str, text: str):
+    try:
+        return cast(text.strip())
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {text.strip()!r}") from None
+
+
 def load_config(path) -> SimConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def preset_path(name: str):

@@ -204,3 +204,33 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         fields=fields,
     )
     return report
+
+
+def check_sweep(report: SpectralReport, config: SimConfig) -> list[str]:
+    """The pass rule of a sweep, as a list of problems (empty: passed).
+
+    Every s must converge.  With zeros, the outside mass must decrease
+    strictly in s and s * mass must stay at most its value at the smallest
+    s.  For the constant preset, sigma_min(D_s) = s |w| exactly on the
+    discrete Fourier modes, so each sigma_min must be within 1% of it.
+    """
+    problems = []
+    if not report.all_converged:
+        bad = [r.s for r in report.rows if not r.converged]
+        problems.append(f"solver did not converge at s = {bad}")
+    masses = [r.outside_mass for r in report.rows]
+    svals = [r.s for r in report.rows]
+    if report.zeros:
+        if any(b >= a for a, b in zip(masses, masses[1:])):
+            problems.append("outside-mass not strictly decreasing in s")
+        bound = svals[0] * masses[0]
+        if any(s * m > bound * (1 + 1e-9) for s, m in zip(svals, masses)):
+            problems.append("s * outside-mass exceeds its value at the smallest s")
+    elif config.preset_kind == "constant":
+        scale = abs(config.constant_value)
+        for r in report.rows:
+            if abs(r.sigma_min - scale * r.s) > 0.01 * scale * r.s:
+                problems.append(
+                    f"sigma_min {r.sigma_min:.6f} deviates from "
+                    f"{scale:g} * s = {scale * r.s:g} by >1%")
+    return problems

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
 from cldirac.cli import main
+from cldirac.suites import ConditionReport
+from cldirac.torus.config import load_config
+from cldirac.torus.sweep import SpectralReport, SweepRow, check_sweep
 
 
 def test_verify_small_run(tmp_path):
@@ -78,3 +83,133 @@ def test_simulate_small_sweep(tmp_path):
     masses = [row["outside_mass"] for row in report["results"]]
     assert masses[1] < masses[0]
     assert report["manifest"]["versions"]["kernel_backend"] == "numpy"
+
+
+_CONFIG = """
+N = 16
+s_values = 4, 8
+phi_preset = sin_zeros
+delta = 0.5
+eig_count = 2
+eig_tol = 1e-7
+seed = 5
+max_iterations = 100
+"""
+
+
+def _config_with(**values):
+    lines = []
+    for line in _CONFIG.strip().splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append(f"{key} = {values.pop(key)}" if key in values else line)
+    lines += [f"{key} = {val}" for key, val in values.items()]
+    return "\n".join(lines) + "\n"
+
+
+_BAD_CONFIGS = {
+    "N-not-integer": {"N": "abc"},
+    "N-float": {"N": "16.0"},
+    "seed-not-integer": {"seed": "x"},
+    "seed-negative": {"seed": "-1"},
+    "eig_count-not-integer": {"eig_count": "2.5"},
+    "max_iterations-not-integer": {"max_iterations": "many"},
+    "s_values-token": {"s_values": "1, x"},
+    "fourier-token": {"phi_preset": "custom", "fourier_coeffs": "1,0,a,0"},
+    "delta-nan": {"delta": "nan"},
+    "eig_tol-nan": {"eig_tol": "nan"},
+    "s_values-inf": {"s_values": "1, inf"},
+    "constant-unbalanced": {"phi_preset": "constant(1"},
+    "max_iterations-zero": {"max_iterations": "0"},
+    "eig_count-too-large": {"eig_count": "1000"},
+    "constant-inf": {"phi_preset": "constant(inf)"},
+    "fourier-nan": {"phi_preset": "custom", "fourier_coeffs": "1,0,nan,0"},
+    "config-is-directory": None,
+}
+
+_BAD_ARGS = {
+    "verify-trials-zero": ["verify", "--n-max", "1", "--trials", "0"],
+    "verify-trials-negative": ["verify", "--n-max", "1", "--trials", "-1"],
+    "condition-trials-zero": ["condition", "--n-list", "1", "--trials", "0"],
+    "condition-wrong-trials-zero": ["condition", "--n-list", "1",
+                                    "--wrong-trials", "0"],
+    "condition-n-even": ["condition", "--n-list", "1,2"],
+    "condition-n-too-large": ["condition", "--n-list", "9"],
+    "condition-n-negative": ["condition", "--n-list", "-1"],
+    "condition-n-empty": ["condition", "--n-list", ","],
+    "condition-r-zero": ["condition", "--n-list", "1", "--r-list", "1,0"],
+    "condition-r-not-integer": ["condition", "--n-list", "1", "--r-list", "a"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGS) + sorted(_BAD_CONFIGS))
+def test_bad_input_exits_2_with_message(case, tmp_path, capsys):
+    if case in _BAD_ARGS:
+        argv = _BAD_ARGS[case]
+    elif _BAD_CONFIGS[case] is None:
+        argv = ["simulate", str(tmp_path)]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(_config_with(**_BAD_CONFIGS[case]))
+        argv = ["simulate", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def _condition_report():
+    return ConditionReport(
+        correct=[{"n": 1, "r": 1, "phi_class": "symmetric", "trials": 5,
+                  "failures": 1, "max_defect": 0.0}],
+        wrong=[{"n": 1, "phi_class": "antisymmetric", "r_values": [2],
+                "trials": 10, "nonzero_rate": 0.9}],
+        odd_rank=[{"n": 1, "r": 1, "trials": 5, "all_singular": True}])
+
+
+def test_condition_cli_reads_the_report_verdicts(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("cldirac.cli.condition_suite",
+                        lambda *args, **kwargs: _condition_report())
+    assert main(["condition", "--n-list", "1", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "condition.json").read_text())
+    assert report["passed"] is False
+    assert report["manifest"]["counts"] == {"pass": 1, "fail": 2}
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:6] for line in lines[:3]] == ["[FAIL]", "[FAIL]", "[ok ] "]
+
+
+def _sweep_report(zeros, masses, sigmas):
+    rows = [SweepRow(s=s, eigenvalues=[sig * sig], outside_mass=m, sigma_min=sig,
+                     residual_max=0.0, converged=True, iterations=1, seconds=0.0)
+            for s, m, sig in zip((4.0, 8.0, 16.0), masses, sigmas)]
+    return SpectralReport(config={"N": 16}, zeros=zeros, rows=rows, fit=None,
+                          backend="numpy", seconds=0.0)
+
+
+@pytest.mark.parametrize("preset,zeros,masses,sigmas,problem", [
+    ("sin_zeros", [(0.0, 0.0)], (0.3, 0.05, 0.05), (0.0, 0.0, 0.0),
+     "not strictly decreasing"),
+    ("constant(1)", [], (1.0, 1.0, 1.0), (4.0, 8.16, 16.0), "deviates"),
+])
+def test_simulate_contract_failures(preset, zeros, masses, sigmas, problem,
+                                    tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "synthetic.cfg"
+    cfg.write_text(_config_with(phi_preset=preset, s_values="4, 8, 16"))
+    report = _sweep_report(zeros, masses, sigmas)
+    problems = check_sweep(report, load_config(cfg))
+    assert len(problems) == 1 and problem in problems[0]
+    monkeypatch.setattr("cldirac.torus.sweep.run_sweep", lambda config: report)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 1
+    body = json.loads((out / "simulate.json").read_text())
+    assert body["assertions"] == {"passed": False, "problems": problems}
+    assert body["manifest"]["counts"] == {"pass": 0, "fail": 1}
+    assert f"[FAIL] {problems[0]}" in capsys.readouterr().out.splitlines()
+
+
+def test_simulate_contract_passes_good_sweeps(tmp_path):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(_config_with(phi_preset="constant(1)", s_values="4, 8, 16"))
+    good = _sweep_report([], (1.0, 1.0, 1.0), (4.0, 8.0, 16.0))
+    assert check_sweep(good, load_config(cfg)) == []
+    cfg.write_text(_config_with(s_values="4, 8, 16"))
+    good = _sweep_report([(0.0, 0.0)], (0.3, 0.1, 0.05), (0.0, 0.0, 0.0))
+    assert check_sweep(good, load_config(cfg)) == []

@@ -45,9 +45,6 @@ def test_wedge_context_mismatch():
     b = scalar_form(FiberContext(3), 1)
     with pytest.raises(ContextMismatchError):
         wedge(a, b)
-    with pytest.raises(ContextMismatchError):
-        wedge(scalar_form(FiberContext(2), 1),
-              scalar_form(FiberContext(2, "float"), 1))
 
 
 def test_graded_anticommutativity_random():
@@ -178,16 +175,6 @@ def test_form_conjugate_involution():
     for _ in range(20):
         x = random_form(ctx, rng.randint(0, 3), rng.randint(0, 3), rng)
         assert x.conjugate().conjugate() == x
-
-
-def test_float_mode_smoke():
-    ctx = FiberContext(2, "float")
-    x = random_form(ctx, 0, 1, seed=4)
-    y = random_form(ctx, 0, 1, seed=5)
-    g = random_covector(ctx, 6)
-    lhs = inner(wedge(g.part01(), x), y)
-    rhs = inner(x, contract(g, y))
-    assert abs(lhs - rhs) < 1e-12
 
 
 def test_exact_mode_rejects_floats():

@@ -1,0 +1,97 @@
+"""Identity-suite bookkeeping: the exact verdict, the family table, seeds."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import cldirac
+from cldirac import FiberContext, monomial
+from cldirac.scalars import ExactComplex
+from cldirac.suites import _run, verify_suite
+
+# nonzero in Q(i, sqrt2), but -1.4142135623730951 + sqrt2 rounds to 0.0
+TINY = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
+
+
+def test_run_counts_exact_nonzero_defect_that_rounds_to_zero():
+    assert TINY and TINY.to_complex() == 0j
+    record = _run("tiny", 1, 0, 1, 1, lambda rng: (TINY, "the tiny input"))
+    assert record.failures == 1 and not record.passed
+    assert record.counterexample == "the tiny input"
+    assert record.max_defect == 0.0
+
+
+def test_run_form_defects():
+    ctx = FiberContext(2)
+    zero = monomial(ctx, (1,), (), 0)
+    tiny = monomial(ctx, (1,), (2,), TINY)
+    outcomes = iter([(zero, "a"), (tiny, "b"), (monomial(ctx, (), (), 3), "c"),
+                     (zero, "d")])
+    record = _run("forms", 2, 1, 4, 1, lambda rng: next(outcomes))
+    assert record.failures == 2
+    assert record.max_defect == 3.0 and record.counterexample == "c"
+
+
+def _expected_keys(n_max, trials):
+    per_p = ("wedge_anticommute", "wedge_associative", "contract_antiderivation",
+             "contract_twice_zero", "star_square", "tau_square", "tau_isometry",
+             "star_wedge_shift", "star_contract_shift",
+             "star_clifford_commutation", "clifford_square",
+             "clifford_skew_adjoint", "clifford_parity_flip",
+             "clifford_real_linear", "adjunction")
+    keys = set()
+    for n in range(1, n_max + 1):
+        keys |= {(name, n, p, trials) for name in per_p for p in range(n + 1)}
+        keys |= {("tau_real_adjoint", n, k, trials) for k in range(2 * n + 1)}
+        keys |= {("symbol_clifford_relation", n, r, max(1, trials // 10))
+                 for r in (1, 2, 3, 4)}
+        # every pair of same-bidegree basis forms of bidegree (p, q), all q
+        keys |= {("star_defining", n, p, math.comb(n, p) ** 2 * math.comb(2 * n, n))
+                 for p in range(n + 1)}
+    keys |= {("epsilon_shift", n, p, 1) for n in range(1, 9) for p in range(n + 1)}
+    return keys
+
+
+def test_verify_suite_covers_every_family():
+    records = verify_suite(n_max=3, trials=4, seed=1)
+    keys = [(r.identity, r.n, r.p, r.trials) for r in records]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == _expected_keys(3, 4)
+    assert all(r.passed and r.max_defect == 0.0 for r in records)
+
+
+_RECORD_DRAWS = """
+import json
+import cldirac.suites as suites
+drawn = []
+original = suites.random_form
+
+def random_form(ctx, p, q, seed):
+    form = original(ctx, p, q, seed)
+    drawn.append(form.text())
+    return form
+
+suites.random_form = random_form
+suites.verify_suite(n_max=2, trials=2, seed=1)
+print(json.dumps(drawn))
+"""
+
+
+def _draws(hash_seed):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cldirac.__file__)))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _RECORD_DRAWS], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def test_suite_inputs_do_not_depend_on_hash_seed():
+    first = _draws(1)
+    assert first
+    assert first == _draws(2)
+

@@ -147,7 +147,7 @@ def _resolve_config(path: str):
 def _cmd_simulate(args) -> int:
     from .torus.config import ConfigError, load_config
     from .torus.heatmap import write_heatmap_svg
-    from .torus.sweep import check_sweep, run_sweep
+    from .torus.sweep import check_sweep, row_counts, run_sweep
 
     try:
         config = load_config(_resolve_config(args.config))
@@ -161,8 +161,7 @@ def _cmd_simulate(args) -> int:
     payload["assertions"] = {"passed": not problems, "problems": problems}
     payload["manifest"] = _manifest(
         "simulate", {"config": str(args.config)}, config.seed, t0,
-        {"pass": len(report.rows) - len(problems) if not problems else 0,
-         "fail": len(problems)})
+        row_counts(report, config))
     payload["schema_version"] = SCHEMA_VERSION
     path = _write_json(args.out, "simulate.json", payload, args.json)
 

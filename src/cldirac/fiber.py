@@ -28,6 +28,8 @@ from .scalars import (
     EC_SQRT2,
     EC_ZERO,
     ExactComplex,
+    _canon,
+    _coerce,
     conj,
     is_zero,
     scalar_text,
@@ -67,7 +69,10 @@ class FiberContext:
     def coerce(self, x) -> ExactComplex:
         """x as a scalar; ints and Fractions are taken in, anything else
         (a float, say) raises TypeError."""
-        return x if isinstance(x, ExactComplex) else ExactComplex(x)
+        z = _coerce(x)
+        if z is None:
+            raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        return z
 
     def rational(self, num, den=1) -> ExactComplex:
         return ExactComplex(Fraction(num, den))
@@ -78,7 +83,7 @@ class FiberContext:
 
 
 def _same_ctx(a: FiberContext, b: FiberContext):
-    if a != b:
+    if a is not b and a != b:
         raise ContextMismatchError(f"context mismatch: {a} vs {b}")
 
 
@@ -138,6 +143,18 @@ class Form:
         self.ctx = ctx
         self._terms = canon
 
+    @classmethod
+    def _of(cls, ctx: FiberContext, terms: dict) -> "Form":
+        """Form built by an internal operation, whose keys are canonical
+        index tuples and whose values are ExactComplex by construction:
+        only the zero coefficients are dropped, nothing is re-checked.
+        The new Form takes ownership of the terms dict."""
+        f = object.__new__(cls)
+        f.ctx = ctx
+        f._terms = terms if all(terms.values()) else {
+            key: c for key, c in terms.items() if c}
+        return f
+
     # -- inspection ---------------------------------------------------------
 
     def items(self):
@@ -175,13 +192,13 @@ class Form:
         for key, c in self._terms.items():
             deg = (len(key[0]), len(key[1]))
             out.setdefault(deg, {})[key] = c
-        return {deg: Form(self.ctx, t) for deg, t in sorted(out.items())}
+        return {deg: Form._of(self.ctx, t) for deg, t in sorted(out.items())}
 
     def degree_components(self):
         out = {}
         for key, c in self._terms.items():
             out.setdefault(len(key[0]) + len(key[1]), {})[key] = c
-        return {k: Form(self.ctx, t) for k, t in sorted(out.items())}
+        return {k: Form._of(self.ctx, t) for k, t in sorted(out.items())}
 
     # -- linear structure ---------------------------------------------------
 
@@ -193,19 +210,24 @@ class Form:
         for key, c in other._terms.items():
             acc = terms.get(key)
             terms[key] = c if acc is None else acc + c
-        return Form(self.ctx, terms)
+        return Form._of(self.ctx, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self + (-other)
+        _same_ctx(self.ctx, other.ctx)
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            acc = terms.get(key)
+            terms[key] = -c if acc is None else acc - c
+        return Form._of(self.ctx, terms)
 
     def __neg__(self):
-        return Form(self.ctx, {k: -c for k, c in self._terms.items()})
+        return Form._of(self.ctx, {k: -c for k, c in self._terms.items()})
 
     def scale(self, c):
         c = self.ctx.coerce(c)
-        return Form(self.ctx, {k: v * c for k, v in self._terms.items()})
+        return Form._of(self.ctx, {k: v * c for k, v in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, Form):
@@ -219,7 +241,7 @@ class Form:
             sign = (len(ti) * len(tj)) % 2
             val = conj(c)
             terms[(tj, ti)] = -val if sign else val
-        return Form(self.ctx, terms)
+        return Form._of(self.ctx, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -247,7 +269,7 @@ class Form:
 
 
 def zero_form(ctx: FiberContext) -> Form:
-    return Form(ctx, {})
+    return Form._of(ctx, {})
 
 
 def monomial(ctx: FiberContext, ti, tj, coeff=1) -> Form:
@@ -288,10 +310,11 @@ class Covector:
         object.__setattr__(self, "a", tuple(self.ctx.coerce(x) for x in self.a))
 
     def part01(self) -> Form:
-        return Form(self.ctx, {((), (i,)): c for i, c in enumerate(self.a, 1)})
+        return Form._of(self.ctx, {((), (i,)): c for i, c in enumerate(self.a, 1)})
 
     def part10(self) -> Form:
-        return Form(self.ctx, {((i,), ()): conj(c) for i, c in enumerate(self.a, 1)})
+        return Form._of(self.ctx,
+                        {((i,), ()): conj(c) for i, c in enumerate(self.a, 1)})
 
     def norm_sq(self):
         """|gamma|^2 = 2 sum |a_i|^2 for the real covector."""
@@ -336,7 +359,7 @@ def wedge(x: Form, y: Form) -> Form:
             key = (mi, mj)
             acc = out.get(key)
             out[key] = val if acc is None else acc + val
-    return Form(x.ctx, out)
+    return Form._of(x.ctx, out)
 
 
 def contract(g: Covector, x: Form) -> Form:
@@ -362,33 +385,34 @@ def contract(g: Covector, x: Form) -> Form:
             key = (ti, tj[:k] + tj[k + 1:])
             acc = out.get(key)
             out[key] = val if acc is None else acc + val
-    return Form(x.ctx, out)
+    return Form._of(x.ctx, out)
 
 
 def inner(x: Form, y: Form):
     """Hermitian inner product; the monomial basis is orthonormal and the
     second slot is conjugate-linear."""
     _same_ctx(x.ctx, y.ctx)
+    acc = x.ctx.zero
     if len(y._terms) < len(x._terms):
-        acc = x.ctx.zero
-        for key, d in y.items():
+        for key, d in y._terms.items():
             c = x._terms.get(key)
             if c is not None:
-                acc = acc + c * conj(d)
+                acc = acc + c * d.conjugate()
         return acc
-    acc = x.ctx.zero
-    for key, c in x.items():
+    for key, c in x._terms.items():
         d = y._terms.get(key)
         if d is not None:
-            acc = acc + c * conj(d)
+            acc = acc + c * d.conjugate()
     return acc
 
 
 # -- randomized inputs -------------------------------------------------------
 #
 # Coefficients have numerator in [-3, 3] and denominator in {1, 2, 3} per
-# real/imaginary part (small rationals keep Fraction growth negligible
-# across long identity chains).  Everything is deterministic in the seed.
+# real/imaginary part.  Scalars are built straight into the canonical int
+# form of scalars.py; small rationals keep the ints short (a few machine
+# words) across long identity chains.  Everything is deterministic in the
+# seed.
 
 def _rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
@@ -401,7 +425,10 @@ def random_rational(rng: random.Random) -> Fraction:
 
 
 def random_scalar(ctx: FiberContext, rng: random.Random) -> ExactComplex:
-    return ExactComplex(random_rational(rng), random_rational(rng))
+    """random_rational(rng) + random_rational(rng) * i, with the same draws."""
+    ra, qa = rng.randint(-3, 3), rng.choice((1, 2, 3))
+    rb, qb = rng.randint(-3, 3), rng.choice((1, 2, 3))
+    return _canon(ra * qb, rb * qa, 0, 0, qa * qb)
 
 
 def random_unit_scalar(ctx: FiberContext, seed) -> ExactComplex:
@@ -413,8 +440,7 @@ def random_unit_scalar(ctx: FiberContext, seed) -> ExactComplex:
         b = rng.randint(-3, 3)
         if a or b:
             break
-    d = a * a + b * b
-    return ExactComplex(Fraction(a * a - b * b, d), Fraction(2 * a * b, d))
+    return _canon(a * a - b * b, 2 * a * b, 0, 0, a * a + b * b)
 
 
 def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
@@ -426,7 +452,7 @@ def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
     for ti in subsets_increasing(ctx.n, p):
         for tj in subsets_increasing(ctx.n, q):
             terms[(ti, tj)] = random_scalar(ctx, rng)
-    return Form(ctx, terms)
+    return Form._of(ctx, terms)
 
 
 def random_covector(ctx: FiberContext, seed) -> Covector:

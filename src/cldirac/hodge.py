@@ -46,7 +46,7 @@ def _star_terms(x: Form) -> Form:
     for (ti, tj), c in x._terms.items():
         tic, tjc, e = _star_key(ctx.n, ti, tj)
         out[(tic, tjc)] = conj(c) * ctx.ipow(e)
-    return Form(ctx, out)
+    return Form._of(ctx, out)
 
 
 def bar_star(x: Form) -> Form:
@@ -98,7 +98,7 @@ def tau_graded(x: Form) -> Form:
     if x.is_zero():
         return x
     ctx = x.ctx
-    acc = Form(ctx, {})
+    acc = Form._of(ctx, {})
     for k, comp in x.degree_components().items():
         acc = acc + _star_terms(comp).scale(ctx.ipow(epsilon_exponent(k, ctx.n)))
     return acc

@@ -137,7 +137,7 @@ def _strip_top(f: Form) -> Form:
         if ti != top:
             raise DegreeError("expected a form divisible by the top (n,0) frame")
         out[((), tj)] = c
-    return Form(ctx, out)
+    return Form._of(ctx, out)
 
 
 def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
@@ -166,7 +166,9 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     over the standard basis of S+ (x) E.
 
     Exactly 0.0 when the class matches the dimension (symmetric for
-    n = 1 mod 4, antisymmetric for n = 3 mod 4); the zero test is exact."""
+    n = 1 mod 4, antisymmetric for n = 3 mod 4).  The zero test is exact,
+    and real_to_float has no cancellation, so a nonzero defect never
+    returns 0.0."""
     _require_odd(phi.ctx)
     _same_ctx(phi.ctx, g.ctx)
     sig_d = symbol(g, phi.r, "D")
@@ -183,7 +185,7 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
 
 
 def _exact_det(rows):
-    """Fraction-exact determinant by Gaussian elimination over Q(i, sqrt2)."""
+    """Exact determinant by Gaussian elimination over Q(i, sqrt2)."""
     n = len(rows)
     m = [list(r) for r in rows]
     det = ExactComplex(1)

@@ -1,9 +1,13 @@
 """The one scalar tower of the fiber calculus: the field Q(i, sqrt2).
 
-Values are (a + b*sqrt2) with a and b complex rationals held as Fraction
-pairs.  The formal sqrt2 slot (multiplied out via sqrt2*sqrt2 = 2) keeps
-Clifford factors exact, so identity defects are provably zero rather than
-merely small.  Floats appear only in ``to_complex``, for display.
+A value is ((a + b*i) + (c + d*i)*sqrt2) / q, held as five Python ints
+(a, b, c, d, q) over one shared denominator.  Every operation returns the
+canonical form q > 0, gcd(a, b, c, d, q) == 1, so equality and hashing are
+tuple compares on the ints.  The formal sqrt2 slot (multiplied out via
+sqrt2*sqrt2 = 2) keeps Clifford factors exact, so identity defects are
+provably zero rather than merely small.  Fractions appear only at the edges
+(the constructor, the ``ar``/``ai``/``br``/``bi`` views and ``text``), and
+floats only in ``to_complex`` and ``real_to_float``, for display.
 """
 
 from __future__ import annotations
@@ -13,109 +17,167 @@ from fractions import Fraction
 
 SQRT2_FLOAT = math.sqrt(2.0)
 
+_gcd = math.gcd
+_ZERO = (0, 0, 0, 0, 1)     # the canonical tuple of 0
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+
+def _parts(x):
+    """(numerator, denominator) of an int or a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class ExactComplex:
-    """(ar + ai*i) + (br + bi*i)*sqrt2 with Fraction parts.
+def _make(t):
+    """An ExactComplex holding the tuple t, which must be canonical."""
+    z = object.__new__(ExactComplex)
+    z._t = t
+    return z
 
-    Instances are immutable by convention; no method mutates self.
+
+def _canon(a, b, c, d, q):
+    """The canonical ExactComplex of ((a + b i) + (c + d i) sqrt2) / q, q > 0."""
+    if q != 1:
+        g = _gcd(a, b, c, d, q)
+        if g != 1:
+            a //= g
+            b //= g
+            c //= g
+            d //= g
+            q //= g
+    z = object.__new__(ExactComplex)
+    z._t = (a, b, c, d, q)
+    return z
+
+
+def _coerce(x):
+    if isinstance(x, ExactComplex):
+        return x
+    if isinstance(x, int):
+        return _make((int(x), 0, 0, 0, 1))
+    if isinstance(x, Fraction):
+        return _make((x.numerator, 0, 0, 0, x.denominator))
+    return None
+
+
+class ExactComplex:
+    """(ar + ai*i) + (br + bi*i)*sqrt2 for ints or Fractions ar, ai, br, bi.
+
+    Stored as the canonical int tuple ``(a, b, c, d, q)`` described in the
+    module docstring.  Instances are immutable by convention; no method
+    mutates self.
     """
 
-    __slots__ = ("ar", "ai", "br", "bi")
+    __slots__ = ("_t",)
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        self.ar = _frac(ar)
-        self.ai = _frac(ai)
-        self.br = _frac(br)
-        self.bi = _frac(bi)
+        (a, qa), (b, qb), (c, qc), (d, qd) = (_parts(ar), _parts(ai),
+                                              _parts(br), _parts(bi))
+        q = math.lcm(qa, qb, qc, qd)
+        self._t = _canon(a * (q // qa), b * (q // qb), c * (q // qc),
+                         d * (q // qd), q)._t
 
-    # -- coercion ---------------------------------------------------------
+    # -- exact parts as Fractions -------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, ExactComplex):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return ExactComplex(x)
-        return None
+    @property
+    def ar(self) -> Fraction:
+        return Fraction(self._t[0], self._t[4])
+
+    @property
+    def ai(self) -> Fraction:
+        return Fraction(self._t[1], self._t[4])
+
+    @property
+    def br(self) -> Fraction:
+        return Fraction(self._t[2], self._t[4])
+
+    @property
+    def bi(self) -> Fraction:
+        return Fraction(self._t[3], self._t[4])
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactComplex(self.ar + o.ar, self.ai + o.ai,
-                            self.br + o.br, self.bi + o.bi)
+        if other.__class__ is not ExactComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d, q = self._t
+        e, f, g, h, r = other._t
+        if q == r:
+            return _canon(a + e, b + f, c + g, d + h, q)
+        return _canon(a * r + e * q, b * r + f * q, c * r + g * q, d * r + h * q,
+                      q * r)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ExactComplex(self.ar - o.ar, self.ai - o.ai,
-                            self.br - o.br, self.bi - o.bi)
+        if other.__class__ is not ExactComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d, q = self._t
+        e, f, g, h, r = other._t
+        if q == r:
+            return _canon(a - e, b - f, c - g, d - h, q)
+        return _canon(a * r - e * q, b * r - f * q, c * r - g * q, d * r - h * q,
+                      q * r)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __neg__(self):
-        return ExactComplex(-self.ar, -self.ai, -self.br, -self.bi)
+        a, b, c, d, q = self._t
+        return _make((-a, -b, -c, -d, q))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
-        cr, ci, dr, di = o.ar, o.ai, o.br, o.bi
-        # (a + b*s2)(c + d*s2) = (ac + 2bd) + (ad + bc)*s2
-        if not (br or bi or dr or di):        # common case: plain Q(i)
-            return ExactComplex(ar * cr - ai * ci, ar * ci + ai * cr)
-        er = ar * cr - ai * ci + 2 * (br * dr - bi * di)
-        ei = ar * ci + ai * cr + 2 * (br * di + bi * dr)
-        fr = ar * dr - ai * di + br * cr - bi * ci
-        fi = ar * di + ai * dr + br * ci + bi * cr
-        return ExactComplex(er, ei, fr, fi)
+        if other.__class__ is not ExactComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d, q = self._t
+        e, f, g, h, r = other._t
+        # (A + C s2)(E + G s2) = (AE + 2CG) + (AG + CE) s2
+        if not (c or d or g or h):            # common case: plain Q(i)
+            return _canon(a * e - b * f, a * f + b * e, 0, 0, q * r)
+        return _canon(a * e - b * f + 2 * (c * g - d * h),
+                      a * f + b * e + 2 * (c * h + d * g),
+                      a * g - b * h + c * e - d * f,
+                      a * h + b * g + c * f + d * e,
+                      q * r)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return ExactComplex(self.ar, -self.ai, self.br, -self.bi)
+        a, b, c, d, q = self._t
+        return _make((a, -b, c, -d, q))
 
     def inverse(self):
-        """Field inverse; sqrt2 is irrational over Q(i), so the
-        rationalizing denominator a^2 - 2b^2 vanishes only at zero."""
-        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
-        dr = ar * ar - ai * ai - 2 * (br * br - bi * bi)
-        di = 2 * ar * ai - 4 * br * bi
+        """Field inverse q (A - C s2) conj(D) / |D|^2 of (A + C s2) / q,
+        with D = A^2 - 2 C^2; sqrt2 is irrational over Q(i), so D vanishes
+        only at zero."""
+        a, b, c, d, q = self._t
+        dr = a * a - b * b - 2 * (c * c - d * d)
+        di = 2 * a * b - 4 * c * d
         dd = dr * dr + di * di
         if dd == 0:
             raise ZeroDivisionError("inverse of zero")
-        # (a - b*s2) * conj(d) / |d|^2
-        nr, ni = ar, ai
-        mr, mi = -br, -bi
-        return ExactComplex((nr * dr + ni * di) / dd, (ni * dr - nr * di) / dd,
-                            (mr * dr + mi * di) / dd, (mi * dr - mr * di) / dd)
+        return _canon(q * (a * dr + b * di), q * (b * dr - a * di),
+                      -q * (c * dr + d * di), -q * (d * dr - c * di), dd)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -123,23 +185,25 @@ class ExactComplex:
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.ar or self.ai or self.br or self.bi)
+        return self._t != _ZERO
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.ar == o.ar and self.ai == o.ai
-                and self.br == o.br and self.bi == o.bi)
+        if other.__class__ is not ExactComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self.ar, self.ai, self.br, self.bi))
+        return hash(self._t)
 
     # -- conversion / display ---------------------------------------------
 
     def to_complex(self) -> complex:
-        return complex(float(self.ar) + SQRT2_FLOAT * float(self.br),
-                       float(self.ai) + SQRT2_FLOAT * float(self.bi))
+        # int / int is correctly rounded, like float(Fraction)
+        a, b, c, d, q = self._t
+        return complex(a / q + SQRT2_FLOAT * (c / q),
+                       b / q + SQRT2_FLOAT * (d / q))
 
     @staticmethod
     def _pair_text(re: Fraction, im: Fraction) -> str:
@@ -153,10 +217,10 @@ class ExactComplex:
     def text(self) -> str:
         """Exact text form, e.g. '1/2-3i' or '(1+i)+(2/3i)*sqrt2'."""
         a = self._pair_text(self.ar, self.ai)
-        if self.br == 0 and self.bi == 0:
+        if not (self._t[2] or self._t[3]):
             return a
         b = self._pair_text(self.br, self.bi)
-        if self.ar == 0 and self.ai == 0:
+        if not (self._t[0] or self._t[1]):
             return f"({b})*sqrt2"
         return f"({a})+({b})*sqrt2"
 
@@ -187,11 +251,19 @@ def abs_sq(z):
 
 def real_part(z):
     """Real part, still exact."""
-    return ExactComplex(z.ar, 0, z.br, 0)
+    a, _b, c, _d, q = z._t
+    return _canon(a, 0, c, 0, q)
 
 
 def real_to_float(z) -> float:
-    return z.to_complex().real
+    """The real part (a + c sqrt2) / q as a float, without cancellation:
+    when a and c have opposite signs it is evaluated as
+    (a^2 - 2 c^2) / (q (a - c sqrt2)), whose denominator adds magnitudes,
+    so a nonzero value never rounds to 0.0."""
+    a, _b, c, _d, q = z._t
+    if (a < 0 < c) or (c < 0 < a):
+        return ((a * a - 2 * c * c) / (q * q)) / (a / q - SQRT2_FLOAT * (c / q))
+    return a / q + SQRT2_FLOAT * (c / q)
 
 
 def scalar_text(z) -> str:

@@ -105,20 +105,20 @@ def _failure_size(defect) -> float | None:
 
 
 def _run(identity, n, p, trials, seed, check) -> IdentityRecord:
-    """check(rng) returns (exact defect, counterexample text); a trial fails
-    when the defect is not exactly zero, and the first of the largest
-    failures is kept as the counterexample."""
+    """check(rng) returns (exact defect, describe); a trial fails when the
+    defect is not exactly zero, and the first of the largest failures is
+    kept as the counterexample, whose text describe() builds only then."""
     rng = random.Random(stable_seed(seed, identity, n, p))
     failures = 0
     worst = 0.0
     example = None
     for _ in range(trials):
-        defect, text = check(rng)
+        defect, describe = check(rng)
         size = _failure_size(defect)
         if size is not None:
             failures += 1
             if example is None or size > worst:
-                worst, example = size, text
+                worst, example = size, describe()
     return IdentityRecord(identity, n, p, trials, failures, worst, example)
 
 
@@ -134,9 +134,10 @@ def _describe(**kwargs) -> str:
 
 # -- individual identity families -------------------------------------------
 #
-# Each family check takes (ctx, p, rng) and returns (exact defect, text): the
-# defect is a Form or an ExactComplex that is zero exactly when the identity
-# holds on the drawn inputs, and the text serializes those inputs.
+# Each family check takes (ctx, p, rng) and returns (exact defect, describe):
+# the defect is a Form or an ExactComplex that is zero exactly when the
+# identity holds on the drawn inputs, and describe() serializes those inputs
+# (a partial of _describe, so passing trials build no text).
 
 def _wedge_anticommute(ctx, p, rng):
     qx = rng.randint(0, ctx.n)
@@ -144,7 +145,7 @@ def _wedge_anticommute(ctx, p, rng):
     x = random_form(ctx, p, qx, rng)
     y = random_form(ctx, py, qy, rng)
     sign = -1 if ((p + qx) * (py + qy)) % 2 else 1
-    return wedge(x, y) - wedge(y, x).scale(sign), _describe(x=x, y=y)
+    return wedge(x, y) - wedge(y, x).scale(sign), functools.partial(_describe, x=x, y=y)
 
 
 def _wedge_associative(ctx, p, rng):
@@ -152,7 +153,7 @@ def _wedge_associative(ctx, p, rng):
     y = random_form(ctx, 0, rng.randint(0, ctx.n), rng)
     z = random_form(ctx, rng.randint(0, 1), rng.randint(0, ctx.n), rng)
     return (wedge(wedge(x, y), z) - wedge(x, wedge(y, z)),
-            _describe(x=x, y=y, z=z))
+            functools.partial(_describe, x=x, y=y, z=z))
 
 
 def _adjunction(ctx, p, rng):
@@ -160,7 +161,7 @@ def _adjunction(ctx, p, rng):
     b = random_form(ctx, 0, p + 1, rng) if p < ctx.n else zero_form(ctx)
     g = random_covector(ctx, rng)
     return (inner(wedge(g.part01(), a), b) - inner(a, contract(g, b)),
-            _describe(alpha=a, beta=b, gamma=g.part01()))
+            functools.partial(_describe, alpha=a, beta=b, gamma=g.part01()))
 
 
 def _contract_antiderivation(ctx, p, rng):
@@ -171,13 +172,14 @@ def _contract_antiderivation(ctx, p, rng):
     sign = -1 if (px + p) % 2 else 1
     diff = (contract(g, wedge(x, y)) - wedge(contract(g, x), y)
             - wedge(x, contract(g, y)).scale(sign))
-    return diff, _describe(x=x, y=y, gamma=g.part01())
+    return diff, functools.partial(_describe, x=x, y=y, gamma=g.part01())
 
 
 def _contract_twice(ctx, p, rng):
     x = random_form(ctx, rng.randint(0, ctx.n), p, rng)
     g = random_covector(ctx, rng)
-    return contract(g, contract(g, x)), _describe(x=x, gamma=g.part01())
+    return (contract(g, contract(g, x)),
+            functools.partial(_describe, x=x, gamma=g.part01()))
 
 
 def _star_defining_exhaustive(ctx, p) -> tuple[int, int, float, str | None]:
@@ -205,7 +207,7 @@ def _star_square(ctx, p, rng):
     x = random_form(ctx, p, q, rng)
     sign = -1 if (p + q) % 2 else 1
     diff = bar_star(bar_star(x)) - x.scale(sign) if not x.is_zero() else zero_form(ctx)
-    return diff, _describe(x=x)
+    return diff, functools.partial(_describe, x=x)
 
 
 def _tau_square(ctx, p, rng):
@@ -213,13 +215,13 @@ def _tau_square(ctx, p, rng):
     x = random_form(ctx, p, q, rng)
     sign = -1 if ctx.n % 2 else 1
     diff = tau(tau(x)) - x.scale(sign) if not x.is_zero() else zero_form(ctx)
-    return diff, _describe(x=x)
+    return diff, functools.partial(_describe, x=x)
 
 
 def _tau_isometry(ctx, p, rng):
     q = rng.randint(0, ctx.n)
     x = random_form(ctx, p, q, rng)
-    return inner(tau(x), tau(x)) - inner(x, x), _describe(x=x)
+    return inner(tau(x), tau(x)) - inner(x, x), functools.partial(_describe, x=x)
 
 
 def _star_wedge_shift(ctx, p, rng):
@@ -231,7 +233,8 @@ def _star_wedge_shift(ctx, p, rng):
     lhs = bar_star(wedge(g.part01(), beta)) if p < n else zero_form(ctx)
     rhs = wedge(eta, contract(g, bar_star(wedge(eta, beta))))
     sign = -1 if (n * (p + 1) + p) % 2 else 1
-    return lhs - rhs.scale(sign), _describe(beta=beta, gamma=g.part01(), eta=eta)
+    return (lhs - rhs.scale(sign),
+            functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
 
 
 def _star_contract_shift(ctx, p, rng):
@@ -243,7 +246,8 @@ def _star_contract_shift(ctx, p, rng):
     lhs = bar_star(contract(g, beta))
     rhs = wedge(eta, wedge(g.part01(), bar_star(wedge(eta, beta))))
     sign = -1 if ((n + 1) * (p - 1)) % 2 else 1
-    return lhs - rhs.scale(sign), _describe(beta=beta, gamma=g.part01(), eta=eta)
+    return (lhs - rhs.scale(sign),
+            functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
 
 
 def _star_clifford_commutation(ctx, p, rng):
@@ -257,7 +261,8 @@ def _star_clifford_commutation(ctx, p, rng):
     rhs = wedge(eta, clifford(g, tau(wedge(eta, beta)))) \
         if not beta.is_zero() else zero_form(ctx)
     sign = -1 if (n * (n + 1) // 2 + 1) % 2 else 1
-    return lhs - rhs.scale(sign), _describe(beta=beta, gamma=g.part01(), eta=eta)
+    return (lhs - rhs.scale(sign),
+            functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
 
 
 def _tau_real_adjoint(ctx, k, rng):
@@ -267,14 +272,14 @@ def _tau_real_adjoint(ctx, k, rng):
     k2 = 2 * n - k
     p2 = rng.randint(max(0, k2 - n), min(n, k2))
     y = random_form(ctx, p2, k2 - p2, rng)
-    return tau_adjoint_defect(x, y), _describe(x=x, y=y)
+    return tau_adjoint_defect(x, y), functools.partial(_describe, x=x, y=y)
 
 
 def _clifford_square(ctx, p, rng):
     x = random_form(ctx, 0, p, rng)
     g = random_covector(ctx, rng)
     return (clifford(g, clifford(g, x)) + x.scale(g.norm_sq()),
-            _describe(x=x, gamma=g.part01()))
+            functools.partial(_describe, x=x, gamma=g.part01()))
 
 
 def _clifford_skew(ctx, p, rng):
@@ -286,7 +291,7 @@ def _clifford_skew(ctx, p, rng):
         b = b + random_form(ctx, 0, p - 1, rng)
     g = random_covector(ctx, rng)
     return (inner(clifford(g, a), b) + inner(a, clifford(g, b)),
-            _describe(alpha=a, beta=b, gamma=g.part01()))
+            functools.partial(_describe, alpha=a, beta=b, gamma=g.part01()))
 
 
 def _clifford_parity(ctx, p, rng):
@@ -296,7 +301,7 @@ def _clifford_parity(ctx, p, rng):
     image = clifford(g, x)
     wrong = Form(ctx, {key: c for key, c in image.items()
                        if len(key[1]) % 2 == p % 2})
-    return wrong, _describe(x=x, gamma=g.part01())
+    return wrong, functools.partial(_describe, x=x, gamma=g.part01())
 
 
 def _clifford_real_linear(ctx, p, rng):
@@ -307,7 +312,7 @@ def _clifford_real_linear(ctx, p, rng):
     additive = clifford(g1 + g2, x) - clifford(g1, x) - clifford(g2, x)
     homogeneous = clifford(g1.scale_real(t), x) - clifford(g1, x).scale(ctx.rational(t))
     return (additive if not additive.is_zero() else homogeneous,
-            _describe(x=x, g1=g1.part01(), g2=g2.part01()))
+            functools.partial(_describe, x=x, g1=g1.part01(), g2=g2.part01()))
 
 
 def _symbol_clifford_relation(ctx, r, rng):
@@ -319,7 +324,7 @@ def _symbol_clifford_relation(ctx, r, rng):
     total = ctx.zero
     for z in spinor_basis(ctx, r, EVEN):
         total = total + (comp(z) + z.scale(g.norm_sq())).norm_sq()
-    return total, _describe(gamma=g.part01(), r=r)
+    return total, functools.partial(_describe, gamma=g.part01(), r=r)
 
 
 class Family(NamedTuple):

@@ -206,31 +206,48 @@ def run_sweep(config: SimConfig) -> SpectralReport:
     return report
 
 
-def check_sweep(report: SpectralReport, config: SimConfig) -> list[str]:
-    """The pass rule of a sweep, as a list of problems (empty: passed).
+def _sweep_checks(report: SpectralReport, config: SimConfig) -> list:
+    """The pass rule of a sweep: (problem, indices of the rows it names) for
+    every failed check.
 
     Every s must converge.  With zeros, the outside mass must decrease
     strictly in s and s * mass must stay at most its value at the smallest
     s.  For the constant preset, sigma_min(D_s) = s |w| exactly on the
     discrete Fourier modes, so each sigma_min must be within 1% of it.
     """
-    problems = []
-    if not report.all_converged:
-        bad = [r.s for r in report.rows if not r.converged]
-        problems.append(f"solver did not converge at s = {bad}")
-    masses = [r.outside_mass for r in report.rows]
-    svals = [r.s for r in report.rows]
+    rows = report.rows
+    failed = []
+    bad = [i for i, r in enumerate(rows) if not r.converged]
+    if bad:
+        failed.append((f"solver did not converge at s = {[rows[i].s for i in bad]}",
+                       bad))
     if report.zeros:
-        if any(b >= a for a, b in zip(masses, masses[1:])):
-            problems.append("outside-mass not strictly decreasing in s")
-        bound = svals[0] * masses[0]
-        if any(s * m > bound * (1 + 1e-9) for s, m in zip(svals, masses)):
-            problems.append("s * outside-mass exceeds its value at the smallest s")
+        bad = [i for i in range(1, len(rows))
+               if rows[i].outside_mass >= rows[i - 1].outside_mass]
+        if bad:
+            failed.append(("outside-mass not strictly decreasing in s", bad))
+        bound = rows[0].s * rows[0].outside_mass
+        bad = [i for i, r in enumerate(rows)
+               if r.s * r.outside_mass > bound * (1 + 1e-9)]
+        if bad:
+            failed.append(("s * outside-mass exceeds its value at the smallest s",
+                           bad))
     elif config.preset_kind == "constant":
         scale = abs(config.constant_value)
-        for r in report.rows:
+        for i, r in enumerate(rows):
             if abs(r.sigma_min - scale * r.s) > 0.01 * scale * r.s:
-                problems.append(
-                    f"sigma_min {r.sigma_min:.6f} deviates from "
-                    f"{scale:g} * s = {scale * r.s:g} by >1%")
-    return problems
+                failed.append((f"sigma_min {r.sigma_min:.6f} deviates from "
+                               f"{scale:g} * s = {scale * r.s:g} by >1%", [i]))
+    return failed
+
+
+def check_sweep(report: SpectralReport, config: SimConfig) -> list[str]:
+    """The problems of a sweep (empty: passed); see _sweep_checks."""
+    return [problem for problem, _rows in _sweep_checks(report, config)]
+
+
+def row_counts(report: SpectralReport, config: SimConfig) -> dict:
+    """{"pass", "fail"} over the rows: a row fails when a failed check
+    names it."""
+    failed = {i for _problem, rows in _sweep_checks(report, config) for i in rows}
+    return {"pass": len(report.rows) - len(failed), "fail": len(failed)}

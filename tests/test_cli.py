@@ -7,7 +7,7 @@ import pytest
 from cldirac.cli import main
 from cldirac.suites import ConditionReport
 from cldirac.torus.config import load_config
-from cldirac.torus.sweep import SpectralReport, SweepRow, check_sweep
+from cldirac.torus.sweep import SpectralReport, SweepRow, check_sweep, row_counts
 
 
 def test_verify_small_run(tmp_path):
@@ -201,8 +201,21 @@ def test_simulate_contract_failures(preset, zeros, masses, sigmas, problem,
     assert main(["simulate", str(cfg), "--out", str(out)]) == 1
     body = json.loads((out / "simulate.json").read_text())
     assert body["assertions"] == {"passed": False, "problems": problems}
-    assert body["manifest"]["counts"] == {"pass": 0, "fail": 1}
+    assert body["manifest"]["counts"] == {"pass": 2, "fail": 1}
     assert f"[FAIL] {problems[0]}" in capsys.readouterr().out.splitlines()
+
+
+def test_simulate_counts_rows_not_problems(tmp_path):
+    # row s = 8 fails two checks, row s = 16 one: two failed rows, three problems
+    cfg = tmp_path / "synthetic.cfg"
+    cfg.write_text(_config_with(phi_preset="constant(1)", s_values="4, 8, 16"))
+    report = _sweep_report([], (1.0, 1.0, 1.0), (4.0, 8.16, 16.5))
+    report.rows[1].converged = False
+    config = load_config(cfg)
+    assert len(check_sweep(report, config)) == 3
+    assert row_counts(report, config) == {"pass": 1, "fail": 2}
+    good = _sweep_report([], (1.0, 1.0, 1.0), (4.0, 8.0, 16.0))
+    assert row_counts(good, config) == {"pass": 3, "fail": 0}
 
 
 def test_simulate_contract_passes_good_sweeps(tmp_path):

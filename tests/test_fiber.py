@@ -9,12 +9,17 @@ from cldirac import (
     Covector,
     DegreeError,
     FiberContext,
+    Form,
+    bar_star,
+    clifford,
     contract,
     inner,
     monomial,
     random_covector,
     random_form,
     scalar_form,
+    tau,
+    tau_graded,
     wedge,
 )
 from cldirac.fiber import random_unit_scalar
@@ -181,3 +186,30 @@ def test_exact_mode_rejects_floats():
     ctx = FiberContext(1)
     with pytest.raises(TypeError):
         scalar_form(ctx, 0.5)
+
+
+def _assert_checked_form(f):
+    # internal operations build Forms without the public constructor's key
+    # and scalar checks; rebuilding through it must give the same Form
+    assert Form(f.ctx, dict(f.items())) == f
+    assert all(type(c) is ExactComplex and c for _key, c in f.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_internal_constructions_equal_checked_forms(n):
+    rng = random.Random(100 + n)
+    ctx = FiberContext(n)
+    for _ in range(15):
+        x = random_form(ctx, rng.randint(0, n), rng.randint(0, n), rng)
+        y = random_form(ctx, rng.randint(0, n), rng.randint(0, n), rng)
+        s = random_form(ctx, 0, rng.randint(0, n), rng)
+        g = random_covector(ctx, rng)
+        c = ExactComplex(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-1, 1))
+        results = [x, wedge(x, y), wedge(x, x), contract(g, x),
+                   contract(g, contract(g, x)), bar_star(x), tau(x),
+                   tau_graded(x + y), clifford(g, s), clifford(g, clifford(g, s)),
+                   x + y, x - y, x - x, x + (-x), x.scale(c), x.scale(0),
+                   x.conjugate(), g.part01(), g.part10()]
+        results += list((x + y).degree_components().values())
+        for f in results:
+            _assert_checked_form(f)

@@ -1,12 +1,15 @@
 """Conjugate-linear perturbation: component formulas, adjoint, defect, examples."""
 
+import decimal
 import random
+from fractions import Fraction
 
 import pytest
 
 from cldirac import (
     ANTISYMMETRIC,
     ChiralityError,
+    Covector,
     DegreeError,
     EVEN,
     FiberContext,
@@ -30,7 +33,7 @@ from cldirac import (
 )
 from cldirac.fiber import random_nonzero_covector
 from cldirac.perturbation import random_nonzero_phi
-from cldirac.scalars import ExactComplex, is_zero
+from cldirac.scalars import ExactComplex, is_zero, real_to_float
 
 
 def test_phimap_symmetry_validation():
@@ -144,6 +147,28 @@ def test_defect_nonzero_for_wrong_class():
             phi = random_nonzero_phi(ctx, r0 + (_ % 2), cls, rng)
             g = random_nonzero_covector(ctx, rng)
             assert concentrating_defect(phi, g) > 0.0
+
+
+def test_defect_nonzero_when_its_float_would_cancel():
+    # c = -1.4142135623730951 + sqrt2 is nonzero, and the defect is linear in
+    # phi; |c|^2 = a^2 + 2 + 2a sqrt2 cancels to 0.0 when summed naively
+    ctx = FiberContext(1)
+    gamma = Covector(ctx, (1,))
+    tiny = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
+    for c, expected in ((tiny, None), (ExactComplex(1), 2 * 2 ** 0.5)):
+        phi = PhiMap(ctx, 2, ((0, c), (-c, 0)), declared_class=ANTISYMMETRIC)
+        defect = concentrating_defect(phi, gamma)
+        assert defect > 0.0
+        if expected is not None:
+            assert defect == pytest.approx(expected, rel=1e-15)
+
+
+def test_real_to_float_has_no_cancellation():
+    z = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
+    exact = decimal.Context(prec=40).sqrt(2) - decimal.Decimal("1.4142135623730951")
+    assert real_to_float(z) == pytest.approx(float(exact), rel=1e-14)
+    assert real_to_float(-z) == -real_to_float(z)
+    assert real_to_float(ExactComplex(3, 0, 2, 0)) == 3 + 2 * 2 ** 0.5
 
 
 def test_defect_rejects_even_dimension():

@@ -18,7 +18,7 @@ TINY = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
 
 def test_run_counts_exact_nonzero_defect_that_rounds_to_zero():
     assert TINY and TINY.to_complex() == 0j
-    record = _run("tiny", 1, 0, 1, 1, lambda rng: (TINY, "the tiny input"))
+    record = _run("tiny", 1, 0, 1, 1, lambda rng: (TINY, lambda: "the tiny input"))
     assert record.failures == 1 and not record.passed
     assert record.counterexample == "the tiny input"
     assert record.max_defect == 0.0
@@ -28,8 +28,8 @@ def test_run_form_defects():
     ctx = FiberContext(2)
     zero = monomial(ctx, (1,), (), 0)
     tiny = monomial(ctx, (1,), (2,), TINY)
-    outcomes = iter([(zero, "a"), (tiny, "b"), (monomial(ctx, (), (), 3), "c"),
-                     (zero, "d")])
+    outcomes = iter([(zero, lambda: "a"), (tiny, lambda: "b"),
+                     (monomial(ctx, (), (), 3), lambda: "c"), (zero, lambda: "d")])
     record = _run("forms", 2, 1, 4, 1, lambda rng: next(outcomes))
     assert record.failures == 2
     assert record.max_defect == 3.0 and record.counterexample == "c"

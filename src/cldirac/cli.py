@@ -110,7 +110,7 @@ def _cmd_condition(args) -> int:
     if args.n_list is not None:
         n_list = _parse_int_list(args.n_list, "--n-list")
     else:
-        n_list = [1, 3, 5] if args.long else [1, 3]
+        n_list = [1, 3, 5, 7] if args.long else [1, 3]
     r_list = _parse_int_list(args.r_list, "--r-list")
     t0 = time.monotonic()
     report = condition_suite(n_list, r_list, trials=args.trials,
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="check the concentrating condition by class")
     p_cond.add_argument("--n-list", default=None,
                         help="comma-separated odd dimensions (default 1,3; "
-                             "1,3,5 with --long)")
+                             "1,3,5,7 with --long)")
     p_cond.add_argument("--r-list", default="1,2,3,4")
     p_cond.add_argument("--trials", type=int, default=50)
     p_cond.add_argument("--wrong-trials", type=int, default=200)

@@ -19,14 +19,17 @@ cancellation
 
 holds exactly for symmetric phi when n = 1 mod 4 and antisymmetric phi when
 n = 3 mod 4.  `concentrating_defect` measures the worst basis-vector norm of
-that sum; whether it is zero is decided exactly.
+that sum; whether it is zero is decided exactly.  A basis spinor is one
+monomial e_J in one E-slot, so its image combines, with entries of
+conj(phi), just two forms built from e_J: the defect costs two form images
+per monomial of S+, whatever the rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford import EVEN, ODD, Spinor, _flip, spinor_basis, symbol
+from .clifford import EVEN, ODD, Spinor, _flip, chirality_subsets, clifford
 from .fiber import (
     ChiralityError,
     Covector,
@@ -35,11 +38,11 @@ from .fiber import (
     Form,
     _rng,
     _same_ctx,
+    inner,
     monomial,
     random_scalar,
     random_unit_scalar,
     wedge,
-    zero_form,
 )
 from .hodge import tau_graded
 from .scalars import ExactComplex, conj, is_zero, real_to_float
@@ -111,20 +114,33 @@ def _check_spinor(phi: PhiMap, z: Spinor):
         raise ChiralityError("perturbation needs a pure-chirality spinor")
 
 
+def _combine(ctx: FiberContext, coeffs, forms) -> Form:
+    """sum_k coeffs[k] * forms[k], accumulated in one dict pass."""
+    terms = {}
+    for c, f in zip(coeffs, forms):
+        if not c:
+            continue
+        for key, v in f._terms.items():
+            acc = terms.get(key)
+            terms[key] = v * c if acc is None else acc + v * c
+    return Form._of(ctx, terms)
+
+
+def _adjoint_unit(phi: PhiMap) -> ExactComplex:
+    """(-1)^n conj(u) for the framing scalar u of eta; the (-1)^n factor
+    comes from the adjoint of tau."""
+    ubar = conj(phi.eta_scalar)
+    return -ubar if phi.ctx.n % 2 else ubar
+
+
 def apply_A(phi: PhiMap, z: Spinor) -> Spinor:
     """Conjugate-linear perturbation; exchanges the chiral halves."""
     _require_odd(phi.ctx)
     _check_spinor(phi, z)
     eta = phi.eta()
     images = [tau_graded(wedge(eta, f)) for f in z.parts]
-    out = []
-    for i in range(phi.r):
-        acc = zero_form(phi.ctx)
-        for j in range(phi.r):
-            c = phi.entries[i][j]
-            if not is_zero(c):
-                acc = acc + images[j].scale(conj(c))
-        out.append(acc)
+    out = [_combine(phi.ctx, [conj(c) for c in row], images)
+           for row in phi.entries]
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
 
 
@@ -145,25 +161,26 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
     Re<A x, y> = Re<x, A* y> for all opposite-chirality pairs."""
     _require_odd(phi.ctx)
     _check_spinor(phi, z)
-    ctx = phi.ctx
-    ubar = conj(phi.eta_scalar)
-    if ctx.n % 2:
-        ubar = -ubar  # (-1)^n factor from the adjoint of tau
+    ubar = _adjoint_unit(phi)
     stripped = [_strip_top(tau_graded(f)).scale(ubar) for f in z.parts]
-    out = []
-    for i in range(phi.r):
-        acc = zero_form(ctx)
-        for k in range(phi.r):
-            c = phi.entries[k][i]
-            if not is_zero(c):
-                acc = acc + stripped[k].scale(conj(c))
-        out.append(acc)
-    return Spinor(ctx, out, chirality=_flip(z.chirality))
+    out = [_combine(phi.ctx, [conj(row[i]) for row in phi.entries], stripped)
+           for i in range(phi.r)]
+    return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
 
 
 def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     """Worst basis-vector norm of symbol_D_star(gamma) A + A* symbol_D(gamma)
     over the standard basis of S+ (x) E.
+
+    The basis spinor with the monomial e_J in slot j and zero elsewhere has
+    image conj(phi_ij) F_J + conj(phi_ji) G_J in slot i, where
+
+        F_J = c(gamma) tau(eta ^ e_J)
+        G_J = (-1)^n conj(u) strip_top(tau(c(gamma) e_J)),
+
+    since the symbols act slot by slot, c(gamma) is complex-linear and A, A*
+    are the matrix formulas above.  So each monomial costs two form images,
+    whatever the rank.
 
     Exactly 0.0 when the class matches the dimension (symmetric for
     n = 1 mod 4, antisymmetric for n = 3 mod 4).  The zero test is exact,
@@ -171,16 +188,24 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     returns 0.0."""
     _require_odd(phi.ctx)
     _same_ctx(phi.ctx, g.ctx)
-    sig_d = symbol(g, phi.r, "D")
-    sig_dstar = symbol(g, phi.r, "D_star")
+    ctx, r = phi.ctx, phi.r
+    eta = phi.eta()
+    ubar = _adjoint_unit(phi)
+    cphi = [[conj(c) for c in row] for row in phi.entries]
     all_zero = True
     worst = 0.0
-    for z in spinor_basis(phi.ctx, phi.r, EVEN):
-        image = sig_dstar(apply_A(phi, z)) + apply_A_adjoint(phi, sig_d(z))
-        nsq = image.norm_sq()
-        if not is_zero(nsq):
-            all_zero = False
-            worst = max(worst, real_to_float(nsq))
+    for tj in chirality_subsets(ctx.n, EVEN):
+        mono = monomial(ctx, (), tj)
+        f_and_g = (clifford(g, tau_graded(wedge(eta, mono))),
+                   _strip_top(tau_graded(clifford(g, mono))).scale(ubar))
+        for j in range(r):
+            nsq = ctx.zero
+            for i in range(r):
+                part = _combine(ctx, (cphi[i][j], cphi[j][i]), f_and_g)
+                nsq = nsq + inner(part, part)
+            if not is_zero(nsq):
+                all_zero = False
+                worst = max(worst, real_to_float(nsq))
     return 0.0 if all_zero else worst ** 0.5
 
 

@@ -2,12 +2,14 @@
 
 A value is ((a + b*i) + (c + d*i)*sqrt2) / q, held as five Python ints
 (a, b, c, d, q) over one shared denominator.  Every operation returns the
-canonical form q > 0, gcd(a, b, c, d, q) == 1, so equality and hashing are
-tuple compares on the ints.  The formal sqrt2 slot (multiplied out via
-sqrt2*sqrt2 = 2) keeps Clifford factors exact, so identity defects are
-provably zero rather than merely small.  Fractions appear only at the edges
-(the constructor, the ``ar``/``ai``/``br``/``bi`` views and ``text``), and
-floats only in ``to_complex`` and ``real_to_float``, for display.
+canonical form q > 0, gcd(a, b, c, d, q) == 1, so equality is a tuple
+compare on the ints, and a rational value hashes like the int or Fraction
+it equals.  The formal sqrt2 slot (multiplied out via sqrt2*sqrt2 = 2)
+keeps Clifford factors exact, so identity defects are provably zero rather
+than merely small.  Fractions appear only at the edges (the constructor,
+the ``ar``/``ai``/``br``/``bi`` views, ``text`` and the hash of a rational
+value), and floats only in ``to_complex`` and ``real_to_float``, for
+display.
 """
 
 from __future__ import annotations
@@ -195,7 +197,12 @@ class ExactComplex:
         return self._t == other._t
 
     def __hash__(self):
-        return hash(self._t)
+        # a rational value equals the int or Fraction a / q, so it must
+        # hash like one
+        a, b, c, d, q = self._t
+        if b or c or d:
+            return hash(self._t)
+        return hash(a) if q == 1 else hash(Fraction(a, q))
 
     # -- conversion / display ---------------------------------------------
 

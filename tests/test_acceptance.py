@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance and budget.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` for the per-criterion
-pass/fail lines.  Criterion 3's n = 5 extension is heavy and sits behind
+pass/fail lines.  Criterion 3's n = 7 extension is heavy and sits behind
 the CLDIRAC_LONG=1 environment flag, mirroring the CLI's --long switch.
 """
 
@@ -13,6 +13,7 @@ import time
 import pytest
 
 from cldirac import (
+    ANTISYMMETRIC,
     EVEN,
     FiberContext,
     PhiMap,
@@ -105,8 +106,6 @@ def test_criterion_3_concentrating_condition():
             zero_ok and rate_ok and sing_ok, detail)
 
 
-@pytest.mark.skipif(not os.environ.get("CLDIRAC_LONG"),
-                    reason="n = 5 exact suite runs with CLDIRAC_LONG=1")
 def test_criterion_3_long_n5():
     """n = 5 (dimension 10 = 2 mod 8): symmetric class cancels."""
     rng = random.Random(303)
@@ -117,6 +116,20 @@ def test_criterion_3_long_n5():
             g = random_covector(ctx, rng)
             assert concentrating_defect(phi, g) == 0.0
     _report("criterion 3 (long): n = 5 symmetric zero defect", True)
+
+
+@pytest.mark.skipif(not os.environ.get("CLDIRAC_LONG"),
+                    reason="n = 7 exact suite runs with CLDIRAC_LONG=1")
+def test_criterion_3_long_n7():
+    """n = 7 (dimension 14 = 6 mod 8): antisymmetric class cancels."""
+    rng = random.Random(707)
+    ctx = FiberContext(7)
+    for r in (1, 2, 3, 4):
+        for _ in range(50):
+            phi = random_phi(ctx, r, ANTISYMMETRIC, rng)
+            g = random_covector(ctx, rng)
+            assert concentrating_defect(phi, g) == 0.0
+    _report("criterion 3 (long): n = 7 antisymmetric zero defect", True)
 
 
 def test_criterion_4_empty_singular_set_oracle():

@@ -30,6 +30,8 @@ from cldirac import (
     random_spinor,
     scalar_form,
     singular_verdict,
+    spinor_basis,
+    symbol,
 )
 from cldirac.fiber import random_nonzero_covector
 from cldirac.perturbation import random_nonzero_phi
@@ -161,6 +163,41 @@ def test_defect_nonzero_when_its_float_would_cancel():
         assert defect > 0.0
         if expected is not None:
             assert defect == pytest.approx(expected, rel=1e-15)
+
+
+def _defect_by_spinor_maps(phi, g):
+    # reference: the full spinor maps on every basis spinor of S+ (x) E
+    sig_d = symbol(g, phi.r, "D")
+    sig_dstar = symbol(g, phi.r, "D_star")
+    nsqs = [(sig_dstar(apply_A(phi, z)) + apply_A_adjoint(phi, sig_d(z))).norm_sq()
+            for z in spinor_basis(phi.ctx, phi.r, EVEN)]
+    if all(is_zero(x) for x in nsqs):
+        return 0.0
+    return max(real_to_float(x) for x in nsqs) ** 0.5
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_defect_equals_spinor_map_reference(n):
+    rng = random.Random(83 + n)
+    ctx = FiberContext(n)
+    draws = 2 if n == 5 else 4
+    nonzero = 0
+    for cls in (SYMMETRIC, ANTISYMMETRIC, GENERAL):
+        for r in (1, 2, 3, 4):
+            for _ in range(draws):
+                phi = random_phi(ctx, r, cls, rng)
+                g = random_covector(ctx, rng)
+                defect = concentrating_defect(phi, g)
+                assert defect == _defect_by_spinor_maps(phi, g)
+                nonzero += defect != 0.0
+    assert nonzero > 0
+    tiny = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
+    for cls, entries in ((ANTISYMMETRIC, ((0, tiny), (-tiny, 0))),
+                         (SYMMETRIC, ((tiny, 1), (1, 0))),
+                         (GENERAL, ((0, tiny), (tiny, tiny)))):
+        phi = PhiMap(ctx, 2, entries, declared_class=cls)
+        g = random_nonzero_covector(ctx, rng)
+        assert concentrating_defect(phi, g) == _defect_by_spinor_maps(phi, g)
 
 
 def test_real_to_float_has_no_cancellation():

@@ -200,6 +200,14 @@ def test_equal_fractions_hash_equal():
     assert ExactComplex(0, Fraction(6, 9))._t == (0, 2, 0, 0, 3)
 
 
+def test_rational_values_hash_like_ints_and_fractions():
+    # == already holds with ints and Fractions; hash must agree with it
+    assert len({ExactComplex(1), 1}) == 1
+    assert len({ExactComplex(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    for x in (0, -7, 2 ** 70, Fraction(-3, 5), Fraction(1, 2 ** 70)):
+        assert ExactComplex(x) == x and hash(ExactComplex(x)) == hash(x)
+
+
 def test_constructor_rejects_floats():
     with pytest.raises(TypeError):
         ExactComplex(0.5)

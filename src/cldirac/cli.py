@@ -170,8 +170,8 @@ def _cmd_simulate(args) -> int:
     report.write_csv(csv_path)
     for row, zeta in zip(report.rows, report.fields):
         svg_path = os.path.join(args.out, f"heatmap_s{row.s:g}.svg")
-        write_heatmap_svg(svg_path, zeta.density(), report.zeros, config.delta,
-                          title=f"|zeta|^2 at s = {row.s:g}")
+        write_heatmap_svg(svg_path, zeta.real ** 2 + zeta.imag ** 2, report.zeros,
+                          config.delta, title=f"|zeta|^2 at s = {row.s:g}")
 
     for r in report.rows:
         print(f"[{'ok ' if r.converged else 'FAIL'}] s={r.s:g}: "

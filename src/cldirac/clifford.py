@@ -51,7 +51,7 @@ def _flip(chirality: str) -> str:
 def clifford(g: Covector, x: Form) -> Form:
     """c(gamma) on a form with no th factors (p = 0)."""
     _same_ctx(g.ctx, x.ctx)
-    if any(ti for (ti, _tj) in x._terms):
+    if any(p for p, _q in x.bidegrees()):
         raise DegreeError("Clifford action needs a (0, q) input")
     return (wedge(g.part01(), x) - contract(g, x)).scale(x.ctx.sqrt2)
 
@@ -70,10 +70,10 @@ class Spinor:
             if not isinstance(f, Form):
                 raise TypeError("spinor parts must be Forms")
             _same_ctx(ctx, f.ctx)
-            for (ti, tj) in f._terms:
-                if ti:
+            for p, q in f.bidegrees():
+                if p:
                     raise DegreeError("spinor parts must be (0, q) forms")
-                parities.add(len(tj) % 2)
+                parities.add(q % 2)
         inferred = None
         if len(parities) == 1:
             inferred = EVEN if parities.pop() == 0 else ODD

@@ -9,6 +9,12 @@ A real covector gamma is stored through the coefficients a_i of its (0,1)
 part gamma^{0,1} = sum a_i thb^i; the (1,0) part sum conj(a_i) th^i is forced
 by conjugation and never stored.
 
+A key (I, J) is stored as a pair of ints with bit i-1 set for index i, so
+the overlap test of a wedge is an and, the merge an or, and the reordering
+sign a popcount.  Only this module builds, unpacks or measures a key; the
+public boundary (Form(ctx, terms), monomial, coeff, items, text) speaks in
+increasing index tuples, and items() keeps graded-lex tuple order.
+
 Every coefficient is an ExactComplex, the one scalar tower (scalars.py), so
 identities hold with exactly zero defect.  Everything here is an immutable
 value and every operation is a pure function, so trial sweeps can share
@@ -17,6 +23,7 @@ objects freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -87,37 +94,36 @@ def _same_ctx(a: FiberContext, b: FiberContext):
         raise ContextMismatchError(f"context mismatch: {a} vs {b}")
 
 
-def _check_index_tuple(t, n):
+def _mask(t, n) -> int:
+    """Key of a strictly increasing index tuple in 1..n."""
+    t = tuple(t)
     if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"index tuple {t} not strictly increasing")
     if t and (t[0] < 1 or t[-1] > n):
         raise ValueError(f"index tuple {t} out of range 1..{n}")
+    return sum(1 << (i - 1) for i in t)
 
 
-def _merge(a: tuple, b: tuple):
-    """Merge two strictly increasing tuples; returns (inversions, merged)
-    or None when they overlap."""
-    if not a:
-        return 0, b
-    if not b:
-        return 0, a
-    i = j = inv = 0
-    la, lb = len(a), len(b)
-    out = []
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            return None
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-            inv += la - i
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return inv, tuple(out)
+def _indices(m: int) -> tuple:
+    """Increasing index tuple of a key."""
+    return tuple(i for i in range(1, m.bit_length() + 1) if m >> (i - 1) & 1)
+
+
+@functools.cache
+def _subset_keys(n: int, k: int) -> tuple:
+    """Keys of the k-subsets of 1..n, in the order of subsets_increasing."""
+    return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
+
+
+def _swaps(a: int, b: int) -> int:
+    """Pairs (i in a, j in b) with i > j: the transpositions that sort the
+    indices of a followed by those of b."""
+    count = 0
+    while b:
+        low = b & -b
+        count += (a & ~(2 * low - 1)).bit_count()
+        b ^= low
+    return count
 
 
 def _term_sort_key(key):
@@ -135,19 +141,18 @@ class Form:
         if terms:
             n = ctx.n
             for (ti, tj), c in terms.items():
-                _check_index_tuple(ti, n)
-                _check_index_tuple(tj, n)
+                key = (_mask(ti, n), _mask(tj, n))
                 c = ctx.coerce(c)
                 if not is_zero(c):
-                    canon[(tuple(ti), tuple(tj))] = c
+                    canon[key] = c
         self.ctx = ctx
         self._terms = canon
 
     @classmethod
     def _of(cls, ctx: FiberContext, terms: dict) -> "Form":
-        """Form built by an internal operation, whose keys are canonical
-        index tuples and whose values are ExactComplex by construction:
-        only the zero coefficients are dropped, nothing is re-checked.
+        """Form built by an internal operation, whose keys are masks and
+        whose values are ExactComplex by construction: only the zero
+        coefficients are dropped, nothing is re-checked.
         The new Form takes ownership of the terms dict."""
         f = object.__new__(cls)
         f.ctx = ctx
@@ -158,11 +163,15 @@ class Form:
     # -- inspection ---------------------------------------------------------
 
     def items(self):
-        """Deterministically ordered (key, coefficient) pairs."""
-        return sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0]))
+        """(key, coefficient) pairs, keys as index tuples in graded-lex
+        order."""
+        return sorted((((_indices(ti), _indices(tj)), c)
+                       for (ti, tj), c in self._terms.items()),
+                      key=lambda kv: _term_sort_key(kv[0]))
 
     def coeff(self, ti, tj):
-        return self._terms.get((tuple(ti), tuple(tj)), self.ctx.zero)
+        n = self.ctx.n
+        return self._terms.get((_mask(ti, n), _mask(tj, n)), self.ctx.zero)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -170,34 +179,30 @@ class Form:
     def num_terms(self) -> int:
         return len(self._terms)
 
+    def bidegrees(self) -> set:
+        """The bidegrees (p, q) of the terms."""
+        return {(ti.bit_count(), tj.bit_count()) for ti, tj in self._terms}
+
     def is_pure(self) -> bool:
-        degs = {(len(ti), len(tj)) for ti, tj in self._terms}
-        return len(degs) <= 1
+        return len(self.bidegrees()) <= 1
 
     def bidegree(self):
         """(p, q) of a pure nonzero form."""
-        degs = {(len(ti), len(tj)) for ti, tj in self._terms}
+        degs = self.bidegrees()
         if len(degs) != 1:
             raise DegreeError("form is zero or of mixed bidegree")
         return degs.pop()
 
     def total_degree(self) -> int:
-        degs = {len(ti) + len(tj) for ti, tj in self._terms}
+        degs = {p + q for p, q in self.bidegrees()}
         if len(degs) != 1:
             raise DegreeError("form is zero or of mixed total degree")
         return degs.pop()
 
-    def bidegree_components(self):
-        out = {}
-        for key, c in self._terms.items():
-            deg = (len(key[0]), len(key[1]))
-            out.setdefault(deg, {})[key] = c
-        return {deg: Form._of(self.ctx, t) for deg, t in sorted(out.items())}
-
     def degree_components(self):
         out = {}
         for key, c in self._terms.items():
-            out.setdefault(len(key[0]) + len(key[1]), {})[key] = c
+            out.setdefault(key[0].bit_count() + key[1].bit_count(), {})[key] = c
         return {k: Form._of(self.ctx, t) for k, t in sorted(out.items())}
 
     # -- linear structure ---------------------------------------------------
@@ -238,7 +243,7 @@ class Form:
         """Structural conjugation th <-> thb with conjugated coefficients."""
         terms = {}
         for (ti, tj), c in self._terms.items():
-            sign = (len(ti) * len(tj)) % 2
+            sign = ti.bit_count() * tj.bit_count() % 2
             val = conj(c)
             terms[(tj, ti)] = -val if sign else val
         return Form._of(self.ctx, terms)
@@ -310,11 +315,11 @@ class Covector:
         object.__setattr__(self, "a", tuple(self.ctx.coerce(x) for x in self.a))
 
     def part01(self) -> Form:
-        return Form._of(self.ctx, {((), (i,)): c for i, c in enumerate(self.a, 1)})
+        return Form._of(self.ctx, {(0, 1 << k): c for k, c in enumerate(self.a)})
 
     def part10(self) -> Form:
         return Form._of(self.ctx,
-                        {((i,), ()): conj(c) for i, c in enumerate(self.a, 1)})
+                        {(1 << k, 0): conj(c) for k, c in enumerate(self.a)})
 
     def norm_sq(self):
         """|gamma|^2 = 2 sum |a_i|^2 for the real covector."""
@@ -343,20 +348,14 @@ def wedge(x: Form, y: Form) -> Form:
     _same_ctx(x.ctx, y.ctx)
     out = {}
     for (ti, tj), c in x._terms.items():
-        qx = len(tj)
+        qx = tj.bit_count()
         for (tk, tl), d in y._terms.items():
-            m1 = _merge(ti, tk)
-            if m1 is None:
+            if ti & tk or tj & tl:
                 continue
-            m2 = _merge(tj, tl)
-            if m2 is None:
-                continue
-            inv1, mi = m1
-            inv2, mj = m2
             val = c * d
-            if (qx * len(tk) + inv1 + inv2) % 2:
+            if (qx * tk.bit_count() + _swaps(ti, tk) + _swaps(tj, tl)) % 2:
                 val = -val
-            key = (mi, mj)
+            key = (ti | tk, tj | tl)
             acc = out.get(key)
             out[key] = val if acc is None else acc + val
     return Form._of(x.ctx, out)
@@ -372,19 +371,20 @@ def contract(g: Covector, x: Form) -> Form:
     abar = [conj(c) for c in g.a]
     out = {}
     for (ti, tj), c in x._terms.items():
-        if not tj:
-            continue
-        base = -c if len(ti) % 2 else c
-        for k, j in enumerate(tj):
-            aj = abar[j - 1]
-            if is_zero(aj):
-                continue
-            val = base * aj
-            if k % 2:
-                val = -val
-            key = (ti, tj[:k] + tj[k + 1:])
-            acc = out.get(key)
-            out[key] = val if acc is None else acc + val
+        base = -c if ti.bit_count() % 2 else c
+        rest, k = tj, 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            aj = abar[low.bit_length() - 1]
+            if not is_zero(aj):
+                val = base * aj
+                if k % 2:
+                    val = -val
+                key = (ti, tj ^ low)
+                acc = out.get(key)
+                out[key] = val if acc is None else acc + val
+            k += 1
     return Form._of(x.ctx, out)
 
 
@@ -404,6 +404,29 @@ def inner(x: Form, y: Form):
         if d is not None:
             acc = acc + c * d.conjugate()
     return acc
+
+
+def _complement(key, n: int):
+    """Key of the complementary monomial th^Ic ^ thb^Jc of the key (I, J),
+    and the parity of (th^I thb^J) ^ (th^Ic thb^Jc) = (-1)^parity
+    th^top thb^top."""
+    ti, tj = key
+    full = (1 << n) - 1
+    tic, tjc = full ^ ti, full ^ tj
+    parity = (tj.bit_count() * tic.bit_count()
+              + _swaps(ti, tic) + _swaps(tj, tjc)) % 2
+    return (tic, tjc), parity
+
+
+def _strip_top(f: Form) -> Form:
+    """Divide a (n, q)-supported form by th^1^..^th^n on the left."""
+    top = (1 << f.ctx.n) - 1
+    out = {}
+    for (ti, tj), c in f._terms.items():
+        if ti != top:
+            raise DegreeError("expected a form divisible by the top (n,0) frame")
+        out[(0, tj)] = c
+    return Form._of(f.ctx, out)
 
 
 # -- randomized inputs -------------------------------------------------------
@@ -448,9 +471,10 @@ def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
     dropped, so the term count is at most C(n,p)*C(n,q)."""
     _check_bidegree(ctx, p, q)
     rng = _rng(seed)
+    tjs = _subset_keys(ctx.n, q)
     terms = {}
-    for ti in subsets_increasing(ctx.n, p):
-        for tj in subsets_increasing(ctx.n, q):
+    for ti in _subset_keys(ctx.n, p):
+        for tj in tjs:
             terms[(ti, tj)] = random_scalar(ctx, rng)
     return Form._of(ctx, terms)
 

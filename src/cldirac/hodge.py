@@ -16,7 +16,7 @@ part of the hermitian metric.
 
 from __future__ import annotations
 
-from .fiber import DegreeError, FiberContext, Form, _merge
+from .fiber import DegreeError, FiberContext, Form, _complement
 from .scalars import conj, real_part
 
 
@@ -26,26 +26,16 @@ def volume_form(ctx: FiberContext) -> Form:
     return Form(ctx, {(top, top): ctx.ipow(ctx.n * ctx.n)})
 
 
-def _star_key(n: int, ti: tuple, tj: tuple):
-    """Complementary key and the i-exponent of the star coefficient on the
-    basis monomial th^I ^ thb^J."""
-    full = range(1, n + 1)
-    tic = tuple(i for i in full if i not in ti)
-    tjc = tuple(j for j in full if j not in tj)
-    inv1, _ = _merge(ti, tic)
-    inv2, _ = _merge(tj, tjc)
-    parity = (len(tj) * len(tic) + inv1 + inv2) % 2
-    # (th^I thb^J) ^ (th^Ic thb^Jc) = (-1)^parity th^top thb^top, and
-    # dv = i^(n^2) th^top thb^top, so the coefficient is i^(n^2) (-1)^parity.
-    return tic, tjc, (n * n + 2 * parity) % 4
-
-
 def _star_terms(x: Form) -> Form:
     ctx = x.ctx
+    n = ctx.n
     out = {}
-    for (ti, tj), c in x._terms.items():
-        tic, tjc, e = _star_key(ctx.n, ti, tj)
-        out[(tic, tjc)] = conj(c) * ctx.ipow(e)
+    for key, c in x._terms.items():
+        ckey, parity = _complement(key, n)
+        # a monomial wedged with its complement is (-1)^parity th^top thb^top,
+        # and dv = i^(n^2) th^top thb^top, so the coefficient is
+        # i^(n^2) (-1)^parity.
+        out[ckey] = conj(c) * ctx.ipow(n * n + 2 * parity)
     return Form._of(ctx, out)
 
 

@@ -38,6 +38,7 @@ from .fiber import (
     Form,
     _rng,
     _same_ctx,
+    _strip_top,
     inner,
     monomial,
     random_scalar,
@@ -142,18 +143,6 @@ def apply_A(phi: PhiMap, z: Spinor) -> Spinor:
     out = [_combine(phi.ctx, [conj(c) for c in row], images)
            for row in phi.entries]
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
-
-
-def _strip_top(f: Form) -> Form:
-    """Divide a (n, q)-supported form by th^1^..^th^n on the left."""
-    ctx = f.ctx
-    top = tuple(range(1, ctx.n + 1))
-    out = {}
-    for (ti, tj), c in f._terms.items():
-        if ti != top:
-            raise DegreeError("expected a form divisible by the top (n,0) frame")
-        out[((), tj)] = c
-    return Form._of(ctx, out)
 
 
 def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:

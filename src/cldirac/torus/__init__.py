@@ -3,7 +3,7 @@
 from .config import ConfigError, SimConfig, load_config, parse_config_text, phi_field, preset_path, zero_locations
 from .eigensolve import EigenResult, dense_sigma_min, fourier_preconditioner, normal_eigenpairs, smallest_eigenpairs
 from .kernels import BACKEND
-from .operators import LatticeField, TorusOperator, assemble, complex_to_flat, flat_to_complex
+from .operators import TorusOperator, assemble, complex_to_flat, flat_to_complex
 from .sweep import SpectralReport, SweepRow, fit_loglog, outside_mass, run_sweep
 from .heatmap import write_heatmap_svg
 
@@ -11,7 +11,6 @@ __all__ = [
     "BACKEND",
     "ConfigError",
     "EigenResult",
-    "LatticeField",
     "SimConfig",
     "SpectralReport",
     "SweepRow",

@@ -24,8 +24,7 @@ import numpy as np
 from . import kernels
 from .config import TWO_PI, SimConfig, phi_field, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import (LatticeField, TorusOperator, assemble, complex_to_flat,
-                        flat_to_complex)
+from .operators import TorusOperator, assemble, complex_to_flat, flat_to_complex
 
 SCHEMA_VERSION = 1
 
@@ -38,22 +37,24 @@ def torus_distance_sq(x, y, zx, zy):
     return dx * dx + dy * dy
 
 
-def outside_mass(zeta: LatticeField, config: SimConfig,
-                 zeros=None) -> float:
-    """Fraction of L2 mass outside the union of delta-disks around the zeros
-    of the perturbation field; 1.0 when the singular set is empty.
+def outside_mass(u: np.ndarray, config: SimConfig, zeros=None) -> float:
+    """Fraction of L2 mass of the (N, N) complex grid u outside the union of
+    delta-disks around the zeros of the perturbation field; 1.0 when the
+    singular set is empty.
 
-    The field must have unit L2 norm (renormalized when within 1e-6)."""
-    nrm = zeta.l2_norm()
+    The field must have unit L2 norm with cell weight (2pi/N)^2, to within
+    1e-6."""
+    N = u.shape[0]
+    h = TWO_PI / N
+    density = u.real ** 2 + u.imag ** 2
+    total = float(np.sum(density))
+    nrm = h * math.sqrt(total)
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"field norm {nrm} is not 1 (tolerance 1e-6)")
-    density = zeta.density() / nrm ** 2
     if zeros is None:
         zeros = zero_locations(config)
     if not zeros:
         return 1.0
-    N = zeta.N
-    h = TWO_PI / N
     ax = np.arange(N) * h
     x = ax[:, None]
     y = ax[None, :]
@@ -61,7 +62,6 @@ def outside_mass(zeta: LatticeField, config: SimConfig,
     dsq = config.delta ** 2
     for (zx, zy) in zeros:
         inside |= torus_distance_sq(x, y, zx, zy) <= dsq
-    total = float(np.sum(density))
     return float(np.sum(density[~inside]) / total)
 
 
@@ -97,7 +97,7 @@ class SpectralReport:
     backend: str
     seconds: float
     notes: list = field(default_factory=list)
-    # lowest eigenvector per row, for the heatmaps; not serialized
+    # lowest eigenvector grid per row, for the heatmaps; not serialized
     fields: list = field(default_factory=list, repr=False)
 
     @property
@@ -143,8 +143,9 @@ class SpectralReport:
 
 
 def lowest_field(op: TorusOperator, result: EigenResult,
-                 previous: LatticeField | None = None) -> LatticeField:
-    """The eigenvector of the smallest eigenvalue, as a unit field.
+                 previous: np.ndarray | None = None) -> np.ndarray:
+    """The eigenvector of the smallest eigenvalue, as a unit (N, N) complex
+    grid.
 
     That eigenvalue can be degenerate (sin_zeros has an exact
     8-dimensional kernel), and then the solver's order inside the cluster
@@ -153,17 +154,19 @@ def lowest_field(op: TorusOperator, result: EigenResult,
     across s.  The cluster is the eigenvalues that the solve does not
     resolve from the smallest: within eig_tol * opnorm of it.
     """
-    vector = result.vectors[:, 0]
+    # a copy, so that the returned field does not keep the solver's block
+    # alive for the rest of the sweep
+    vector = result.vectors[:, 0].copy()
     if previous is not None:
         resolution = op.config.eig_tol * result.opnorm_estimate
         size = int(np.sum(result.values <= result.values[0] + resolution))
         cluster = result.vectors[:, :size]
         weight = op.h * op.h
-        nearest = cluster @ (weight * (cluster.T @ complex_to_flat(previous.u())))
+        nearest = cluster @ (weight * (cluster.T @ complex_to_flat(previous)))
         norm = math.sqrt(weight) * np.linalg.norm(nearest)
         if norm > 0:
             vector = nearest / norm
-    return LatticeField.from_complex(u=flat_to_complex(vector, op.N))
+    return flat_to_complex(vector, op.N)
 
 
 def run_sweep(config: SimConfig) -> SpectralReport:
@@ -180,7 +183,7 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         result = normal_eigenpairs(op, config, start=start)
         start = result.block
         zeta = lowest_field(op, result, fields[-1] if fields else None)
-        mass = outside_mass(zeta.normalized(), config, zeros)
+        mass = outside_mass(zeta, config, zeros)
         rows.append(SweepRow(
             s=float(s),
             eigenvalues=[float(v) for v in result.values],

@@ -1,5 +1,6 @@
 """Exterior fiber algebra: wedge, contraction, inner product, randomness."""
 
+import itertools
 import random
 
 import pytest
@@ -21,8 +22,9 @@ from cldirac import (
     tau,
     tau_graded,
     wedge,
+    zero_form,
 )
-from cldirac.fiber import random_unit_scalar
+from cldirac.fiber import _complement, _indices, _mask, random_unit_scalar
 from cldirac.scalars import ExactComplex, is_zero
 
 
@@ -213,3 +215,78 @@ def test_internal_constructions_equal_checked_forms(n):
         results += list((x + y).degree_components().values())
         for f in results:
             _assert_checked_form(f)
+
+
+# -- bitmask keys against the tuple formulas -----------------------------------
+#
+# Keys are stored as bitmasks; these references keep the earlier formulas on
+# increasing index tuples.
+
+def _merge_reference(a, b):
+    """(inversions, merged) of two increasing tuples, or None if they
+    overlap; an inversion is a pair (x in a, y in b) with x > y."""
+    if set(a) & set(b):
+        return None
+    inv = sum(1 for x in a for y in b if x > y)
+    return inv, tuple(sorted(a + b))
+
+
+def _all_keys(n):
+    subsets = [t for k in range(n + 1)
+               for t in itertools.combinations(range(1, n + 1), k)]
+    return [(ti, tj) for ti in subsets for tj in subsets]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wedge_of_basis_monomials_matches_tuple_merge(n):
+    ctx = FiberContext(n)
+    keys = _all_keys(n)
+    monos = [monomial(ctx, ti, tj) for ti, tj in keys]
+    for (ti, tj), x in zip(keys, monos):
+        for (tk, tl), y in zip(keys, monos):
+            m1, m2 = _merge_reference(ti, tk), _merge_reference(tj, tl)
+            if m1 is None or m2 is None:
+                expected = []
+            else:
+                sign = (-1) ** (len(tj) * len(tk) + m1[0] + m2[0])
+                expected = [((m1[1], m2[1]), sign)]
+            assert wedge(x, y).items() == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_complement_key_and_parity_match_tuple_formula(n):
+    ctx = FiberContext(n)
+    for ti, tj in _all_keys(n):
+        tic = tuple(i for i in range(1, n + 1) if i not in ti)
+        tjc = tuple(j for j in range(1, n + 1) if j not in tj)
+        parity = (len(tj) * len(tic) + _merge_reference(ti, tic)[0]
+                  + _merge_reference(tj, tjc)[0]) % 2
+        ckey, got = _complement((_mask(ti, n), _mask(tj, n)), n)
+        assert (_indices(ckey[0]), _indices(ckey[1]), got) == (tic, tjc, parity)
+        star = bar_star(monomial(ctx, ti, tj))
+        assert star.items() == [((tic, tjc), ctx.ipow(n * n + 2 * parity))]
+
+
+def test_items_in_graded_lex_tuple_order():
+    ctx = FiberContext(4)
+    f = random_form(ctx, 2, 2, seed=3) + random_form(ctx, 1, 3, seed=4)
+    keys = [key for key, _c in f.items()]
+    assert keys == sorted(keys, key=lambda k: (len(k[0]), k[0], len(k[1]), k[1]))
+    assert ((1, 4), (2, 3)) in keys and ((2, 3), (1, 4)) in keys
+
+
+def test_coeff_validates_index_tuples():
+    ctx = FiberContext(3)
+    f = monomial(ctx, (1, 2), (3,), 5)
+    assert f.coeff((1, 2), (3,)) == 5
+    assert f.coeff((1, 3), (3,)) == 0
+    for ti, tj in [((2, 1), (3,)), ((1, 1), ()), ((0,), ()), ((), (4,))]:
+        with pytest.raises(ValueError):
+            f.coeff(ti, tj)
+
+
+def test_bidegrees():
+    ctx = FiberContext(3)
+    f = monomial(ctx, (1,), (2, 3)) + monomial(ctx, (2,), (1, 3)) + scalar_form(ctx, 1)
+    assert f.bidegrees() == {(1, 2), (0, 0)}
+    assert zero_form(ctx).bidegrees() == set()

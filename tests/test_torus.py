@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cldirac.torus import (
-    LatticeField,
     SimConfig,
     assemble,
     complex_to_flat,
@@ -136,9 +135,7 @@ def test_constant_field_action():
     u = np.full((32, 32), 2.0 + 1.0j)
     v = op.apply_plus(u)
     assert np.max(np.abs(v - (-s * np.conj(u)))) < 1e-12
-    field_u = LatticeField.from_complex(u=u)
-    field_v = LatticeField.from_complex(v=v)
-    assert abs(field_v.l2_norm() - s * field_u.l2_norm()) < 1e-9
+    assert abs(np.linalg.norm(v) - s * np.linalg.norm(u)) < 1e-9
 
 
 def test_transpose_consistency():
@@ -237,11 +234,13 @@ def test_eigenvector_orthonormality():
 
 # -- outside mass --------------------------------------------------------------
 
+def _unit(u):
+    return u / (TWO_PI / u.shape[0] * np.linalg.norm(u))
+
+
 def test_outside_mass_uniform_field():
     cfg = _config(N=64)
-    u = np.full((64, 64), 1.0 + 0j)
-    field = LatticeField.from_complex(u=u).normalized()
-    mass = outside_mass(field, cfg)
+    mass = outside_mass(_unit(np.full((64, 64), 1.0 + 0j)), cfg)
     assert abs(mass - (1.0 - cfg.delta ** 2 / math.pi)) < 0.01
 
 
@@ -249,29 +248,19 @@ def test_outside_mass_supported_inside_disk():
     cfg = _config(N=64)
     u = np.zeros((64, 64), complex)
     u[0:2, 0:2] = 1.0  # inside the delta-disk at the origin
-    field = LatticeField.from_complex(u=u).normalized()
-    assert outside_mass(field, cfg) == 0.0
+    assert outside_mass(_unit(u), cfg) == 0.0
 
 
 def test_outside_mass_empty_singular_set():
     cfg = _config(N=32, preset="constant(1)")
-    field = LatticeField.from_complex(
-        u=np.random.default_rng(0).standard_normal((32, 32)) + 0j).normalized()
-    assert outside_mass(field, cfg) == 1.0
+    u = _unit(np.random.default_rng(0).standard_normal((32, 32)) + 0j)
+    assert outside_mass(u, cfg) == 1.0
 
 
 def test_outside_mass_requires_normalization():
     cfg = _config(N=32)
-    field = LatticeField.from_complex(u=np.full((32, 32), 1.0 + 0j))
     with pytest.raises(ValueError, match="norm"):
-        outside_mass(field, cfg)
-
-
-def test_lattice_field_shape_validation():
-    with pytest.raises(ValueError):
-        LatticeField(np.zeros((4, 4, 3)))
-    with pytest.raises(ValueError):
-        LatticeField(np.full((4, 4, 4), np.nan))
+        outside_mass(np.full((32, 32), 1.0 + 0j), cfg)
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -322,6 +311,16 @@ def test_run_sweep_reproducible():
     assert a.rows[0].outside_mass == b.rows[0].outside_mass
 
 
+def test_sweep_fields_do_not_keep_the_solver_block():
+    cfg = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset="sin_zeros",
+                    delta=0.5, eig_count=2, eig_tol=1e-7, seed=5)
+    for u in run_sweep(cfg).fields:
+        root = u
+        while root.base is not None:
+            root = root.base
+        assert u.shape == (16, 16) and root.nbytes == u.nbytes
+
+
 def test_csv_and_heatmap_outputs(tmp_path):
     cfg = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset="sin_zeros",
                     delta=0.5, eig_count=2, eig_tol=1e-7, seed=5)
@@ -333,7 +332,9 @@ def test_csv_and_heatmap_outputs(tmp_path):
     assert len(lines) == 3
     svg_path = tmp_path / "map.svg"
     zeta = lowest_field(assemble(cfg, 4.0), normal_eigenpairs(assemble(cfg, 4.0), cfg))
-    write_heatmap_svg(svg_path, zeta.density(), report.zeros, cfg.delta,
+    assert zeta.shape == (16, 16) and zeta.dtype == complex
+    assert abs(TWO_PI / 16 * np.linalg.norm(zeta) - 1.0) < 1e-9
+    write_heatmap_svg(svg_path, np.abs(zeta) ** 2, report.zeros, cfg.delta,
                       title="test")
     text = svg_path.read_text()
     assert text.startswith("<svg") and 'width="512"' in text

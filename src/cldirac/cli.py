@@ -9,6 +9,7 @@ are deterministic for fixed seed, config, and thread count 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -47,10 +48,20 @@ def _manifest(command: str, params: dict, seed, t0: float, counts: dict) -> dict
     }
 
 
+@contextlib.contextmanager
+def _writing(out_dir: str):
+    """Create the report directory; an OSError while writing into it exits
+    as a usage error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write the report to {out_dir}: {exc}") from exc
+
+
 def _write_json(out_dir: str, name: str, payload: dict, echo: bool) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(out_dir), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     if echo:
@@ -165,13 +176,14 @@ def _cmd_simulate(args) -> int:
     payload["schema_version"] = SCHEMA_VERSION
     path = _write_json(args.out, "simulate.json", payload, args.json)
 
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "simulate.csv")
-    report.write_csv(csv_path)
-    for row, zeta in zip(report.rows, report.fields):
-        svg_path = os.path.join(args.out, f"heatmap_s{row.s:g}.svg")
-        write_heatmap_svg(svg_path, zeta.real ** 2 + zeta.imag ** 2, report.zeros,
-                          config.delta, title=f"|zeta|^2 at s = {row.s:g}")
+    with _writing(args.out):
+        report.write_csv(csv_path)
+        for row, zeta in zip(report.rows, report.fields):
+            svg_path = os.path.join(args.out, f"heatmap_s{row.s:g}.svg")
+            write_heatmap_svg(svg_path, zeta.real ** 2 + zeta.imag ** 2,
+                              report.zeros, config.delta,
+                              title=f"|zeta|^2 at s = {row.s:g}")
 
     for r in report.rows:
         print(f"[{'ok ' if r.converged else 'FAIL'}] s={r.s:g}: "
@@ -232,6 +244,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise UsageError(f"--out is not a directory: {args.out}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

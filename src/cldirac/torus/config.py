@@ -236,9 +236,9 @@ def zero_locations(config: SimConfig, w: np.ndarray | None = None):
     re, im = w.real, w.imag
 
     def _bracket(a):
-        b = np.roll(a, -1, 0)
-        c = np.roll(a, -1, 1)
-        d = np.roll(np.roll(a, -1, 0), -1, 1)
+        # the four corners of each plaquette, wrapping at the seam
+        p = np.pad(a, ((0, 1), (0, 1)), mode="wrap")
+        b, c, d = p[1:, :-1], p[:-1, 1:], p[1:, 1:]
         lo = np.minimum(np.minimum(a, b), np.minimum(c, d))
         hi = np.maximum(np.maximum(a, b), np.maximum(c, d))
         return (lo <= 0) & (hi >= 0)

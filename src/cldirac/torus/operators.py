@@ -25,7 +25,8 @@ from .config import SimConfig, phi_field
 
 def flat_to_complex(x: np.ndarray, N: int) -> np.ndarray:
     """(N, N) complex view of a flat real vector.  It copies only when ``x``
-    is not contiguous, as a column of a C-ordered block is."""
+    is not a contiguous float64 array; the eigensolver hands it contiguous
+    rows of a transposed block, so there it never copies."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     return x.reshape(-1).view(np.complex128).reshape(N, N)
 
@@ -37,7 +38,12 @@ def complex_to_flat(u: np.ndarray) -> np.ndarray:
 
 
 class TorusOperator:
-    """Matvec pair for D_s and its real transpose on complex grids."""
+    """Matvec pair for D_s and its real transpose on complex grids.
+
+    The operator owns the kernels' scratch grids and the intermediate
+    D_s u of ``normal_matvec``; every apply returns a new array, and reads
+    ``w`` when it runs, so ``w`` may be reassigned after assembly.
+    """
 
     def __init__(self, config: SimConfig, s: float):
         self.config = config
@@ -45,18 +51,22 @@ class TorusOperator:
         self.h = config.spacing
         self.s = float(s)
         self.w = phi_field(config)
+        shape = (self.N, self.N)
+        self._mid = np.empty(shape, dtype=np.complex128)
+        self._work = (np.empty(shape, dtype=np.complex128),
+                      np.empty(shape, dtype=np.complex128))
 
     # -- complex-field form ------------------------------------------------
 
     def apply_plus(self, u: np.ndarray) -> np.ndarray:
         """S+ -> S-: v = 2 d_zbar u - s conj(w u)."""
         return kernels.ds_apply(np.ascontiguousarray(u, complex),
-                                self.w, self.s, self.h)
+                                self.w, self.s, self.h, work=self._work)
 
     def apply_minus(self, v: np.ndarray) -> np.ndarray:
         """Real transpose S- -> S+: u = -2 d_z v - s conj(w v)."""
         return kernels.dst_apply(np.ascontiguousarray(v, complex),
-                                 self.w, self.s, self.h)
+                                 self.w, self.s, self.h, work=self._work)
 
     # -- flat real form ------------------------------------------------------
 
@@ -72,7 +82,10 @@ class TorusOperator:
 
     def normal_matvec(self, x: np.ndarray) -> np.ndarray:
         """Symmetric positive-semidefinite D_s^T D_s on the u space."""
-        return self.rmatvec(self.matvec(x))
+        v = kernels.ds_apply(flat_to_complex(x, self.N), self.w, self.s, self.h,
+                             out=self._mid, work=self._work)
+        return complex_to_flat(
+            kernels.dst_apply(v, self.w, self.s, self.h, work=self._work))
 
     # -- bounds and dense forms ---------------------------------------------
 

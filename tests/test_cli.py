@@ -156,6 +156,39 @@ def test_bad_input_exits_2_with_message(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_OUT_CASES = {
+    "verify": ["verify", "--n-max", "1", "--trials", "2"],
+    "condition": ["condition", "--n-list", "1", "--r-list", "1",
+                  "--trials", "2", "--wrong-trials", "2"],
+    "simulate": ["simulate", "constant.cfg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_CASES))
+def test_out_naming_a_file_exits_2_before_any_work(command, tmp_path,
+                                                   monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before checking --out")
+    monkeypatch.setattr("cldirac.cli.verify_suite", no_work)
+    monkeypatch.setattr("cldirac.cli.condition_suite", no_work)
+    monkeypatch.setattr("cldirac.torus.sweep.run_sweep", no_work)
+    out = tmp_path / "out"
+    out.write_text("keep\n")
+    assert main(_OUT_CASES[command] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert out.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_report_write_failure_exits_2(tmp_path, capsys):
+    # a directory where the report file should go makes open() fail
+    (tmp_path / "verify.json").mkdir()
+    code = main(["verify", "--n-max", "1", "--trials", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
+
+
 def _condition_report():
     return ConditionReport(
         correct=[{"n": 1, "r": 1, "phi_class": "symmetric", "trials": 5,

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from cldirac.torus import (
     SimConfig,
+    TorusOperator,
     assemble,
     complex_to_flat,
     dense_sigma_min,
@@ -23,7 +25,9 @@ from cldirac.torus import (
     write_heatmap_svg,
     zero_locations,
 )
+from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import ConfigError, load_config
+from cldirac.torus.eigensolve import blockwise, residual_norms
 from cldirac.torus.heatmap import _STOPS, _colors
 from cldirac.torus.sweep import fit_loglog, lowest_field
 
@@ -179,7 +183,196 @@ def test_constant_w_energy_splitting():
         assert abs(lhs - rhs) < 1e-10 * lhs
 
 
+# -- bitwise identity with the shifted-copy stencil ----------------------------
+# The kernels take differences of slices in place; these are the formulas
+# they replaced, on np.roll copies.  Reports depend on every bit of the
+# matvec (the solver path follows it), so the comparison is exact.
+
+
+def _roll_deriv4(u, axis, h):
+    return (8.0 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
+            - (np.roll(u, -2, axis) - np.roll(u, 2, axis))) / (12.0 * h)
+
+
+def _roll_ds(u, w, s, h):
+    return _roll_deriv4(u, 0, h) + 1j * _roll_deriv4(u, 1, h) - s * np.conj(w * u)
+
+
+def _roll_dst(v, w, s, h):
+    return -(_roll_deriv4(v, 0, h) - 1j * _roll_deriv4(v, 1, h)) - s * np.conj(w * v)
+
+
+def _same_bits(a, b):
+    # float64 views compare the values, uint64 views also the signs of zeros
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.float64), b.view(np.float64))
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _random_grid(rng, N):
+    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+
+
+@pytest.mark.parametrize("N", [16, 17, 64])
+def test_stencil_matches_roll_formulas_bitwise(N):
+    rng = np.random.default_rng(N)
+    h = TWO_PI / N
+    for _ in range(3):
+        u, w = _random_grid(rng, N), _random_grid(rng, N)
+        s = float(rng.uniform(0.0, 64.0))
+        work = (np.empty_like(u), np.empty_like(u))
+        for new, old in ((kernels.ds_apply, _roll_ds),
+                         (kernels.dst_apply, _roll_dst)):
+            expected = old(u, w, s, h)
+            assert _same_bits(new(u, w, s, h), expected)
+            out = np.empty_like(u)
+            assert new(u, w, s, h, out=out, work=work) is out
+            assert _same_bits(out, expected)
+        # the pair through one set of buffers, as normal_matvec runs it
+        mid = kernels.ds_apply(u, w, s, h, out=np.empty_like(u), work=work)
+        assert _same_bits(kernels.dst_apply(mid, w, s, h, work=work),
+                          _roll_dst(_roll_ds(u, w, s, h), w, s, h))
+
+
+@pytest.mark.parametrize("N", [16, 64])  # configs allow powers of two only
+def test_normal_matvec_matches_roll_formulas_bitwise(N):
+    rng = np.random.default_rng(100 + N)
+    cfg = _config(N=N)
+    op = assemble(cfg, float(rng.uniform(0.0, 64.0)))
+    op.w = _random_grid(rng, N)
+    x = rng.standard_normal(op.nreal)
+    u = flat_to_complex(x, N)
+    expected = _roll_dst(_roll_ds(u, op.w, op.s, op.h), op.w, op.s, op.h)
+    assert _same_bits(flat_to_complex(op.normal_matvec(x), N), expected)
+    assert _same_bits(op.apply_plus(u), _roll_ds(u, op.w, op.s, op.h))
+    assert _same_bits(op.apply_minus(u), _roll_dst(u, op.w, op.s, op.h))
+
+
+def test_preconditioner_matches_fft2_formula_bitwise():
+    rng = np.random.default_rng(11)
+    for N in (16, 64):
+        op = assemble(_config(N=N), 4.0)
+        precond = fourier_preconditioner(op)
+        # the multiplier as the eigensolve docstring defines it
+        m = np.fft.fftfreq(N, d=1.0 / N)
+        sym_sq = ((8.0 * np.sin(m * op.h) - np.sin(2.0 * m * op.h)) / (6.0 * op.h)) ** 2
+        w_sq = np.abs(op.w) ** 2
+        shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
+        mult = 1.0 / (sym_sq[:, None] + sym_sq[None, :] + shift)
+        for _ in range(3):
+            x = rng.standard_normal(op.nreal)
+            f = np.fft.fft2(flat_to_complex(x, N))
+            f *= mult
+            expected = complex_to_flat(np.fft.ifft2(f))
+            assert np.array_equal(precond(x).view(np.uint64),
+                                  expected.view(np.uint64))
+
+
+def test_normal_matvec_and_preconditioner_return_fresh_arrays():
+    rng = np.random.default_rng(7)
+    cfg = _config(N=16)
+    op = assemble(cfg, 4.0)
+    precond = fourier_preconditioner(op)
+    x, y = rng.standard_normal(op.nreal), rng.standard_normal(op.nreal)
+    for f in (op.normal_matvec, precond):
+        first = f(x)
+        kept = first.copy()
+        second = f(y)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(f(x), kept)
+
+
+def test_reassigned_w_takes_effect():
+    rng = np.random.default_rng(8)
+    cfg = _config(N=16)
+    op = assemble(cfg, 4.0)
+    x = rng.standard_normal(op.nreal)
+    before = op.normal_matvec(x)
+    op.w = _random_grid(rng, 16)
+    u = flat_to_complex(x, 16)
+    expected = _roll_dst(_roll_ds(u, op.w, op.s, op.h), op.w, op.s, op.h)
+    after = flat_to_complex(op.normal_matvec(x), 16)
+    assert not np.array_equal(complex_to_flat(after), before)
+    assert _same_bits(after, expected)
+
+
 # -- eigensolver ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_blockwise_matches_linear_operator_bitwise(order):
+    rng = np.random.default_rng(9)
+    cfg = _config(N=16)
+    op = assemble(cfg, 4.0)
+    X = np.asarray(rng.standard_normal((op.nreal, 6)), order=order)
+    for f in (op.normal_matvec, fourier_preconditioner(op)):
+        expected = LinearOperator((op.nreal, op.nreal), matvec=f,
+                                  dtype=float).matmat(X)
+        got = blockwise(f)(X)
+        assert got.flags.c_contiguous
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_residual_norms_match_the_column_loop():
+    rng = np.random.default_rng(10)
+    cfg = _config(N=16)
+    op = assemble(cfg, 4.0)
+    block = np.linalg.qr(rng.standard_normal((op.nreal, 7)))[0]
+    vectors = block[:, :4]  # a strided view, as the solver passes it
+    values = rng.uniform(0.0, 10.0, size=4)
+    expected = np.array([
+        np.linalg.norm(op.normal_matvec(vectors[:, j]) - values[j] * vectors[:, j])
+        for j in range(4)])
+    got = residual_norms(blockwise(op.normal_matvec), values, vectors)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_grid_layers_are_called_once_per_column(monkeypatch):
+    # perfbench counts calls of these four functions as its per-layer work
+    # measures; they stay meaningful only if the block path makes exactly
+    # one call per column
+    calls = dict.fromkeys(["ds", "dst", "normal", "precond"], 0)
+    columns = {"A": 0, "M": 0, "runs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "ds_apply", counted("ds", kernels.ds_apply))
+    monkeypatch.setattr(kernels, "dst_apply", counted("dst", kernels.dst_apply))
+    monkeypatch.setattr(TorusOperator, "normal_matvec",
+                        counted("normal", TorusOperator.normal_matvec))
+    factory = eigensolve.fourier_preconditioner
+    monkeypatch.setattr(eigensolve, "fourier_preconditioner",
+                        lambda op: counted("precond", factory(op)))
+    solver = eigensolve.lobpcg
+
+    def lobpcg(A, X, M=None, **kwargs):
+        columns["runs"] += 1
+
+        def block_counter(key, f):
+            def apply(block):
+                columns[key] += block.shape[1]
+                return f(block)
+            return apply
+        return solver(block_counter("A", A), X, M=block_counter("M", M), **kwargs)
+
+    monkeypatch.setattr(eigensolve, "lobpcg", lobpcg)
+    cfg = _config(N=16, preset="sin_zeros", eig_count=3, eig_tol=1e-8)
+    op = assemble(cfg, 4.0)
+    res = normal_eigenpairs(op, cfg)
+    assert res.all_converged and columns["runs"] >= 1
+    residual_columns = cfg.eig_count * columns["runs"]
+    assert calls["normal"] == columns["A"] + residual_columns
+    assert calls["ds"] == calls["dst"] == calls["normal"]
+    assert calls["precond"] == columns["M"] > 0
+
+
+# -- eigensolver runs ------------------------------------------------------------
 
 def test_kernel_of_undeformed_operator():
     # w = 0: constants span the kernel, so the smallest eigenvalue is 0

@@ -1,9 +1,9 @@
 """Flat-torus spectral simulator for the deformed operator D_s = D + s A."""
 
 from .config import ConfigError, SimConfig, load_config, parse_config_text, phi_field, preset_path, zero_locations
-from .eigensolve import EigenResult, dense_sigma_min, fourier_preconditioner, normal_eigenpairs, smallest_eigenpairs
+from .eigensolve import EigenResult, dense_sigma_min, fourier_preconditioner, normal_eigenpairs
 from .kernels import BACKEND
-from .operators import TorusOperator, assemble, complex_to_flat, flat_to_complex
+from .operators import TorusOperator, complex_to_flat, flat_to_complex
 from .sweep import SpectralReport, SweepRow, fit_loglog, outside_mass, run_sweep
 from .heatmap import write_heatmap_svg
 
@@ -15,7 +15,6 @@ __all__ = [
     "SpectralReport",
     "SweepRow",
     "TorusOperator",
-    "assemble",
     "complex_to_flat",
     "dense_sigma_min",
     "fit_loglog",
@@ -28,7 +27,6 @@ __all__ = [
     "phi_field",
     "preset_path",
     "run_sweep",
-    "smallest_eigenpairs",
     "write_heatmap_svg",
     "zero_locations",
 ]

@@ -91,6 +91,14 @@ class SimConfig:
                 raise ConfigError("custom preset needs fourier_coeffs")
             if not all(np.isfinite(c) for _mx, _my, c in self.fourier_coeffs):
                 raise ConfigError("fourier_coeffs must be finite")
+            # on the grid, exp(i(mx x + my y)) depends on (mx, my) mod N only
+            aliased = {}
+            for mx, my, c in self.fourier_coeffs:
+                key = (mx % self.N, my % self.N)
+                aliased[key] = aliased.get(key, 0) + c
+            if not any(aliased.values()):
+                raise ConfigError("custom preset's w vanishes identically on "
+                                  "the grid: its fourier_coeffs cancel")
         elif kind != "sin_zeros":
             raise ConfigError(f"unknown phi preset {self.phi_preset!r}")
 
@@ -219,7 +227,7 @@ def phi_field(config: SimConfig) -> np.ndarray:
     return w
 
 
-def zero_locations(config: SimConfig, w: np.ndarray | None = None):
+def zero_locations(config: SimConfig):
     """Zeros of w as (x, y) pairs.
 
     Presets with exact zeros report them exactly; the custom preset brackets
@@ -231,8 +239,7 @@ def zero_locations(config: SimConfig, w: np.ndarray | None = None):
         return [(0.0, 0.0), (pi, 0.0), (0.0, pi), (pi, pi)]
     if kind == "constant":
         return []
-    if w is None:
-        w = phi_field(config)
+    w = phi_field(config)
     re, im = w.real, w.imag
 
     def _bracket(a):

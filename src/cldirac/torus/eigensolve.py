@@ -1,19 +1,23 @@
 """Matrix-free smallest eigenpairs of the normal operator.
 
+``normal_eigenpairs`` is the one solver: it takes the operator, the
+preconditioner and the residual scale from the ``TorusOperator``, and the
+number of pairs, the tolerance, the seed and the cap from the ``SimConfig``.
+
 LOBPCG on D_s^T D_s, preconditioned by the inverse of its translation
 invariant part, shifted: the Fourier multiplier
 
     1 / (|derivative symbol|^2 + shift),
-    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2).
+    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2),
 
-For constant w, D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the
-multiplier is the shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest
-cluster and LOBPCG converges in a few iterations; where w vanishes on the
-grid (min|w|^2 = 0) it is the plain s^2 mean|w|^2 shift.  The multiplier is
-even and positive for any positive shift, so the preconditioner is
-symmetric positive definite as a real-linear operator, and the shift moves
-only the speed of convergence, never the answer.  It costs one FFT pair per
-application.
+with the stencil's symbol from ``kernels.symbol``.  For constant w,
+D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the multiplier is the
+shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster and LOBPCG
+converges in a few iterations; where w vanishes on the grid (min|w|^2 = 0)
+it is the plain s^2 mean|w|^2 shift.  The multiplier is even and positive
+for any positive shift, so the preconditioner is symmetric positive
+definite as a real-linear operator, and the shift moves only the speed of
+convergence, never the answer.  It costs one FFT pair per application.
 
 A sweep over s warm-starts each solve with the whole Ritz block of the
 previous s (``EigenResult.block``, the k wanted pairs and the guard
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import lobpcg
 
+from . import kernels
 from .config import SimConfig
 from .operators import TorusOperator, complex_to_flat, flat_to_complex
 
@@ -50,8 +55,10 @@ class EigenResult:
     vectors: np.ndarray       # (nreal, k), unit L2 norm with cell weights
     residuals: np.ndarray     # ||A x - lambda x||_2 per pair (Euclidean)
     converged: np.ndarray     # residual <= tol * opnorm_estimate
-    iterations: int
-    opnorm_estimate: float
+    iterations: int           # LOBPCG residual-history rows over all runs:
+                              # best iterate + 2 per run (initial and final
+                              # residual), so a converged start reports 2
+    opnorm_estimate: float    # sigma_max_bound()**2, the residual scale
     block: np.ndarray         # whole Ritz block of the last LOBPCG run, with
                               # ``vectors`` as its leading columns; the warm
                               # start for the next s
@@ -66,8 +73,7 @@ def fourier_preconditioner(op: TorusOperator):
     Fourier symbol."""
     N, h, s = op.N, op.h, op.s
     m = np.fft.fftfreq(N, d=1.0 / N)
-    sym = (8.0 * np.sin(m * h) - np.sin(2.0 * m * h)) / (6.0 * h)
-    sym_sq = sym ** 2
+    sym_sq = kernels.symbol(m * h, h) ** 2
     w_sq = np.abs(op.w) ** 2
     shift = max(float(s * s * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
     mult = 1.0 / (sym_sq[:, None] + sym_sq[None, :] + shift)
@@ -110,38 +116,21 @@ def residual_norms(apply_block, values: np.ndarray, vectors: np.ndarray) -> np.n
     return out
 
 
-def estimate_opnorm(matvec, nreal: int, seed: int = 0, iters: int = 15) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(nreal)
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(iters):
-        y = matvec(x)
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 1.0
-        x = y / lam
-    return lam
+def normal_eigenpairs(op: TorusOperator, config: SimConfig,
+                      start: np.ndarray | None = None) -> EigenResult:
+    """The ``config.eig_count`` smallest eigenpairs of D_s^T D_s.
 
-
-def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
-                        seed: int = 0, maxiter: int = 800,
-                        precond=None, opnorm: float | None = None,
-                        weight: float = 1.0,
-                        start: np.ndarray | None = None) -> EigenResult:
-    """k smallest eigenpairs of a symmetric PSD operator given by matvec.
-
-    ``weight`` is the per-component L2 cell weight (h^2 for grid fields);
-    returned vectors have unit weighted norm.  Residual convergence is
-    measured against ``tol * opnorm``.  ``start`` is a start block of at
-    least k columns, such as the ``block`` of a solve for a nearby
-    operator; without it the start block is random (seeded by ``seed``).
+    LOBPCG runs on ``op.normal_matvec`` with ``fourier_preconditioner(op)``
+    and at most ``config.max_iterations`` iterations per run.  A pair has
+    converged when its residual is at most ``config.eig_tol * opnorm``,
+    with opnorm = ``op.sigma_max_bound()**2``.  Returned vectors have unit
+    L2 norm with cell weight h^2.  ``start`` is a start block of at least
+    eig_count columns, such as the ``block`` of the solve at the previous
+    s; without it the start block is random, seeded by ``config.seed``.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if opnorm is None:
-        opnorm = estimate_opnorm(matvec, nreal, seed=seed + 1)
-    rng = np.random.default_rng(seed)
+    k, nreal = config.eig_count, op.nreal
+    opnorm = op.sigma_max_bound() ** 2
+    rng = np.random.default_rng(config.seed)
     if start is None:
         x0 = rng.standard_normal((nreal, min(max(k + 2, 4), nreal)))
         x0[:, 0] = 1.0  # constant field: exact kernel direction when w = 0
@@ -152,10 +141,10 @@ def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
                              f"{nreal} rows and k = {k}")
     x0, _ = np.linalg.qr(x0)
 
-    operator = blockwise(matvec)
-    preconditioner = None if precond is None else blockwise(precond)
+    operator = blockwise(op.normal_matvec)
+    preconditioner = blockwise(fourier_preconditioner(op))
 
-    threshold = max(tol, 1e-15) * max(opnorm, 1e-30)
+    threshold = max(config.eig_tol, 1e-15) * opnorm
     iterations = 0
 
     # LOBPCG can stall on (near-)degenerate clusters; warm restarts with a
@@ -168,7 +157,8 @@ def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
             warnings.simplefilter("ignore")
             values, block, hist = lobpcg(
                 operator, x0, M=preconditioner, tol=0.2 * threshold,
-                maxiter=maxiter, largest=False, retResidualNormsHistory=True)
+                maxiter=config.max_iterations, largest=False,
+                retResidualNormsHistory=True)
         iterations += len(hist)
         order = np.argsort(values)
         block = np.asarray(block)[:, order]
@@ -185,21 +175,9 @@ def smallest_eigenpairs(matvec, nreal: int, k: int, tol: float = 1e-9,
     values = np.clip(values, 0.0, None)
     # normalized in place: the wanted vectors stay the leading columns of
     # the block, so a sweep holds one copy of them
-    vectors /= np.sqrt(weight) * np.linalg.norm(vectors, axis=0)
+    vectors /= op.h * np.linalg.norm(vectors, axis=0)
     return EigenResult(values, vectors, residuals, converged,
                        iterations, opnorm, block)
-
-
-def normal_eigenpairs(op: TorusOperator, config: SimConfig,
-                      start: np.ndarray | None = None) -> EigenResult:
-    """Smallest eigenpairs of D_s^T D_s with the standard preconditioner,
-    optionally warm-started from the ``block`` of the previous s."""
-    return smallest_eigenpairs(
-        op.normal_matvec, op.nreal, config.eig_count,
-        tol=config.eig_tol, seed=config.seed, maxiter=config.max_iterations,
-        precond=fourier_preconditioner(op),
-        opnorm=op.sigma_max_bound() ** 2,
-        weight=op.h * op.h, start=start)
 
 
 def dense_sigma_min(op: TorusOperator) -> float:

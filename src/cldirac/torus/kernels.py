@@ -8,7 +8,9 @@ field:
 
 with Dx, Dy the 4th-order centered periodic differences
 
-    (8 (u[i+1] - u[i-1]) - (u[i+2] - u[i-2])) / (12 h).
+    (8 (u[i+1] - u[i-1]) - (u[i+2] - u[i-2])) / (12 h),
+
+whose Fourier symbol is ``symbol``: Dx exp(i m x) = i symbol(m h, h) exp(i m x).
 
 Each difference u[i+k] - u[i-k] is one ``np.subtract`` of slices, written
 straight into a buffer: the interior as one contiguous slab of the
@@ -25,6 +27,12 @@ import numpy as np
 
 # Name of the kernel implementation, recorded in every report.
 BACKEND = "numpy"
+
+
+def symbol(theta, h):
+    """(8 sin(theta) - sin(2 theta)) / (6 h), the symbol of the difference
+    stencil at theta = m h; it approximates m to 4th order."""
+    return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
 
 
 def _diff(u: np.ndarray, k: int, axis: int, out: np.ndarray) -> None:

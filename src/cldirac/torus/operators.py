@@ -42,7 +42,7 @@ class TorusOperator:
 
     The operator owns the kernels' scratch grids and the intermediate
     D_s u of ``normal_matvec``; every apply returns a new array, and reads
-    ``w`` when it runs, so ``w`` may be reassigned after assembly.
+    ``w`` when it runs, so ``w`` may be reassigned after construction.
     """
 
     def __init__(self, config: SimConfig, s: float):
@@ -93,7 +93,7 @@ class TorusOperator:
         """max |derivative symbol| + s*max|w|; an upper bound for the largest
         singular value (triangle inequality in Fourier space)."""
         t = np.linspace(0.0, math.pi, 4097)
-        sym_peak = np.max(np.abs(8.0 * np.sin(t) - np.sin(2.0 * t))) / (6.0 * self.h)
+        sym_peak = np.max(np.abs(kernels.symbol(t, self.h)))
         return float(math.sqrt(2.0) * sym_peak + self.s * np.max(np.abs(self.w)))
 
     def dense(self) -> np.ndarray:
@@ -107,7 +107,3 @@ class TorusOperator:
             e[j] = 0.0
         return cols
 
-
-def assemble(config: SimConfig, s: float) -> TorusOperator:
-    """Operator pair (matvec, rmatvec) for D_s at deformation strength s."""
-    return TorusOperator(config, s)

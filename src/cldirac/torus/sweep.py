@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .config import TWO_PI, SimConfig, phi_field, zero_locations
+from .config import TWO_PI, SimConfig, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import TorusOperator, assemble, complex_to_flat, flat_to_complex
+from .operators import TorusOperator, complex_to_flat, flat_to_complex
 
 SCHEMA_VERSION = 1
 
@@ -84,7 +84,8 @@ class SweepRow:
     sigma_min: float
     residual_max: float
     converged: bool
-    iterations: int
+    iterations: int     # EigenResult.iterations: LOBPCG history rows, 2 per
+                        # run even when the start block has converged
     seconds: float
 
 
@@ -172,14 +173,13 @@ def lowest_field(op: TorusOperator, result: EigenResult,
 def run_sweep(config: SimConfig) -> SpectralReport:
     """Assemble, solve, and measure for every s in the config."""
     t0 = time.monotonic()
-    w = phi_field(config)
-    zeros = zero_locations(config, w)
+    zeros = zero_locations(config)
     rows = []
     fields = []
     start = None
     for s in config.s_values:
         ts = time.monotonic()
-        op = assemble(config, s)
+        op = TorusOperator(config, s)
         result = normal_eigenpairs(op, config, start=start)
         start = result.block
         zeta = lowest_field(op, result, fields[-1] if fields else None)

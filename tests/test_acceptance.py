@@ -32,7 +32,7 @@ from cldirac.scalars import ExactComplex
 from cldirac.suites import condition_suite, verify_suite
 from cldirac.torus import (
     SimConfig,
-    assemble,
+    TorusOperator,
     dense_sigma_min,
     normal_eigenpairs,
     run_sweep,
@@ -140,7 +140,7 @@ def test_criterion_4_empty_singular_set_oracle():
 
     small = SimConfig(N=16, s_values=(4.0,), phi_preset="constant(1)",
                       delta=0.5, eig_count=2, eig_tol=1e-9, seed=7)
-    op16 = assemble(small, 4.0)
+    op16 = TorusOperator(small, 4.0)
     iterative16 = math.sqrt(normal_eigenpairs(op16, small).values[0])
     dense16 = dense_sigma_min(op16)
     cross_ok = (abs(dense16 - 4.0) <= 0.01 * 4.0

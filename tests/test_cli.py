@@ -123,6 +123,9 @@ _BAD_CONFIGS = {
     "eig_count-too-large": {"eig_count": "1000"},
     "constant-inf": {"phi_preset": "constant(inf)"},
     "fourier-nan": {"phi_preset": "custom", "fourier_coeffs": "1,0,nan,0"},
+    "fourier-zero": {"phi_preset": "custom", "fourier_coeffs": "0,0,0,0"},
+    "fourier-cancelling": {"phi_preset": "custom",
+                           "fourier_coeffs": "1,0,1,0; 1,0,-1,0"},
     "config-is-directory": None,
 }
 

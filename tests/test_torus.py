@@ -10,7 +10,6 @@ from scipy.sparse.linalg import LinearOperator
 from cldirac.torus import (
     SimConfig,
     TorusOperator,
-    assemble,
     complex_to_flat,
     dense_sigma_min,
     flat_to_complex,
@@ -21,7 +20,6 @@ from cldirac.torus import (
     phi_field,
     preset_path,
     run_sweep,
-    smallest_eigenpairs,
     write_heatmap_svg,
     zero_locations,
 )
@@ -29,7 +27,7 @@ from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import ConfigError, load_config
 from cldirac.torus.eigensolve import blockwise, residual_norms
 from cldirac.torus.heatmap import _STOPS, _colors
-from cldirac.torus.sweep import fit_loglog, lowest_field
+from cldirac.torus.sweep import check_sweep, fit_loglog, lowest_field, row_counts
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,6 +57,7 @@ def test_parse_config_roundtrip():
     ("s_values = -1, 2", "positive"),
     ("delta = 0.01\nN = 32", "spacing"),
     ("phi_preset = constant(0)", "nonzero"),
+    ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,1,0; 16,0,-1,0", "vanishes"),
     ("phi_preset = bogus", "unknown phi preset"),
     ("bogus_key = 1", "unknown key"),
 ])
@@ -108,7 +107,7 @@ def _config(N=32, preset="sin_zeros", s=(4.0,), **kw):
 
 def test_fourier_symbol_zero_field():
     cfg = _config(N=64, preset="constant(1)")
-    op = assemble(cfg, 0.0)
+    op = TorusOperator(cfg, 0.0)
     op.w = np.zeros_like(op.w)  # w = 0: pure derivative operator
     h = cfg.spacing
     xs = np.arange(64) * h
@@ -135,7 +134,7 @@ def test_flat_views_share_memory():
 def test_constant_field_action():
     cfg = _config(N=32, preset="constant(1)")
     s = 5.0
-    op = assemble(cfg, s)
+    op = TorusOperator(cfg, s)
     u = np.full((32, 32), 2.0 + 1.0j)
     v = op.apply_plus(u)
     assert np.max(np.abs(v - (-s * np.conj(u)))) < 1e-12
@@ -145,7 +144,7 @@ def test_constant_field_action():
 def test_transpose_consistency():
     rng = np.random.default_rng(3)
     cfg = _config(N=32)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     for _ in range(5):
         x = rng.standard_normal(op.nreal)
         y = rng.standard_normal(op.nreal)
@@ -157,7 +156,7 @@ def test_transpose_consistency():
 def test_real_linearity():
     rng = np.random.default_rng(4)
     cfg = _config(N=32)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     x = rng.standard_normal(op.nreal)
     y = rng.standard_normal(op.nreal)
     add = op.matvec(x + y) - op.matvec(x) - op.matvec(y)
@@ -173,8 +172,8 @@ def test_constant_w_energy_splitting():
     rng = np.random.default_rng(5)
     cfg = _config(N=32, preset="constant(1)")
     s = 6.0
-    op_s = assemble(cfg, s)
-    op_0 = assemble(cfg, 0.0)
+    op_s = TorusOperator(cfg, s)
+    op_0 = TorusOperator(cfg, 0.0)
     for _ in range(5):
         x = rng.standard_normal(op_s.nreal)
         lhs = np.dot(op_s.matvec(x), op_s.matvec(x))
@@ -238,7 +237,7 @@ def test_stencil_matches_roll_formulas_bitwise(N):
 def test_normal_matvec_matches_roll_formulas_bitwise(N):
     rng = np.random.default_rng(100 + N)
     cfg = _config(N=N)
-    op = assemble(cfg, float(rng.uniform(0.0, 64.0)))
+    op = TorusOperator(cfg, float(rng.uniform(0.0, 64.0)))
     op.w = _random_grid(rng, N)
     x = rng.standard_normal(op.nreal)
     u = flat_to_complex(x, N)
@@ -251,7 +250,7 @@ def test_normal_matvec_matches_roll_formulas_bitwise(N):
 def test_preconditioner_matches_fft2_formula_bitwise():
     rng = np.random.default_rng(11)
     for N in (16, 64):
-        op = assemble(_config(N=N), 4.0)
+        op = TorusOperator(_config(N=N), 4.0)
         precond = fourier_preconditioner(op)
         # the multiplier as the eigensolve docstring defines it
         m = np.fft.fftfreq(N, d=1.0 / N)
@@ -271,7 +270,7 @@ def test_preconditioner_matches_fft2_formula_bitwise():
 def test_normal_matvec_and_preconditioner_return_fresh_arrays():
     rng = np.random.default_rng(7)
     cfg = _config(N=16)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     precond = fourier_preconditioner(op)
     x, y = rng.standard_normal(op.nreal), rng.standard_normal(op.nreal)
     for f in (op.normal_matvec, precond):
@@ -286,7 +285,7 @@ def test_normal_matvec_and_preconditioner_return_fresh_arrays():
 def test_reassigned_w_takes_effect():
     rng = np.random.default_rng(8)
     cfg = _config(N=16)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     x = rng.standard_normal(op.nreal)
     before = op.normal_matvec(x)
     op.w = _random_grid(rng, 16)
@@ -304,7 +303,7 @@ def test_reassigned_w_takes_effect():
 def test_blockwise_matches_linear_operator_bitwise(order):
     rng = np.random.default_rng(9)
     cfg = _config(N=16)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     X = np.asarray(rng.standard_normal((op.nreal, 6)), order=order)
     for f in (op.normal_matvec, fourier_preconditioner(op)):
         expected = LinearOperator((op.nreal, op.nreal), matvec=f,
@@ -318,7 +317,7 @@ def test_blockwise_matches_linear_operator_bitwise(order):
 def test_residual_norms_match_the_column_loop():
     rng = np.random.default_rng(10)
     cfg = _config(N=16)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     block = np.linalg.qr(rng.standard_normal((op.nreal, 7)))[0]
     vectors = block[:, :4]  # a strided view, as the solver passes it
     values = rng.uniform(0.0, 10.0, size=4)
@@ -363,7 +362,7 @@ def test_grid_layers_are_called_once_per_column(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "lobpcg", lobpcg)
     cfg = _config(N=16, preset="sin_zeros", eig_count=3, eig_tol=1e-8)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     res = normal_eigenpairs(op, cfg)
     assert res.all_converged and columns["runs"] >= 1
     residual_columns = cfg.eig_count * columns["runs"]
@@ -376,14 +375,11 @@ def test_grid_layers_are_called_once_per_column(monkeypatch):
 
 def test_kernel_of_undeformed_operator():
     # w = 0: constants span the kernel, so the smallest eigenvalue is 0
-    cfg = _config(N=16, preset="constant(1)", eig_count=1, eig_tol=1e-8)
-    op = assemble(cfg, 0.0)
+    cfg = _config(N=16, preset="constant(1)", eig_count=1, eig_tol=1e-8,
+                  seed=2, max_iterations=400)
+    op = TorusOperator(cfg, 0.0)
     op.w = np.zeros_like(op.w)
-    res = smallest_eigenpairs(op.normal_matvec, op.nreal, 1, tol=1e-8,
-                              seed=2, maxiter=400,
-                              precond=fourier_preconditioner(op),
-                              opnorm=op.sigma_max_bound() ** 2,
-                              weight=op.h * op.h)
+    res = normal_eigenpairs(op, cfg)
     assert res.values[0] < 1e-8 * op.sigma_max_bound() ** 2
 
 
@@ -392,7 +388,7 @@ def test_constant_preset_eigenvalue_oracle():
     cfg = _config(N=16, preset="constant(1)", s=(4.0,), eig_count=2,
                   eig_tol=1e-9)
     s = 4.0
-    op = assemble(cfg, s)
+    op = TorusOperator(cfg, s)
     res = normal_eigenpairs(op, cfg)
     assert res.all_converged
     assert abs(res.values[0] - s * s) < 0.01 * s * s
@@ -408,8 +404,8 @@ def test_warm_start_matches_cold_solve():
     # 8-dimensional kernel to nonzero eigenvalues
     cfg = _config(N=16, preset="sin_zeros", s=(4.0, 8.0), eig_count=10,
                   eig_tol=1e-9)
-    previous = normal_eigenpairs(assemble(cfg, 4.0), cfg)
-    op = assemble(cfg, 8.0)
+    previous = normal_eigenpairs(TorusOperator(cfg, 4.0), cfg)
+    op = TorusOperator(cfg, 8.0)
     cold = normal_eigenpairs(op, cfg)
     warm = normal_eigenpairs(op, cfg, start=previous.block)
     assert cold.all_converged and warm.all_converged
@@ -419,10 +415,40 @@ def test_warm_start_matches_cold_solve():
 
 def test_eigenvector_orthonormality():
     cfg = _config(N=16, preset="sin_zeros", s=(4.0,), eig_count=4, eig_tol=1e-8)
-    op = assemble(cfg, 4.0)
+    op = TorusOperator(cfg, 4.0)
     res = normal_eigenpairs(op, cfg)
     gram = (op.h ** 2) * (res.vectors.T @ res.vectors)
     assert np.max(np.abs(gram - np.eye(cfg.eig_count))) < 1e-8
+
+
+def test_stalled_solve_restarts_and_reports_non_convergence(monkeypatch):
+    # one iteration per LOBPCG run cannot reach 1e-9: the solve runs all
+    # three attempts, sums their residual histories and reports the failure
+    runs = []
+    solver = eigensolve.lobpcg
+
+    def lobpcg(*args, **kwargs):
+        result = solver(*args, **kwargs)
+        runs.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(eigensolve, "lobpcg", lobpcg)
+    cfg = _config(N=16, preset="sin_zeros", s=(4.0, 8.0), eig_count=3,
+                  eig_tol=1e-9, max_iterations=1)
+    res = normal_eigenpairs(TorusOperator(cfg, 4.0), cfg)
+    assert len(runs) == 3
+    assert res.iterations == sum(runs) == 12
+    assert not np.any(res.converged)
+    report = run_sweep(cfg)
+    assert check_sweep(report, cfg) == ["solver did not converge at s = [4.0, 8.0]"]
+    assert row_counts(report, cfg) == {"pass": 0, "fail": 2}
+
+
+def test_start_block_must_fit_the_operator():
+    cfg = _config(N=16, eig_count=3)
+    op = TorusOperator(cfg, 4.0)
+    with pytest.raises(ValueError, match="start block"):
+        normal_eigenpairs(op, cfg, start=np.ones((op.nreal - 2, 5)))
 
 
 # -- outside mass --------------------------------------------------------------
@@ -524,7 +550,7 @@ def test_csv_and_heatmap_outputs(tmp_path):
     assert lines[0] == "s,eig_1,eig_2,outside_mass,sigma_min"
     assert len(lines) == 3
     svg_path = tmp_path / "map.svg"
-    zeta = lowest_field(assemble(cfg, 4.0), normal_eigenpairs(assemble(cfg, 4.0), cfg))
+    zeta = lowest_field(TorusOperator(cfg, 4.0), normal_eigenpairs(TorusOperator(cfg, 4.0), cfg))
     assert zeta.shape == (16, 16) and zeta.dtype == complex
     assert abs(TWO_PI / 16 * np.linalg.norm(zeta) - 1.0) < 1e-9
     write_heatmap_svg(svg_path, np.abs(zeta) ** 2, report.zeros, cfg.delta,

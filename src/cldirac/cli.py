@@ -20,20 +20,18 @@ from . import __version__
 from .errors import UsageError
 from .suites import condition_suite, verify_suite
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _versions() -> dict:
     import numpy
     import scipy
 
-    from .torus import kernels
     return {
         "cldirac": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "kernel_backend": kernels.BACKEND,
     }
 
 

@@ -2,13 +2,11 @@
 
 from .config import ConfigError, SimConfig, load_config, parse_config_text, phi_field, preset_path, zero_locations
 from .eigensolve import EigenResult, dense_sigma_min, fourier_preconditioner, normal_eigenpairs
-from .kernels import BACKEND
 from .operators import TorusOperator, complex_to_flat, flat_to_complex
 from .sweep import SpectralReport, SweepRow, fit_loglog, outside_mass, run_sweep
 from .heatmap import write_heatmap_svg
 
 __all__ = [
-    "BACKEND",
     "ConfigError",
     "EigenResult",
     "SimConfig",

@@ -2,11 +2,13 @@
 
 Config files are plain ``key = value`` lines (``#`` comments).  Keys:
 
-    N               grid points per axis; power of two, >= 16
+    N               grid points per axis; power of two, >= 16.  Fields are
+                    their Fourier coefficients with |mx|, |my| <= M = N // 3
     s_values        comma-separated deformation strengths, strictly increasing
     phi_preset      sin_zeros | constant(<complex>) | custom
     fourier_coeffs  for custom: "mx,my,re,im; mx,my,re,im; ..." giving
-                    w = sum c * exp(i(mx*x + my*y))
+                    w = sum c * exp(i(mx*x + my*y)), with
+                    max(|mx|, |my|) + M < N/2
     delta           exclusion radius around the singular set (radians)
     eig_count       number of low eigenpairs to compute
     eig_tol         relative residual tolerance for the eigensolver
@@ -68,11 +70,14 @@ class SimConfig:
         if self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1")
         # LOBPCG runs with up to eig_count + 4 columns, and scipy's lobpcg
-        # needs 5 per column in the problem size for its iterative path
-        if 5 * (self.eig_count + 4) > 2 * self.N * self.N:
+        # needs 5 per column in the problem size, the band's 2 (2M+1)^2
+        # reals, for its iterative path
+        nreal = 2 * (2 * self.band_limit + 1) ** 2
+        if 5 * (self.eig_count + 4) > nreal:
             raise ConfigError(
                 f"eig_count = {self.eig_count} is too large for N = {self.N}: "
-                f"need 5 * (eig_count + 4) <= 2 N^2")
+                f"need 5 * (eig_count + 4) <= 2 (2M+1)^2 = {nreal}, "
+                f"M = N // 3")
         if not (math.isfinite(self.eig_tol) and self.eig_tol > 0):
             raise ConfigError("eig_tol must be positive and finite")
         if self.max_iterations < 1:
@@ -91,20 +96,32 @@ class SimConfig:
                 raise ConfigError("custom preset needs fourier_coeffs")
             if not all(np.isfinite(c) for _mx, _my, c in self.fourier_coeffs):
                 raise ConfigError("fourier_coeffs must be finite")
-            # on the grid, exp(i(mx x + my y)) depends on (mx, my) mod N only
+            # on the grid, exp(i(mx x + my y)) depends on (mx, my) mod N
+            # only; a mode whose terms cancel to rounding counts as zero
             aliased = {}
             for mx, my, c in self.fourier_coeffs:
-                key = (mx % self.N, my % self.N)
-                aliased[key] = aliased.get(key, 0) + c
-            if not any(aliased.values()):
+                total, size = aliased.get((mx % self.N, my % self.N), (0, 0.0))
+                aliased[(mx % self.N, my % self.N)] = (total + c, size + abs(c))
+            if all(abs(total) <= 1e-12 * size for total, size in aliased.values()):
                 raise ConfigError("custom preset's w vanishes identically on "
                                   "the grid: its fourier_coeffs cancel")
+            width = max(max(abs(mx), abs(my)) for mx, my, _c in self.fourier_coeffs)
+            if width + self.band_limit >= self.N / 2:
+                raise ConfigError(
+                    f"custom preset's w has modes up to max(|mx|, |my|) = "
+                    f"{width}; the band needs max(|mx|, |my|) + M < N/2 = "
+                    f"{self.N // 2} with M = N // 3 = {self.band_limit}")
         elif kind != "sin_zeros":
             raise ConfigError(f"unknown phi preset {self.phi_preset!r}")
 
     @property
     def spacing(self) -> float:
         return TWO_PI / self.N
+
+    @property
+    def band_limit(self) -> int:
+        """M: a field is its Fourier coefficients with |mx|, |my| <= M."""
+        return self.N // 3
 
     @property
     def preset_kind(self) -> str:

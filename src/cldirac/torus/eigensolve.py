@@ -5,32 +5,36 @@ preconditioner and the residual scale from the ``TorusOperator``, and the
 number of pairs, the tolerance, the seed and the cap from the ``SimConfig``.
 
 LOBPCG on D_s^T D_s, preconditioned by the inverse of its translation
-invariant part, shifted: the Fourier multiplier
+invariant part, shifted: the diagonal on the band
 
-    1 / (|derivative symbol|^2 + shift),
-    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2),
+    1 / (|m|^2 + shift),    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2),
 
-with the stencil's symbol from ``kernels.symbol``.  For constant w,
-D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the multiplier is the
-shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster and LOBPCG
-converges in a few iterations; where w vanishes on the grid (min|w|^2 = 0)
-it is the plain s^2 mean|w|^2 shift.  The multiplier is even and positive
-for any positive shift, so the preconditioner is symmetric positive
-definite as a real-linear operator, and the shift moves only the speed of
-convergence, never the answer.  It costs one FFT pair per application.
+since D_0^T D_0 = |m|^2 on the band (``kernels``: coefficients scaled so
+that the Euclidean norm is the L2 norm, and a w that fits the band,
+max(|mx|, |my|) + M < N/2, so the potential does not alias).  For
+constant w, D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the diagonal is the
+shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster; where w
+vanishes on the grid (min|w|^2 = 0) it is the plain s^2 mean|w|^2 shift.
+The diagonal is positive for any positive shift, so the preconditioner is
+symmetric positive definite, and the shift moves only the speed of
+convergence, never the answer.
 
-A sweep over s warm-starts each solve with the whole Ritz block of the
-previous s (``EigenResult.block``, the k wanted pairs and the guard
-columns), orthonormalized by QR; the lowest modes move continuously in s,
-so the block is already close to the new invariant subspace.  Only the
-matvec of the normal operator enters; residuals are checked explicitly,
-stalled solves are restarted with a widened block, and non-convergence is
-reported in the result, never silently dropped.
+The first solve starts from the band basis vectors of lowest |m|, the
+preconditioner's eigenvectors: for constant w they span the lowest
+cluster, so LOBPCG stops after its first residual check.  A sweep over s
+warm-starts each later solve with the whole Ritz block of the previous s
+(``EigenResult.block``, the k wanted pairs and the guard columns),
+orthonormalized by QR; the lowest modes move continuously in s, so the
+block is already close to the new invariant subspace.  Only the matvec of
+the normal operator enters; residuals are checked explicitly, stalled
+solves are restarted with a widened block whose guard columns are drawn
+from ``config.seed``, and non-convergence is reported in the result, never
+silently dropped.
 
 LOBPCG applies the operator and the preconditioner to whole blocks.  One
 wrapper, ``blockwise``, turns each per-vector function into a block
 function: one transposed copy of the block in, whose rows are contiguous
-vectors that the grid code views without copying, one call per vector,
+vectors that the band code views without copying, one call per vector,
 and one C-ordered copy out.  The result has the same bits and layout as
 applying the function to each strided column and stacking the results, so
 the solver's path does not depend on how the block is fed.
@@ -46,13 +50,13 @@ from scipy.sparse.linalg import lobpcg
 
 from . import kernels
 from .config import SimConfig
-from .operators import TorusOperator, complex_to_flat, flat_to_complex
+from .operators import TorusOperator
 
 
 @dataclass
 class EigenResult:
     values: np.ndarray        # ascending, clamped at 0
-    vectors: np.ndarray       # (nreal, k), unit L2 norm with cell weights
+    vectors: np.ndarray       # (nreal, k), unit norm
     residuals: np.ndarray     # ||A x - lambda x||_2 per pair (Euclidean)
     converged: np.ndarray     # residual <= tol * opnorm_estimate
     iterations: int           # LOBPCG residual-history rows over all runs:
@@ -68,29 +72,29 @@ class EigenResult:
         return bool(np.all(self.converged))
 
 
-def fourier_preconditioner(op: TorusOperator):
-    """SPD approximate inverse of D_s^T D_s from its constant-coefficient
-    Fourier symbol."""
-    N, h, s = op.N, op.h, op.s
-    m = np.fft.fftfreq(N, d=1.0 / N)
-    sym_sq = kernels.symbol(m * h, h) ** 2
-    w_sq = np.abs(op.w) ** 2
-    shift = max(float(s * s * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
-    mult = 1.0 / (sym_sq[:, None] + sym_sq[None, :] + shift)
-    spectrum = np.empty((N, N), dtype=np.complex128)
+def _flat_m_sq(op: TorusOperator) -> np.ndarray:
+    """|m|^2 for each real of a flat band vector."""
+    d = kernels.d0_multiplier(op.K)
+    return np.repeat((d.real ** 2 + d.imag ** 2).ravel(), 2)
 
-    # fft2 and ifft2 are these 1-D transforms, last axis first; calling
-    # them directly skips fft2's argument handling, a third of an apply at
-    # N = 64.  The forward pair writes into one buffer; the inverse pair
-    # allocates, since an inverse FFT written over its input rounds
-    # differently.
+
+def fourier_preconditioner(op: TorusOperator):
+    """SPD approximate inverse of D_s^T D_s: the diagonal 1 / (|m|^2 + shift)."""
+    w_sq = np.abs(op.w) ** 2
+    shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
+    mult = 1.0 / (_flat_m_sq(op) + shift)
+
     def apply(x: np.ndarray) -> np.ndarray:
-        np.fft.fft(flat_to_complex(x, N), axis=1, out=spectrum)
-        np.fft.fft(spectrum, axis=0, out=spectrum)
-        np.multiply(spectrum, mult, out=spectrum)
-        return complex_to_flat(np.fft.ifft(np.fft.ifft(spectrum, axis=1), axis=0))
+        return np.reshape(x, -1) * mult
 
     return apply
+
+
+def lowest_modes(op: TorusOperator, count: int) -> np.ndarray:
+    """(nreal, count) block of the band basis vectors of lowest |m|."""
+    block = np.zeros((op.nreal, count))
+    block[np.argsort(_flat_m_sq(op), kind="stable")[:count], np.arange(count)] = 1.0
+    return block
 
 
 def blockwise(f):
@@ -124,16 +128,15 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
     and at most ``config.max_iterations`` iterations per run.  A pair has
     converged when its residual is at most ``config.eig_tol * opnorm``,
     with opnorm = ``op.sigma_max_bound()**2``.  Returned vectors have unit
-    L2 norm with cell weight h^2.  ``start`` is a start block of at least
-    eig_count columns, such as the ``block`` of the solve at the previous
-    s; without it the start block is random, seeded by ``config.seed``.
+    norm, which is the L2 norm of their fields.  ``start`` is a start block
+    of at least eig_count columns, such as the ``block`` of the solve at
+    the previous s; without it the start block is ``lowest_modes``.
     """
     k, nreal = config.eig_count, op.nreal
     opnorm = op.sigma_max_bound() ** 2
     rng = np.random.default_rng(config.seed)
     if start is None:
-        x0 = rng.standard_normal((nreal, min(max(k + 2, 4), nreal)))
-        x0[:, 0] = 1.0  # constant field: exact kernel direction when w = 0
+        x0 = lowest_modes(op, min(max(k + 2, 4), nreal))
     else:
         x0 = np.asarray(start, dtype=float)
         if x0.shape[0] != nreal or not k <= x0.shape[1] <= nreal:
@@ -175,7 +178,7 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
     values = np.clip(values, 0.0, None)
     # normalized in place: the wanted vectors stay the leading columns of
     # the block, so a sweep holds one copy of them
-    vectors /= op.h * np.linalg.norm(vectors, axis=0)
+    vectors /= np.linalg.norm(vectors, axis=0)
     return EigenResult(values, vectors, residuals, converged,
                        iterations, opnorm, block)
 

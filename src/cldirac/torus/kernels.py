@@ -1,112 +1,89 @@
-"""Grid kernels for the deformed operator, in numpy.
+"""Band kernels for the deformed operator D_s = D_0 - s A on the flat torus.
 
-The hot loop is the matvec of D_s and of its transpose on an (N, N) complex
-field:
+A field u on [0, 2pi)^2 is its band of Fourier coefficients c_m with
+|mx|, |my| <= M, a (2M+1, 2M+1) complex array in FFT order (axis 0 is mx,
+axis 1 is my, each 0, 1, ..., M, -M, ..., -1), scaled so that
 
-    forward    v = (Dx + i Dy) u - s*conj(w*u)
-    transpose  u = -(Dx - i Dy) v - s*conj(w*v)
+    u(x, y) = (1/2pi) sum_m c_m exp(i(mx x + my y)),    ||u||_L2 = ||c||_2.
 
-with Dx, Dy the 4th-order centered periodic differences
+The matvec pair is
 
-    (8 (u[i+1] - u[i-1]) - (u[i+2] - u[i-2])) / (12 h),
+    forward    D_s c   = (i mx - my) c - s A c
+    transpose  D_s^T c = (-i mx - my) c - s A c,
+    A c = band(fft2(conj(w * ifft2(pad(c))))),
 
-whose Fourier symbol is ``symbol``: Dx exp(i m x) = i symbol(m h, h) exp(i m x).
-
-Each difference u[i+k] - u[i-k] is one ``np.subtract`` of slices, written
-straight into a buffer: the interior as one contiguous slab of the
-flattened grid and the periodic wrap as two edge strips, so no shifted
-copy of the field is made.  Every later step
-is a ufunc written in place, with the operands in the order of the formulas
-above, so the result is bit for bit that of the same formulas evaluated on
-shifted copies of the field.
+with i mx - my the symbol of D_0 = d/dx + i d/dy, w sampled on the
+(N, N) grid, ``pad`` placing c at the indices m mod N of an (N, N) zero
+array and ``band`` keeping those indices.  The scales cancel: A c = conj(c)
+at m = 0 for w = 1.  As a real-linear operator A is its own transpose,
+since <A c, d> = N^2 Re sum_j w_j u_j v_j is symmetric in the grid fields
+u, v of c, d.  A c is the exact projection of conj(w u) onto the band while
+the grid resolves the product w u: max(|mx|, |my|) over the modes of w,
+plus M, below N/2, so that no product mode aliases (Orszag, J. Atmos. Sci.
+28, 1971).  Each 2-D transform runs its axis-1 pass on the band's rows only.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
-# Name of the kernel implementation, recorded in every report.
-BACKEND = "numpy"
+
+@functools.lru_cache(maxsize=8)
+def d0_multiplier(K: int) -> np.ndarray:
+    """Read-only (K, K) array i mx - my: D_0 on a band of side K."""
+    m = np.fft.fftfreq(K, 1.0 / K)
+    d = 1j * m[:, None] - m[None, :]
+    d.setflags(write=False)
+    return d
 
 
-def symbol(theta, h):
-    """(8 sin(theta) - sin(2 theta)) / (6 h), the symbol of the difference
-    stencil at theta = m h; it approximates m to 4th order."""
-    return (8.0 * np.sin(theta) - np.sin(2.0 * theta)) / (6.0 * h)
+def _synthesize(c: np.ndarray, N: int) -> np.ndarray:
+    """ifft2(pad(c)) on the (N, N) grid."""
+    K, hi = c.shape[0], (c.shape[0] + 1) // 2
+    rows = np.concatenate((c[:, :hi], np.zeros((K, N - K)), c[:, hi:]), axis=1)
+    np.fft.ifft(rows, axis=1, out=rows)
+    grid = np.concatenate((rows[:hi], np.zeros((N - K, N)), rows[hi:]))
+    np.fft.ifft(grid, axis=0, out=grid)
+    return grid
 
 
-def _diff(u: np.ndarray, k: int, axis: int, out: np.ndarray) -> None:
-    """out[i] = u[i + k] - u[i - k] along ``axis`` of an (N, N) grid,
-    periodically (2k <= N); ``out`` is C-contiguous.
-
-    One subtract over the flattened grid, shifted by k steps along the
-    axis, gives every site whose neighbours do not wrap.  Along axis 1 it
-    also writes across row ends into the first and last k columns; the two
-    edge strips, taken last, overwrite those.
-    """
-    n = u.shape[axis]
-    step = k * u.shape[1] if axis == 0 else k
-    flat, flat_out = u.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2 * step:], flat[:-2 * step], out=flat_out[step:-step])
-    if axis == 1:
-        u, out = u.T, out.T
-    np.subtract(u[k:2 * k], u[n - k:], out=out[:k])
-    np.subtract(u[:k], u[n - 2 * k:n - k], out=out[n - k:])
+def potential(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A c = band(fft2(conj(w * ifft2(pad(c))))) for a band c and a grid w."""
+    N, K = w.shape[0], c.shape[0]
+    hi, lo = (K + 1) // 2, K // 2  # how many modes have m >= 0 and m < 0
+    grid = _synthesize(c, N)
+    np.multiply(grid, w, out=grid)
+    np.conj(grid, out=grid)
+    np.fft.fft(grid, axis=0, out=grid)
+    rows = np.concatenate((grid[:hi], grid[N - lo:]))
+    np.fft.fft(rows, axis=1, out=rows)
+    return np.concatenate((rows[:, :hi], rows[:, N - lo:]), axis=1)
 
 
-def _deriv4(u, axis, h, out, tmp) -> None:
-    """out = 4th-order derivative of u along ``axis``; ``tmp`` is scratch."""
-    _diff(u, 1, axis, out)
-    _diff(u, 2, axis, tmp)
-    np.multiply(8.0, out, out=out)
-    np.subtract(out, tmp, out=out)
-    np.divide(out, 12.0 * h, out=out)
-
-
-def _buffers(u, out, work):
-    if out is None:
-        out = np.empty(u.shape, dtype=np.complex128)
-    if work is None:
-        work = (np.empty_like(out), np.empty_like(out))
-    buffers = (out, work[0], work[1])
-    if not all(b.flags.c_contiguous for b in buffers):
-        raise ValueError("out and work must be C-contiguous grids")
-    return buffers
-
-
-def _derivatives(u, h, out, a, b) -> None:
-    """out = Dx u and a = i Dy u; b is scratch."""
-    _deriv4(u, 0, h, out, a)
-    _deriv4(u, 1, h, a, b)
-    np.multiply(1j, a, out=a)
-
-
-def _subtract_potential(u, w, s, out, b) -> None:
-    """out -= s*conj(w*u), with b as scratch."""
-    np.multiply(w, u, out=b)
-    np.conj(b, out=b)
-    np.multiply(s, b, out=b)
-    np.subtract(out, b, out=out)
-
-
-def ds_apply(u, w, s, h, out=None, work=None):
-    """v = (Dx + i Dy) u - s*conj(w*u) for a C-contiguous complex128 grid u.
-
-    ``out`` receives v (a new array if None) and must not overlap u;
-    ``work`` is a pair of scratch grids of u's shape (allocated if None).
-    """
-    out, a, b = _buffers(u, out, work)
-    _derivatives(u, h, out, a, b)
-    np.add(out, a, out=out)
-    _subtract_potential(u, w, s, out, b)
+def ds_apply(c, w, s, h):
+    """D_s c = (i mx - my) c - s A c for a complex band c, as a new array.
+    ``h``, the spacing 2pi/N of w's grid, does not enter: the band
+    multipliers are integers."""
+    out = potential(c, w)
+    out *= -s
+    out += d0_multiplier(c.shape[0]) * c
     return out
 
 
-def dst_apply(v, w, s, h, out=None, work=None):
-    """u = -(Dx - i Dy) v - s*conj(w*v); ``out`` and ``work`` as in ds_apply."""
-    out, a, b = _buffers(v, out, work)
-    _derivatives(v, h, out, a, b)
-    np.subtract(out, a, out=out)
-    np.negative(out, out=out)
-    _subtract_potential(v, w, s, out, b)
+def dst_apply(c, w, s, h):
+    """D_s^T c = (-i mx - my) c - s A c; arguments as in ds_apply."""
+    out = potential(c, w)
+    out *= -s
+    out += np.conj(d0_multiplier(c.shape[0])) * c
     return out
+
+
+def to_grid(c: np.ndarray, N: int) -> np.ndarray:
+    """The field of the band c on the (N, N) grid, axis 0 = x; its
+    h^2-weighted norm, h = 2pi/N, is ||c||_2 (Parseval)."""
+    grid = _synthesize(c, N)
+    grid *= N * N / (2.0 * math.pi)
+    return grid

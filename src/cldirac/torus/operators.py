@@ -6,11 +6,16 @@ trivially-connected trivial line bundle sends a function u to
     D u = (du/dx + i du/dy) u * thb1 = 2 d_zbar(u) * thb1,
 
 and the conjugate-linear perturbation with coefficient field w adds
--s*conj(w*u).  A field is an (N, N) complex grid; conjugation is not
-complex-linear, so the eigenproblem runs over the real vector space of
-2N^2 reals.  Flat vectors interleave the parts site by site,
-[Re u00, Im u00, Re u01, Im u01, ...], which is the memory layout of a
-C-ordered complex128 grid, so the two forms are views of one buffer.
+-s*conj(w*u).  A field is its band of Fourier coefficients, a
+(2M+1, 2M+1) complex array with M = N // 3 and ||u||_L2 = ||c||_2
+(``kernels``); w is sampled on the (N, N) grid, and the potential term is
+exact while max(|mx|, |my|) over w's modes + M < N/2 (no aliasing).
+Conjugation is not complex-linear, so the eigenproblem runs over the real
+vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
+inner product of the fields.  Flat vectors interleave the parts
+coefficient by coefficient, [Re c0, Im c0, Re c1, Im c1, ...], which is
+the memory layout of a C-ordered complex128 array, so the two forms are
+views of one buffer.
 """
 
 from __future__ import annotations
@@ -23,78 +28,54 @@ from . import kernels
 from .config import SimConfig, phi_field
 
 
-def flat_to_complex(x: np.ndarray, N: int) -> np.ndarray:
-    """(N, N) complex view of a flat real vector.  It copies only when ``x``
-    is not a contiguous float64 array; the eigensolver hands it contiguous
-    rows of a transposed block, so there it never copies."""
+def flat_to_complex(x: np.ndarray, side: int) -> np.ndarray:
+    """(side, side) complex view of a flat real vector.  It copies only when
+    ``x`` is not a contiguous float64 array; the eigensolver hands it
+    contiguous rows of a transposed block, so there it never copies."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    return x.reshape(-1).view(np.complex128).reshape(N, N)
+    return x.reshape(-1).view(np.complex128).reshape(side, side)
 
 
 def complex_to_flat(u: np.ndarray) -> np.ndarray:
-    """Flat real view of a complex grid (a copy only if ``u`` is not a
+    """Flat real view of a complex array (a copy only if ``u`` is not a
     contiguous complex128 array)."""
     return np.ascontiguousarray(u, dtype=np.complex128).reshape(-1).view(np.float64)
 
 
 class TorusOperator:
-    """Matvec pair for D_s and its real transpose on complex grids.
+    """D_s on the band of side K = 2M+1, with w sampled on the (N, N) grid.
 
-    The operator owns the kernels' scratch grids and the intermediate
-    D_s u of ``normal_matvec``; every apply returns a new array, and reads
-    ``w`` when it runs, so ``w`` may be reassigned after construction.
+    Every apply returns a new array and reads ``w`` when it runs, so ``w``
+    may be reassigned after construction.
     """
 
     def __init__(self, config: SimConfig, s: float):
         self.config = config
         self.N = config.N
         self.h = config.spacing
+        self.M = config.band_limit
+        self.K = 2 * self.M + 1
         self.s = float(s)
         self.w = phi_field(config)
-        shape = (self.N, self.N)
-        self._mid = np.empty(shape, dtype=np.complex128)
-        self._work = (np.empty(shape, dtype=np.complex128),
-                      np.empty(shape, dtype=np.complex128))
-
-    # -- complex-field form ------------------------------------------------
-
-    def apply_plus(self, u: np.ndarray) -> np.ndarray:
-        """S+ -> S-: v = 2 d_zbar u - s conj(w u)."""
-        return kernels.ds_apply(np.ascontiguousarray(u, complex),
-                                self.w, self.s, self.h, work=self._work)
-
-    def apply_minus(self, v: np.ndarray) -> np.ndarray:
-        """Real transpose S- -> S+: u = -2 d_z v - s conj(w v)."""
-        return kernels.dst_apply(np.ascontiguousarray(v, complex),
-                                 self.w, self.s, self.h, work=self._work)
-
-    # -- flat real form ------------------------------------------------------
 
     @property
     def nreal(self) -> int:
-        return 2 * self.N * self.N
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return complex_to_flat(self.apply_plus(flat_to_complex(x, self.N)))
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        return complex_to_flat(self.apply_minus(flat_to_complex(x, self.N)))
+        return 2 * self.K * self.K
 
     def normal_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Symmetric positive-semidefinite D_s^T D_s on the u space."""
-        v = kernels.ds_apply(flat_to_complex(x, self.N), self.w, self.s, self.h,
-                             out=self._mid, work=self._work)
-        return complex_to_flat(
-            kernels.dst_apply(v, self.w, self.s, self.h, work=self._work))
+        """Symmetric positive-semidefinite D_s^T D_s on flat band vectors."""
+        v = kernels.ds_apply(flat_to_complex(x, self.K), self.w, self.s, self.h)
+        return complex_to_flat(kernels.dst_apply(v, self.w, self.s, self.h))
 
-    # -- bounds and dense forms ---------------------------------------------
+    def field(self, x: np.ndarray) -> np.ndarray:
+        """The flat band vector x as a field on the (N, N) grid; its
+        h^2-weighted norm is ||x||_2."""
+        return kernels.to_grid(flat_to_complex(x, self.K), self.N)
 
     def sigma_max_bound(self) -> float:
-        """max |derivative symbol| + s*max|w|; an upper bound for the largest
-        singular value (triangle inequality in Fourier space)."""
-        t = np.linspace(0.0, math.pi, 4097)
-        sym_peak = np.max(np.abs(kernels.symbol(t, self.h)))
-        return float(math.sqrt(2.0) * sym_peak + self.s * np.max(np.abs(self.w)))
+        """max |i mx - my| + s*max|w| = sqrt2 M + s*max|w|; an upper bound
+        for the largest singular value (triangle inequality)."""
+        return float(math.sqrt(2.0) * self.M + self.s * np.max(np.abs(self.w)))
 
     def dense(self) -> np.ndarray:
         """Materialize D_s as a real matrix (tests and small cross-checks)."""
@@ -103,7 +84,7 @@ class TorusOperator:
         e = np.zeros(n)
         for j in range(n):
             e[j] = 1.0
-            cols[:, j] = self.matvec(e)
+            cols[:, j] = complex_to_flat(kernels.ds_apply(
+                flat_to_complex(e, self.K), self.w, self.s, self.h))
             e[j] = 0.0
         return cols
-

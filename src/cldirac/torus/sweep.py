@@ -1,9 +1,12 @@
 """Deformation sweep: eigenmodes, localization mass, and report assembly.
 
 For each deformation strength s the sweep solves for the low eigenpairs of
-D_s^T D_s, warm-started from the Ritz block of the previous s, measures the
-L2 mass of the lowest eigenvector (followed from the previous s when the
-lowest eigenvalue is degenerate) outside the delta-neighborhood of the
+D_s^T D_s on the Fourier band (``kernels``; w must fit it, with
+max(|mx|, |my|) + M < N/2 so that no product mode aliases), warm-started
+from the Ritz block of the previous s, samples the lowest eigenvector
+(followed from the previous s when the lowest eigenvalue is degenerate) on
+the (N, N) grid, where the unit coefficient norm is a unit h^2-weighted
+norm, measures its L2 mass outside the delta-neighborhood of the
 singular set, and records the smallest singular value
 sigma_min = sqrt(lambda_min).  Concentration shows up as outside-mass
 decreasing in s with s * mass bounded; for presets with empty singular set
@@ -21,12 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .config import TWO_PI, SimConfig, zero_locations
+from .config import TWO_PI, ConfigError, SimConfig, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import TorusOperator, complex_to_flat, flat_to_complex
+from .operators import TorusOperator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def torus_distance_sq(x, y, zx, zy):
@@ -95,7 +97,7 @@ class SpectralReport:
     zeros: list
     rows: list
     fit: dict | None
-    backend: str
+    band_limit: int
     seconds: float
     notes: list = field(default_factory=list)
     # lowest eigenvector grid per row, for the heatmaps; not serialized
@@ -110,7 +112,8 @@ class SpectralReport:
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
             "discretization": {
-                "scheme": "centered-differences-order-4",
+                "scheme": "fourier-galerkin-band",
+                "band_limit": self.band_limit,
                 "box": "2pi x 2pi periodic",
                 "spacing": TWO_PI / self.config["N"],
                 "cell_weight": (TWO_PI / self.config["N"]) ** 2,
@@ -127,7 +130,6 @@ class SpectralReport:
                 "seconds": r.seconds,
             } for r in self.rows],
             "fit": self.fit,
-            "backend": self.backend,
             "seconds": self.seconds,
             "notes": self.notes,
         }
@@ -145,35 +147,38 @@ class SpectralReport:
 
 def lowest_field(op: TorusOperator, result: EigenResult,
                  previous: np.ndarray | None = None) -> np.ndarray:
-    """The eigenvector of the smallest eigenvalue, as a unit (N, N) complex
-    grid.
+    """The eigenvector of the smallest eigenvalue, as a unit field on the
+    (N, N) grid.
 
     That eigenvalue can be degenerate (sin_zeros has an exact
-    8-dimensional kernel), and then the solver's order inside the cluster
+    2-dimensional kernel), and then the solver's order inside the cluster
     is rounding noise.  Given the field of the previous s, the element of
     the cluster nearest to it is taken instead, so a sweep follows one mode
     across s.  The cluster is the eigenvalues that the solve does not
     resolve from the smallest: within eig_tol * opnorm of it.
     """
-    # a copy, so that the returned field does not keep the solver's block
-    # alive for the rest of the sweep
-    vector = result.vectors[:, 0].copy()
+    vector = result.vectors[:, 0]
     if previous is not None:
         resolution = op.config.eig_tol * result.opnorm_estimate
         size = int(np.sum(result.values <= result.values[0] + resolution))
         cluster = result.vectors[:, :size]
-        weight = op.h * op.h
-        nearest = cluster @ (weight * (cluster.T @ complex_to_flat(previous)))
-        norm = math.sqrt(weight) * np.linalg.norm(nearest)
+        # the h^2-weighted grid inner product of band fields is the band's
+        overlaps = [op.h * op.h * np.vdot(op.field(cluster[:, j]), previous).real
+                    for j in range(size)]
+        nearest = cluster @ overlaps
+        norm = np.linalg.norm(nearest)
         if norm > 0:
             vector = nearest / norm
-    return flat_to_complex(vector, op.N)
+    return op.field(vector)
 
 
 def run_sweep(config: SimConfig) -> SpectralReport:
     """Assemble, solve, and measure for every s in the config."""
     t0 = time.monotonic()
     zeros = zero_locations(config)
+    if config.preset_kind == "custom" and not zeros:
+        raise ConfigError("custom preset's w has no bracketed zero on the grid; "
+                          "the sweep would pass on convergence alone")
     rows = []
     fields = []
     start = None
@@ -202,7 +207,7 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         zeros=zeros,
         rows=rows,
         fit=fit,
-        backend=kernels.BACKEND,
+        band_limit=config.band_limit,
         seconds=time.monotonic() - t0,
         fields=fields,
     )

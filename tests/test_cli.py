@@ -15,7 +15,7 @@ def test_verify_small_run(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["manifest"]["counts"]["fail"] == 0
     entries = report["entries"]
     # one entry per (identity, n, p)
@@ -74,7 +74,7 @@ def test_simulate_small_sweep(tmp_path):
     code = main(["simulate", str(cfg), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "simulate.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["assertions"]["passed"] is True
     assert len(report["results"]) == 2
     assert (out / "simulate.csv").exists()
@@ -82,7 +82,11 @@ def test_simulate_small_sweep(tmp_path):
     assert (out / "heatmap_s8.svg").exists()
     masses = [row["outside_mass"] for row in report["results"]]
     assert masses[1] < masses[0]
-    assert report["manifest"]["versions"]["kernel_backend"] == "numpy"
+    assert set(report["manifest"]["versions"]) == {"cldirac", "python", "numpy",
+                                                   "scipy"}
+    assert "backend" not in report
+    assert report["discretization"]["scheme"] == "fourier-galerkin-band"
+    assert report["discretization"]["band_limit"] == 10
 
 
 _CONFIG = """
@@ -126,6 +130,15 @@ _BAD_CONFIGS = {
     "fourier-zero": {"phi_preset": "custom", "fourier_coeffs": "0,0,0,0"},
     "fourier-cancelling": {"phi_preset": "custom",
                            "fourier_coeffs": "1,0,1,0; 1,0,-1,0"},
+    # sums to 5.6e-17 in floating point: cancelled to rounding
+    "fourier-cancelling-to-rounding": {
+        "phi_preset": "custom",
+        "fourier_coeffs": "0,0,0.1,0; 0,0,0.2,0; 0,0,-0.3,0"},
+    # |w| >= 0.75: no zero for the mass checks, no check but convergence
+    "fourier-no-zero": {"phi_preset": "custom",
+                        "fourier_coeffs": "0,0,1,0; 1,0,0.25,0"},
+    # N = 16 has band limit M = 5, so modes need max(|mx|, |my|) < 3
+    "fourier-beyond-band": {"phi_preset": "custom", "fourier_coeffs": "3,0,1,0"},
     "config-is-directory": None,
 }
 
@@ -217,7 +230,7 @@ def _sweep_report(zeros, masses, sigmas):
                      residual_max=0.0, converged=True, iterations=1, seconds=0.0)
             for s, m, sig in zip((4.0, 8.0, 16.0), masses, sigmas)]
     return SpectralReport(config={"N": 16}, zeros=zeros, rows=rows, fit=None,
-                          backend="numpy", seconds=0.0)
+                          band_limit=5, seconds=0.0)
 
 
 @pytest.mark.parametrize("preset,zeros,masses,sigmas,problem", [

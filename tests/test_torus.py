@@ -27,7 +27,13 @@ from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import ConfigError, load_config
 from cldirac.torus.eigensolve import blockwise, residual_norms
 from cldirac.torus.heatmap import _STOPS, _colors
-from cldirac.torus.sweep import check_sweep, fit_loglog, lowest_field, row_counts
+from cldirac.torus.sweep import (
+    check_sweep,
+    fit_loglog,
+    lowest_field,
+    row_counts,
+    torus_distance_sq,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,6 +64,11 @@ def test_parse_config_roundtrip():
     ("delta = 0.01\nN = 32", "spacing"),
     ("phi_preset = constant(0)", "nonzero"),
     ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,1,0; 16,0,-1,0", "vanishes"),
+    ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,0.1,0; 0,0,0.2,0; 0,0,-0.3,0",
+     "vanishes"),
+    ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,1,0; 3,0,1,0",
+     r"max\(\|mx\|, \|my\|\) \+ M < N/2 = 8 with M = N // 3 = 5"),
+    ("N = 16\neig_count = 45", r"2 \(2M\+1\)\^2 = 242"),
     ("phi_preset = bogus", "unknown phi preset"),
     ("bogus_key = 1", "unknown key"),
 ])
@@ -83,6 +94,16 @@ def test_sin_zeros_field_and_zeros():
         [(0.0, 0.0), (math.pi, 0.0), (0.0, math.pi), (math.pi, math.pi)])
 
 
+def test_custom_w_without_a_zero_stops_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a sweep that has no check but convergence")
+    monkeypatch.setattr("cldirac.torus.sweep.normal_eigenpairs", no_solve)
+    cfg = SimConfig(N=16, s_values=(4.0,), phi_preset="custom",
+                    fourier_coeffs=((0, 0, 1 + 0j), (1, 0, 0.25 + 0j)))
+    with pytest.raises(ConfigError, match="no bracketed zero"):
+        run_sweep(cfg)
+
+
 def test_custom_zero_bracketing():
     # sin x + i sin y written as Fourier data; bracketing should find all
     # four zeros to within a few cells
@@ -105,20 +126,36 @@ def _config(N=32, preset="sin_zeros", s=(4.0,), **kw):
     return SimConfig(N=N, s_values=s, phi_preset=preset, delta=0.5, **kw)
 
 
-def test_fourier_symbol_zero_field():
+def _random_band(rng, K):
+    return rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+
+
+def _random_grid(rng, N):
+    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+
+
+def _apply(op, kernel, x):
+    """A band kernel on a flat real vector, as a flat real vector."""
+    return complex_to_flat(kernel(flat_to_complex(x, op.K), op.w, op.s, op.h))
+
+
+def _unit_mode(K, mx, my):
+    """The band basis field of mode (mx, my): one coefficient 1."""
+    c = np.zeros((K, K), complex)
+    c[mx % K, my % K] = 1.0
+    return c
+
+
+def test_d0_is_the_band_multiplier():
+    # w = 0: D_0 e_m = (i mx - my) e_m exactly, with no doubler at any m
     cfg = _config(N=64, preset="constant(1)")
     op = TorusOperator(cfg, 0.0)
-    op.w = np.zeros_like(op.w)  # w = 0: pure derivative operator
-    h = cfg.spacing
-    xs = np.arange(64) * h
-    for (m, k) in [(1, 0), (0, 1), (2, 1), (3, 2)]:
-        u = np.exp(1j * (m * xs[:, None] + k * xs[None, :]))
-        ratio = np.linalg.norm(op.apply_plus(u)) / np.linalg.norm(u)
-        symx = (8 * math.sin(m * h) - math.sin(2 * m * h)) / (6 * h)
-        symy = (8 * math.sin(k * h) - math.sin(2 * k * h)) / (6 * h)
-        assert abs(ratio - math.hypot(symx, symy)) < 1e-10
-        # 4th-order accuracy: close to the continuum symbol |i m - k|
-        assert abs(ratio - math.hypot(m, k)) < 2e-3
+    op.w = np.zeros_like(op.w)
+    M = cfg.band_limit
+    for (mx, my) in [(0, 0), (1, 0), (0, 1), (2, -1), (-3, 2), (M, -M), (-M, M)]:
+        e = _unit_mode(op.K, mx, my)
+        assert np.array_equal(kernels.ds_apply(e, op.w, 0.0, op.h), (1j * mx - my) * e)
+        assert np.array_equal(kernels.dst_apply(e, op.w, 0.0, op.h), (-1j * mx - my) * e)
 
 
 def test_flat_views_share_memory():
@@ -135,22 +172,35 @@ def test_constant_field_action():
     cfg = _config(N=32, preset="constant(1)")
     s = 5.0
     op = TorusOperator(cfg, s)
-    u = np.full((32, 32), 2.0 + 1.0j)
-    v = op.apply_plus(u)
-    assert np.max(np.abs(v - (-s * np.conj(u)))) < 1e-12
-    assert abs(np.linalg.norm(v) - s * np.linalg.norm(u)) < 1e-9
+    c = _unit_mode(op.K, 0, 0) * (2.0 + 1.0j)  # a constant field
+    v = kernels.ds_apply(c, op.w, s, op.h)
+    assert np.max(np.abs(v - (-s * np.conj(c)))) < 1e-12
+    assert abs(np.linalg.norm(v) - s * np.linalg.norm(c)) < 1e-9
 
 
 def test_transpose_consistency():
+    # <D x, y> = <x, D^T y> in the real inner product of flat vectors
     rng = np.random.default_rng(3)
     cfg = _config(N=32)
     op = TorusOperator(cfg, 4.0)
     for _ in range(5):
         x = rng.standard_normal(op.nreal)
         y = rng.standard_normal(op.nreal)
-        lhs = float(np.dot(op.matvec(x), y))
-        rhs = float(np.dot(x, op.rmatvec(y)))
+        lhs = float(np.dot(_apply(op, kernels.ds_apply, x), y))
+        rhs = float(np.dot(x, _apply(op, kernels.dst_apply, y)))
         assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1.0)
+
+
+def test_potential_is_its_own_transpose():
+    # A is real-symmetric for any w on the grid, band-limited or not
+    rng = np.random.default_rng(12)
+    for N, K in ((16, 11), (64, 43), (64, 64)):
+        w = _random_grid(rng, N)
+        for _ in range(3):
+            c, d = _random_band(rng, K), _random_band(rng, K)
+            lhs = np.vdot(kernels.potential(c, w), d).real
+            rhs = np.vdot(c, kernels.potential(d, w)).real
+            assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs))
 
 
 def test_real_linearity():
@@ -159,16 +209,19 @@ def test_real_linearity():
     op = TorusOperator(cfg, 4.0)
     x = rng.standard_normal(op.nreal)
     y = rng.standard_normal(op.nreal)
-    add = op.matvec(x + y) - op.matvec(x) - op.matvec(y)
-    hom = op.matvec(2.5 * x) - 2.5 * op.matvec(x)
-    scale = np.max(np.abs(op.matvec(x)))
+
+    def apply(v):
+        return _apply(op, kernels.ds_apply, v)
+    add = apply(x + y) - apply(x) - apply(y)
+    hom = apply(2.5 * x) - 2.5 * apply(x)
+    scale = np.max(np.abs(apply(x)))
     assert np.max(np.abs(add)) < 1e-12 * scale
     assert np.max(np.abs(hom)) < 1e-12 * scale
 
 
 def test_constant_w_energy_splitting():
-    # ||D_s u||^2 = ||D_0 u||^2 + s^2 ||u||^2 for constant w (the discrete
-    # cross term cancels by antisymmetry of the difference stencils)
+    # ||D_s u||^2 = ||D_0 u||^2 + s^2 ||u||^2 for constant w: the cross
+    # term (i mx - my) c conj(c_-m) + its transpose cancels mode by mode
     rng = np.random.default_rng(5)
     cfg = _config(N=32, preset="constant(1)")
     s = 6.0
@@ -176,95 +229,90 @@ def test_constant_w_energy_splitting():
     op_0 = TorusOperator(cfg, 0.0)
     for _ in range(5):
         x = rng.standard_normal(op_s.nreal)
-        lhs = np.dot(op_s.matvec(x), op_s.matvec(x))
-        rhs = (np.dot(op_0.matvec(x), op_0.matvec(x))
-               + s * s * np.dot(x, x))
-        assert abs(lhs - rhs) < 1e-10 * lhs
+        d_s, d_0 = _apply(op_s, kernels.ds_apply, x), _apply(op_0, kernels.ds_apply, x)
+        lhs = np.dot(d_s, d_s)
+        rhs = np.dot(d_0, d_0) + s * s * np.dot(x, x)
+        assert abs(lhs - rhs) < 1e-12 * lhs
 
 
-# -- bitwise identity with the shifted-copy stencil ----------------------------
-# The kernels take differences of slices in place; these are the formulas
-# they replaced, on np.roll copies.  Reports depend on every bit of the
-# matvec (the solver path follows it), so the comparison is exact.
+# -- the band formulas, written the plain way -----------------------------------
+# The kernels split each 2-D transform by axis and pad by concatenation;
+# these are the formulas they implement, with full fft2 calls and a
+# scatter/gather at the indices m mod N.
+
+def _modes(K):
+    return np.fft.fftfreq(K, 1.0 / K).astype(int)
 
 
-def _roll_deriv4(u, axis, h):
-    return (8.0 * (np.roll(u, -1, axis) - np.roll(u, 1, axis))
-            - (np.roll(u, -2, axis) - np.roll(u, 2, axis))) / (12.0 * h)
+def _plain_potential(c, w):
+    N, K = w.shape[0], c.shape[0]
+    at = np.ix_(_modes(K) % N, _modes(K) % N)
+    grid = np.zeros((N, N), complex)
+    grid[at] = c
+    return np.fft.fft2(np.conj(w * np.fft.ifft2(grid)))[at]
 
 
-def _roll_ds(u, w, s, h):
-    return _roll_deriv4(u, 0, h) + 1j * _roll_deriv4(u, 1, h) - s * np.conj(w * u)
+def _plain_ds(c, w, s):
+    m = _modes(c.shape[0])
+    return (1j * m[:, None] - m[None, :]) * c - s * _plain_potential(c, w)
 
 
-def _roll_dst(v, w, s, h):
-    return -(_roll_deriv4(v, 0, h) - 1j * _roll_deriv4(v, 1, h)) - s * np.conj(w * v)
+def _plain_dst(c, w, s):
+    m = _modes(c.shape[0])
+    return (-1j * m[:, None] - m[None, :]) * c - s * _plain_potential(c, w)
 
 
-def _same_bits(a, b):
-    # float64 views compare the values, uint64 views also the signs of zeros
-    return (a.shape == b.shape and a.dtype == b.dtype
-            and np.array_equal(a.view(np.float64), b.view(np.float64))
-            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
-
-
-def _random_grid(rng, N):
-    return rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-
-
-@pytest.mark.parametrize("N", [16, 17, 64])
-def test_stencil_matches_roll_formulas_bitwise(N):
-    rng = np.random.default_rng(N)
+@pytest.mark.parametrize("N,K", [(16, 11), (64, 43), (64, 64), (256, 171)])
+def test_kernels_match_the_plain_fft2_formulas(N, K):
+    # K = N is the (N, N) grid shape that the kernels also accept
+    rng = np.random.default_rng(N + K)
     h = TWO_PI / N
-    for _ in range(3):
-        u, w = _random_grid(rng, N), _random_grid(rng, N)
-        s = float(rng.uniform(0.0, 64.0))
-        work = (np.empty_like(u), np.empty_like(u))
-        for new, old in ((kernels.ds_apply, _roll_ds),
-                         (kernels.dst_apply, _roll_dst)):
-            expected = old(u, w, s, h)
-            assert _same_bits(new(u, w, s, h), expected)
-            out = np.empty_like(u)
-            assert new(u, w, s, h, out=out, work=work) is out
-            assert _same_bits(out, expected)
-        # the pair through one set of buffers, as normal_matvec runs it
-        mid = kernels.ds_apply(u, w, s, h, out=np.empty_like(u), work=work)
-        assert _same_bits(kernels.dst_apply(mid, w, s, h, work=work),
-                          _roll_dst(_roll_ds(u, w, s, h), w, s, h))
+    c, w = _random_band(rng, K), _random_grid(rng, N)
+    s = float(rng.uniform(0.0, 64.0))
+    for new, old in ((kernels.ds_apply, _plain_ds), (kernels.dst_apply, _plain_dst)):
+        expected = old(c, w, s)
+        got = new(c, w, s, h)
+        assert got.shape == (K, K) and got.dtype == complex
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("N", [16, 64])  # configs allow powers of two only
-def test_normal_matvec_matches_roll_formulas_bitwise(N):
-    rng = np.random.default_rng(100 + N)
-    cfg = _config(N=N)
-    op = TorusOperator(cfg, float(rng.uniform(0.0, 64.0)))
-    op.w = _random_grid(rng, N)
+def test_field_on_the_grid():
+    # a unit band vector is a field of unit h^2-weighted norm, and the
+    # field of e_m is exp(i(mx x + my y)) / 2pi
+    rng = np.random.default_rng(13)
+    cfg = _config(N=32)
+    op = TorusOperator(cfg, 4.0)
     x = rng.standard_normal(op.nreal)
-    u = flat_to_complex(x, N)
-    expected = _roll_dst(_roll_ds(u, op.w, op.s, op.h), op.w, op.s, op.h)
-    assert _same_bits(flat_to_complex(op.normal_matvec(x), N), expected)
-    assert _same_bits(op.apply_plus(u), _roll_ds(u, op.w, op.s, op.h))
-    assert _same_bits(op.apply_minus(u), _roll_dst(u, op.w, op.s, op.h))
+    x /= np.linalg.norm(x)
+    u = op.field(x)
+    assert u.shape == (32, 32)
+    assert abs(op.h * np.linalg.norm(u) - 1.0) < 1e-12
+    xs = np.arange(32) * op.h
+    for (mx, my) in [(0, 0), (3, -2), (-cfg.band_limit, 1)]:
+        u = kernels.to_grid(_unit_mode(op.K, mx, my), 32)
+        wave = np.exp(1j * (mx * xs[:, None] + my * xs[None, :])) / TWO_PI
+        assert np.max(np.abs(u - wave)) < 1e-14
 
 
-def test_preconditioner_matches_fft2_formula_bitwise():
+def test_preconditioner_is_the_shifted_diagonal():
     rng = np.random.default_rng(11)
-    for N in (16, 64):
-        op = TorusOperator(_config(N=N), 4.0)
+    for N, preset in ((16, "sin_zeros"), (64, "sin_zeros"), (64, "constant(1)")):
+        op = TorusOperator(_config(N=N, preset=preset), 4.0)
         precond = fourier_preconditioner(op)
-        # the multiplier as the eigensolve docstring defines it
-        m = np.fft.fftfreq(N, d=1.0 / N)
-        sym_sq = ((8.0 * np.sin(m * op.h) - np.sin(2.0 * m * op.h)) / (6.0 * op.h)) ** 2
+        # the diagonal as the eigensolve docstring defines it
+        m = _modes(op.K)
+        m_sq = m[:, None] ** 2 + m[None, :] ** 2
         w_sq = np.abs(op.w) ** 2
         shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
-        mult = 1.0 / (sym_sq[:, None] + sym_sq[None, :] + shift)
         for _ in range(3):
             x = rng.standard_normal(op.nreal)
-            f = np.fft.fft2(flat_to_complex(x, N))
-            f *= mult
-            expected = complex_to_flat(np.fft.ifft2(f))
-            assert np.array_equal(precond(x).view(np.uint64),
-                                  expected.view(np.uint64))
+            expected = complex_to_flat(flat_to_complex(x, op.K) / (m_sq + shift))
+            assert np.max(np.abs(precond(x) - expected)) <= 1e-15 * np.max(np.abs(expected))
+        # the start block is made of its eigenvectors of largest eigenvalue
+        block = eigensolve.lowest_modes(op, 6)
+        assert np.array_equal(block.T @ block, np.eye(6))
+        gains = [precond(block[:, j]) @ block[:, j] for j in range(6)]
+        assert gains == [1.0 / shift] * 2 + [1.0 / (1.0 + shift)] * 4
 
 
 def test_normal_matvec_and_preconditioner_return_fresh_arrays():
@@ -289,11 +337,11 @@ def test_reassigned_w_takes_effect():
     x = rng.standard_normal(op.nreal)
     before = op.normal_matvec(x)
     op.w = _random_grid(rng, 16)
-    u = flat_to_complex(x, 16)
-    expected = _roll_dst(_roll_ds(u, op.w, op.s, op.h), op.w, op.s, op.h)
-    after = flat_to_complex(op.normal_matvec(x), 16)
+    c = flat_to_complex(x, op.K)
+    expected = _plain_dst(_plain_ds(c, op.w, op.s), op.w, op.s)
+    after = flat_to_complex(op.normal_matvec(x), op.K)
     assert not np.array_equal(complex_to_flat(after), before)
-    assert _same_bits(after, expected)
+    assert np.max(np.abs(after - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # -- eigensolver ---------------------------------------------------------------
@@ -400,8 +448,8 @@ def test_constant_preset_eigenvalue_oracle():
 
 def test_warm_start_matches_cold_solve():
     # a solve started from the Ritz block of a nearby s finds the same
-    # eigenvalues as a solve from a random block; ten pairs reach past the
-    # 8-dimensional kernel to nonzero eigenvalues
+    # eigenvalues as a solve from the lowest band modes; ten pairs reach
+    # past the 2-dimensional kernel through the 8-fold level near 2s
     cfg = _config(N=16, preset="sin_zeros", s=(4.0, 8.0), eig_count=10,
                   eig_tol=1e-9)
     previous = normal_eigenpairs(TorusOperator(cfg, 4.0), cfg)
@@ -417,7 +465,7 @@ def test_eigenvector_orthonormality():
     cfg = _config(N=16, preset="sin_zeros", s=(4.0,), eig_count=4, eig_tol=1e-8)
     op = TorusOperator(cfg, 4.0)
     res = normal_eigenpairs(op, cfg)
-    gram = (op.h ** 2) * (res.vectors.T @ res.vectors)
+    gram = res.vectors.T @ res.vectors
     assert np.max(np.abs(gram - np.eye(cfg.eig_count))) < 1e-8
 
 
@@ -494,7 +542,10 @@ def test_run_sweep_concentration_small():
     bound = report.rows[0].s * masses[0]
     assert all(r.s * r.outside_mass <= bound * (1 + 1e-9) for r in report.rows)
     body = report.to_dict()
-    assert body["schema_version"] == 1
+    assert body["schema_version"] == 2
+    assert body["discretization"]["scheme"] == "fourier-galerkin-band"
+    assert body["discretization"]["band_limit"] == 10
+    assert "backend" not in body
     assert len(body["results"]) == 3
     assert body["fit"] is not None and body["fit"]["slope"] < 0
 
@@ -519,6 +570,54 @@ def test_sin_zeros_preset_concentrates_for_each_seed(seed):
     assert all(b < a for a, b in zip(masses, masses[1:]))
     bound = report.rows[0].s * masses[0]
     assert all(r.s * r.outside_mass <= bound * (1 + 1e-9) for r in report.rows)
+
+
+# -- the continuum's spectrum on the band (no lattice doublers) -----------------
+
+S_VALUES = (8.0, 16.0, 32.0, 64.0)
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_constant_spectrum_has_no_doublers(N):
+    # w = 1: D_s^T D_s = |m|^2 + s^2, so s^2 is 2-fold (the real and
+    # imaginary constant) and s^2 + 1 comes next
+    cfg = SimConfig(N=N, s_values=S_VALUES, phi_preset="constant(1)",
+                    delta=0.5, eig_count=4, eig_tol=1e-9)
+    report = run_sweep(cfg)
+    assert report.all_converged
+    for r in report.rows:
+        want = [r.s ** 2] * 2 + [r.s ** 2 + 1.0] * 2
+        assert np.allclose(r.eigenvalues, want, rtol=1e-9, atol=0.0)
+
+
+def _closed_form_mass(cfg, s):
+    """Outside mass of the sin_zeros kernel, |u|^2 = exp(2s(cos y - cos x)),
+    on the grid mask that outside_mass uses."""
+    x = np.arange(cfg.N) * cfg.spacing
+    inside = np.zeros((cfg.N, cfg.N), dtype=bool)
+    for (zx, zy) in zero_locations(cfg):
+        inside |= torus_distance_sq(x[:, None], x[None, :], zx, zy) <= cfg.delta ** 2
+    density = np.exp(2.0 * s * (np.cos(x)[None, :] - np.cos(x)[:, None]))
+    return float(np.sum(density[~inside]) / np.sum(density))
+
+
+@pytest.mark.parametrize("N", [64, 128])
+def test_sin_zeros_kernel_is_the_continuum_kernel(N):
+    # the kernel is span_R{exp(s(cos y - cos x)), i exp(s(cos x - cos y))}:
+    # 2-dimensional, with the next level near 2s, and every unit element
+    # has the closed-form outside mass; N = 64 does not resolve s = 64
+    cfg = SimConfig(N=N, s_values=S_VALUES, phi_preset="sin_zeros",
+                    delta=0.5, eig_count=3, eig_tol=1e-8)
+    report = run_sweep(cfg)
+    assert report.all_converged
+    for r in report.rows:
+        floor = cfg.eig_tol * TorusOperator(cfg, r.s).sigma_max_bound() ** 2
+        assert max(r.eigenvalues[:2]) <= floor < r.eigenvalues[2]
+        if r.s >= 16:
+            assert abs(r.eigenvalues[2] / r.s - 2.0) <= 0.05 * 2.0
+        if N == 128 or r.s <= 32:
+            closed = _closed_form_mass(cfg, r.s)
+            assert abs(r.outside_mass - closed) <= 0.01 * closed
 
 
 def test_run_sweep_reproducible():

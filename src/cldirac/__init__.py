@@ -63,6 +63,9 @@ from .scalars import ExactComplex
 
 __version__ = "0.1.0"
 
+# layout version of every JSON report (verify, condition, simulate)
+SCHEMA_VERSION = 2
+
 __all__ = [
     "ANTISYMMETRIC",
     "ChiralityError",

@@ -16,11 +16,9 @@ import platform
 import sys
 import time
 
-from . import __version__
+from . import SCHEMA_VERSION, __version__
 from .errors import UsageError
 from .suites import condition_suite, verify_suite
-
-SCHEMA_VERSION = 2
 
 
 def _versions() -> dict:
@@ -171,16 +169,14 @@ def _cmd_simulate(args) -> int:
     payload["manifest"] = _manifest(
         "simulate", {"config": str(args.config)}, config.seed, t0,
         row_counts(report, config))
-    payload["schema_version"] = SCHEMA_VERSION
     path = _write_json(args.out, "simulate.json", payload, args.json)
 
     csv_path = os.path.join(args.out, "simulate.csv")
     with _writing(args.out):
         report.write_csv(csv_path)
-        for row, zeta in zip(report.rows, report.fields):
+        for row, density in zip(report.rows, report.fields):
             svg_path = os.path.join(args.out, f"heatmap_s{row.s:g}.svg")
-            write_heatmap_svg(svg_path, zeta.real ** 2 + zeta.imag ** 2,
-                              report.zeros, config.delta,
+            write_heatmap_svg(svg_path, density, report.zeros, config.delta,
                               title=f"|zeta|^2 at s = {row.s:g}")
 
     for r in report.rows:

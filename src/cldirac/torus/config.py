@@ -2,8 +2,9 @@
 
 Config files are plain ``key = value`` lines (``#`` comments).  Keys:
 
-    N               grid points per axis; power of two, >= 16.  Fields are
-                    their Fourier coefficients with |mx|, |my| <= M = N // 3
+    N               grid points per axis; power of two, 16 <= N <= 1024.
+                    Fields are their Fourier coefficients with
+                    |mx|, |my| <= M = N // 3
     s_values        comma-separated deformation strengths, strictly increasing
     phi_preset      sin_zeros | constant(<complex>) | custom
     fourier_coeffs  for custom: "mx,my,re,im; mx,my,re,im; ..." giving
@@ -11,7 +12,7 @@ Config files are plain ``key = value`` lines (``#`` comments).  Keys:
                     max(|mx|, |my|) + M < N/2
     delta           exclusion radius around the singular set (radians)
     eig_count       number of low eigenpairs to compute
-    eig_tol         relative residual tolerance for the eigensolver
+    eig_tol         relative residual tolerance for the eigensolver, >= 1e-15
     seed            RNG seed for the solver's start block
     max_iterations  eigensolver iteration cap
 
@@ -23,6 +24,7 @@ and nondegenerate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,6 +33,16 @@ import numpy as np
 from ..errors import UsageError
 
 TWO_PI = 2.0 * math.pi
+
+# Largest grid side: one 8-column LOBPCG block is already about 60 MB there.
+MAX_N = 1024
+# Smallest eig_tol: below it the residual test sits under float64 rounding.
+MIN_EIG_TOL = 1e-15
+# Bound on sqrt2 M + s_max max|w|, the bound on sigma_max(D_s).  LOBPCG
+# takes norms of D_s^T D_s x, whose entries are the squares of D_s's, so
+# they stay finite while this bound stays below the fourth root of the
+# largest float.
+MAX_SIGMA = sys.float_info.max ** 0.25
 
 
 class ConfigError(UsageError):
@@ -53,6 +65,8 @@ class SimConfig:
         object.__setattr__(self, "s_values", tuple(float(s) for s in self.s_values))
         if self.N < 16:
             raise ConfigError(f"N must be >= 16, got {self.N}")
+        if self.N > MAX_N:
+            raise ConfigError(f"N must be <= {MAX_N}, got {self.N}")
         if self.N & (self.N - 1):
             raise ConfigError(f"N must be a power of two, got {self.N}")
         if not self.s_values:
@@ -78,19 +92,24 @@ class SimConfig:
                 f"eig_count = {self.eig_count} is too large for N = {self.N}: "
                 f"need 5 * (eig_count + 4) <= 2 (2M+1)^2 = {nreal}, "
                 f"M = N // 3")
-        if not (math.isfinite(self.eig_tol) and self.eig_tol > 0):
-            raise ConfigError("eig_tol must be positive and finite")
+        if not (math.isfinite(self.eig_tol) and self.eig_tol >= MIN_EIG_TOL):
+            raise ConfigError(
+                f"eig_tol must be finite and >= {MIN_EIG_TOL:g}, got "
+                f"{self.eig_tol:g}: below that the residual test sits under "
+                f"float64 rounding")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         kind = self.preset_kind
+        w_bound = math.sqrt(2.0)  # max|sin x + i sin y|
         if kind == "constant":
             value = self.constant_value
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ConfigError("constant preset needs a finite value")
             if value == 0:
                 raise ConfigError("constant preset needs a nonzero value")
+            w_bound = abs(value)
         elif kind == "custom":
             if not self.fourier_coeffs:
                 raise ConfigError("custom preset needs fourier_coeffs")
@@ -111,8 +130,15 @@ class SimConfig:
                     f"custom preset's w has modes up to max(|mx|, |my|) = "
                     f"{width}; the band needs max(|mx|, |my|) + M < N/2 = "
                     f"{self.N // 2} with M = N // 3 = {self.band_limit}")
+            w_bound = sum(abs(c) for _mx, _my, c in self.fourier_coeffs)
         elif kind != "sin_zeros":
             raise ConfigError(f"unknown phi preset {self.phi_preset!r}")
+        sigma = math.sqrt(2.0) * self.band_limit + self.s_values[-1] * w_bound
+        if not sigma < MAX_SIGMA:
+            raise ConfigError(
+                f"sqrt2 M + s_max * max|w| = {sigma:.3g} must be below "
+                f"{MAX_SIGMA:.3g}, the fourth root of the largest float: the "
+                f"eigensolver squares the entries of D_s^T D_s")
 
     @property
     def spacing(self) -> float:
@@ -161,6 +187,7 @@ _KEYS = {"N", "s_values", "phi_preset", "fourier_coeffs", "delta",
 
 def parse_config_text(text: str) -> SimConfig:
     values = {}
+    lines = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -171,7 +198,11 @@ def parse_config_text(text: str) -> SimConfig:
         key, val = key.strip(), val.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line "
+                              f"{lines[key]}")
         values[key] = val
+        lines[key] = lineno
     kwargs = {}
     if "N" in values:
         kwargs["N"] = _number(int, "N", values["N"])

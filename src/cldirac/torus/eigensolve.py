@@ -147,7 +147,7 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
     operator = blockwise(op.normal_matvec)
     preconditioner = blockwise(fourier_preconditioner(op))
 
-    threshold = max(config.eig_tol, 1e-15) * opnorm
+    threshold = config.eig_tol * opnorm
     iterations = 0
 
     # LOBPCG can stall on (near-)degenerate clusters; warm restarts with a

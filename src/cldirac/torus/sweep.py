@@ -3,16 +3,17 @@
 For each deformation strength s the sweep solves for the low eigenpairs of
 D_s^T D_s on the Fourier band (``kernels``; w must fit it, with
 max(|mx|, |my|) + M < N/2 so that no product mode aliases), warm-started
-from the Ritz block of the previous s, samples the lowest eigenvector
-(followed from the previous s when the lowest eigenvalue is degenerate) on
-the (N, N) grid, where the unit coefficient norm is a unit h^2-weighted
-norm, measures its L2 mass outside the delta-neighborhood of the
-singular set, and records the smallest singular value
-sigma_min = sqrt(lambda_min).  Concentration shows up as outside-mass
-decreasing in s with s * mass bounded; for presets with empty singular set
-the interesting column is sigma_min instead (and outside-mass is 1 by
-definition).  Reports are plain dicts keyed by a versioned schema, with CSV
-as a derived view.
+from the Ritz block of the previous s.  It measures the lowest eigenspace,
+not one vector of it: the mean density |u|^2 over the lowest cluster,
+sampled on the (N, N) grid, does not depend on the basis the solver
+returns inside a degenerate cluster (sin_zeros has an exact 2-dimensional
+kernel).  Its unit h^2-weighted sum gives the fraction of mass outside the
+delta-neighborhood of the singular set, and the sweep records the smallest
+singular value sigma_min = sqrt(lambda_min).  Concentration shows up as
+outside-mass decreasing in s with s * mass bounded; for presets with empty
+singular set the interesting column is sigma_min instead (and outside-mass
+is 1 by definition).  Reports are plain dicts keyed by a versioned schema,
+with CSV as a derived view.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import SCHEMA_VERSION
 from .config import TWO_PI, ConfigError, SimConfig, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
 from .operators import TorusOperator
-
-SCHEMA_VERSION = 2
 
 
 def torus_distance_sq(x, y, zx, zy):
@@ -39,16 +39,15 @@ def torus_distance_sq(x, y, zx, zy):
     return dx * dx + dy * dy
 
 
-def outside_mass(u: np.ndarray, config: SimConfig, zeros=None) -> float:
-    """Fraction of L2 mass of the (N, N) complex grid u outside the union of
-    delta-disks around the zeros of the perturbation field; 1.0 when the
-    singular set is empty.
+def outside_mass(density: np.ndarray, config: SimConfig, zeros=None) -> float:
+    """Fraction of the (N, N) real density outside the union of delta-disks
+    around the zeros of the perturbation field; 1.0 when the singular set
+    is empty.
 
-    The field must have unit L2 norm with cell weight (2pi/N)^2, to within
-    1e-6."""
-    N = u.shape[0]
+    The density must have unit sum with cell weight (2pi/N)^2, to within
+    1e-6 in its square root (the L2 norm of a field of that density)."""
+    N = density.shape[0]
     h = TWO_PI / N
-    density = u.real ** 2 + u.imag ** 2
     total = float(np.sum(density))
     nrm = h * math.sqrt(total)
     if abs(nrm - 1.0) > 1e-6:
@@ -100,7 +99,7 @@ class SpectralReport:
     band_limit: int
     seconds: float
     notes: list = field(default_factory=list)
-    # lowest eigenvector grid per row, for the heatmaps; not serialized
+    # lowest-cluster density per row, for the heatmaps; not serialized
     fields: list = field(default_factory=list, repr=False)
 
     @property
@@ -145,31 +144,22 @@ class SpectralReport:
                                 + [f"{r.outside_mass:.12g}", f"{r.sigma_min:.12g}"])
 
 
-def lowest_field(op: TorusOperator, result: EigenResult,
-                 previous: np.ndarray | None = None) -> np.ndarray:
-    """The eigenvector of the smallest eigenvalue, as a unit field on the
-    (N, N) grid.
+def lowest_density(op: TorusOperator, result: EigenResult) -> np.ndarray:
+    """Mean of |u_j|^2 over the fields u_j of the lowest cluster, as a real
+    (N, N) array whose h^2-weighted sum is 1.
 
-    That eigenvalue can be degenerate (sin_zeros has an exact
-    2-dimensional kernel), and then the solver's order inside the cluster
-    is rounding noise.  Given the field of the previous s, the element of
-    the cluster nearest to it is taken instead, so a sweep follows one mode
-    across s.  The cluster is the eigenvalues that the solve does not
-    resolve from the smallest: within eig_tol * opnorm of it.
+    The cluster is the eigenvalues that the solve does not resolve from the
+    smallest: within eig_tol * opnorm of it.  The mean is the density of the
+    cluster's spectral projector, so it is the same for every orthonormal
+    basis of the cluster.
     """
-    vector = result.vectors[:, 0]
-    if previous is not None:
-        resolution = op.config.eig_tol * result.opnorm_estimate
-        size = int(np.sum(result.values <= result.values[0] + resolution))
-        cluster = result.vectors[:, :size]
-        # the h^2-weighted grid inner product of band fields is the band's
-        overlaps = [op.h * op.h * np.vdot(op.field(cluster[:, j]), previous).real
-                    for j in range(size)]
-        nearest = cluster @ overlaps
-        norm = np.linalg.norm(nearest)
-        if norm > 0:
-            vector = nearest / norm
-    return op.field(vector)
+    resolution = op.config.eig_tol * result.opnorm_estimate
+    size = int(np.sum(result.values <= result.values[0] + resolution))
+    density = np.zeros((op.N, op.N))
+    for j in range(size):
+        u = op.field(result.vectors[:, j])
+        density += u.real ** 2 + u.imag ** 2
+    return density / size
 
 
 def run_sweep(config: SimConfig) -> SpectralReport:
@@ -180,15 +170,15 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         raise ConfigError("custom preset's w has no bracketed zero on the grid; "
                           "the sweep would pass on convergence alone")
     rows = []
-    fields = []
+    densities = []
     start = None
     for s in config.s_values:
         ts = time.monotonic()
         op = TorusOperator(config, s)
         result = normal_eigenpairs(op, config, start=start)
         start = result.block
-        zeta = lowest_field(op, result, fields[-1] if fields else None)
-        mass = outside_mass(zeta, config, zeros)
+        density = lowest_density(op, result)
+        mass = outside_mass(density, config, zeros)
         rows.append(SweepRow(
             s=float(s),
             eigenvalues=[float(v) for v in result.values],
@@ -199,19 +189,18 @@ def run_sweep(config: SimConfig) -> SpectralReport:
             iterations=result.iterations,
             seconds=time.monotonic() - ts,
         ))
-        fields.append(zeta)
+        densities.append(density)
     fit = fit_loglog([r.s for r in rows], [r.outside_mass for r in rows]) \
         if zeros else None
-    report = SpectralReport(
+    return SpectralReport(
         config=config.echo(),
         zeros=zeros,
         rows=rows,
         fit=fit,
         band_limit=config.band_limit,
         seconds=time.monotonic() - t0,
-        fields=fields,
+        fields=densities,
     )
-    return report
 
 
 def _sweep_checks(report: SpectralReport, config: SimConfig) -> list:

@@ -139,6 +139,15 @@ _BAD_CONFIGS = {
                         "fourier_coeffs": "0,0,1,0; 1,0,0.25,0"},
     # N = 16 has band limit M = 5, so modes need max(|mx|, |my|) < 3
     "fourier-beyond-band": {"phi_preset": "custom", "fourier_coeffs": "3,0,1,0"},
+    # sqrt2 M + s_max max|w| must stay below float max ** 0.25 ~ 1.2e77
+    "s_values-overflow": {"s_values": "1e160"},
+    "constant-s-overflow": {"phi_preset": "constant(1)", "s_values": "1e100"},
+    "constant-s-past-bound": {"phi_preset": "constant(1)", "s_values": "1e80"},
+    "fourier-overflow": {"phi_preset": "custom",
+                         "fourier_coeffs": "1,0,1e300,0; 0,1,0,1e300"},
+    "N-huge": {"N": "1048576"},
+    "eig_tol-below-rounding": {"eig_tol": "1e-300"},
+    "key-repeated": _CONFIG + "N = 32\n",
     "config-is-directory": None,
 }
 
@@ -164,12 +173,20 @@ def test_bad_input_exits_2_with_message(case, tmp_path, capsys):
     elif _BAD_CONFIGS[case] is None:
         argv = ["simulate", str(tmp_path)]
     else:
+        bad = _BAD_CONFIGS[case]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(_config_with(**_BAD_CONFIGS[case]))
+        cfg.write_text(bad if isinstance(bad, str) else _config_with(**bad))
         argv = ["simulate", str(cfg)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_constant_at_large_s_stays_inside_the_bound(tmp_path):
+    # s = 1e50 is below the overflow bound, and sigma_min = s is resolved
+    cfg = tmp_path / "large_s.cfg"
+    cfg.write_text(_config_with(phi_preset="constant(1)", s_values="1e50"))
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 _OUT_CASES = {

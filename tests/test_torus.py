@@ -30,7 +30,7 @@ from cldirac.torus.heatmap import _STOPS, _colors
 from cldirac.torus.sweep import (
     check_sweep,
     fit_loglog,
-    lowest_field,
+    lowest_density,
     row_counts,
     torus_distance_sq,
 )
@@ -69,6 +69,10 @@ def test_parse_config_roundtrip():
     ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,1,0; 3,0,1,0",
      r"max\(\|mx\|, \|my\|\) \+ M < N/2 = 8 with M = N // 3 = 5"),
     ("N = 16\neig_count = 45", r"2 \(2M\+1\)\^2 = 242"),
+    ("eig_tol = 9e-16", "float64 rounding"),
+    ("N = 2048", "<= 1024"),
+    ("s_values = 1e77", "fourth root"),
+    ("N = 16\nN = 16", "line 2: key 'N' repeats line 1"),
     ("phi_preset = bogus", "unknown phi preset"),
     ("bogus_key = 1", "unknown key"),
 ])
@@ -501,13 +505,15 @@ def test_start_block_must_fit_the_operator():
 
 # -- outside mass --------------------------------------------------------------
 
-def _unit(u):
-    return u / (TWO_PI / u.shape[0] * np.linalg.norm(u))
+def _unit_density(u):
+    """|u|^2 scaled to unit h^2-weighted sum."""
+    density = np.abs(u) ** 2
+    return density / ((TWO_PI / u.shape[0]) ** 2 * np.sum(density))
 
 
 def test_outside_mass_uniform_field():
     cfg = _config(N=64)
-    mass = outside_mass(_unit(np.full((64, 64), 1.0 + 0j)), cfg)
+    mass = outside_mass(_unit_density(np.full((64, 64), 1.0 + 0j)), cfg)
     assert abs(mass - (1.0 - cfg.delta ** 2 / math.pi)) < 0.01
 
 
@@ -515,19 +521,19 @@ def test_outside_mass_supported_inside_disk():
     cfg = _config(N=64)
     u = np.zeros((64, 64), complex)
     u[0:2, 0:2] = 1.0  # inside the delta-disk at the origin
-    assert outside_mass(_unit(u), cfg) == 0.0
+    assert outside_mass(_unit_density(u), cfg) == 0.0
 
 
 def test_outside_mass_empty_singular_set():
     cfg = _config(N=32, preset="constant(1)")
-    u = _unit(np.random.default_rng(0).standard_normal((32, 32)) + 0j)
-    assert outside_mass(u, cfg) == 1.0
+    u = np.random.default_rng(0).standard_normal((32, 32)) + 0j
+    assert outside_mass(_unit_density(u), cfg) == 1.0
 
 
 def test_outside_mass_requires_normalization():
     cfg = _config(N=32)
     with pytest.raises(ValueError, match="norm"):
-        outside_mass(np.full((32, 32), 1.0 + 0j), cfg)
+        outside_mass(np.ones((32, 32)), cfg)
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -629,14 +635,40 @@ def test_run_sweep_reproducible():
     assert a.rows[0].outside_mass == b.rows[0].outside_mass
 
 
+def test_lowest_density_does_not_depend_on_the_cluster_basis():
+    # sin_zeros has a 2-dimensional kernel: any orthogonal rotation of the
+    # solver's two kernel vectors is an equally valid answer, and the
+    # measurement must read the same from each
+    cfg = SimConfig(N=32, s_values=(8.0,), phi_preset="sin_zeros",
+                    delta=0.5, eig_count=3, eig_tol=1e-8, seed=3)
+    op = TorusOperator(cfg, 8.0)
+    result = normal_eigenpairs(op, cfg)
+    floor = cfg.eig_tol * result.opnorm_estimate
+    assert result.values[1] <= result.values[0] + floor < result.values[2]
+    density = lowest_density(op, result)
+    mass = outside_mass(density, cfg)
+    angle = np.random.default_rng(11).uniform(0.0, TWO_PI)
+    rotation = np.array([[math.cos(angle), -math.sin(angle)],
+                         [math.sin(angle), math.cos(angle)]])
+    vectors = result.vectors.copy()
+    vectors[:, :2] = vectors[:, :2] @ rotation
+    rotated = lowest_density(op, dataclasses.replace(result, vectors=vectors))
+    assert np.max(np.abs(rotated - density)) <= 1e-12 * np.max(density)
+    assert abs(outside_mass(rotated, cfg) - mass) <= 1e-12 * mass
+    # the first vector alone, which a single-field measurement would read,
+    # does not agree with its rotated copy
+    single = [np.abs(op.field(v[:, 0])) ** 2 for v in (result.vectors, vectors)]
+    assert np.max(np.abs(single[0] - single[1])) > 1e-3 * np.max(density)
+
+
 def test_sweep_fields_do_not_keep_the_solver_block():
     cfg = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset="sin_zeros",
                     delta=0.5, eig_count=2, eig_tol=1e-7, seed=5)
-    for u in run_sweep(cfg).fields:
-        root = u
+    for density in run_sweep(cfg).fields:
+        root = density
         while root.base is not None:
             root = root.base
-        assert u.shape == (16, 16) and root.nbytes == u.nbytes
+        assert density.shape == (16, 16) and root.nbytes == density.nbytes
 
 
 def test_csv_and_heatmap_outputs(tmp_path):
@@ -649,11 +681,11 @@ def test_csv_and_heatmap_outputs(tmp_path):
     assert lines[0] == "s,eig_1,eig_2,outside_mass,sigma_min"
     assert len(lines) == 3
     svg_path = tmp_path / "map.svg"
-    zeta = lowest_field(TorusOperator(cfg, 4.0), normal_eigenpairs(TorusOperator(cfg, 4.0), cfg))
-    assert zeta.shape == (16, 16) and zeta.dtype == complex
-    assert abs(TWO_PI / 16 * np.linalg.norm(zeta) - 1.0) < 1e-9
-    write_heatmap_svg(svg_path, np.abs(zeta) ** 2, report.zeros, cfg.delta,
-                      title="test")
+    op = TorusOperator(cfg, 4.0)
+    density = lowest_density(op, normal_eigenpairs(op, cfg))
+    assert density.shape == (16, 16) and density.dtype == float
+    assert abs((TWO_PI / 16) ** 2 * np.sum(density) - 1.0) < 1e-9
+    write_heatmap_svg(svg_path, density, report.zeros, cfg.delta, title="test")
     text = svg_path.read_text()
     assert text.startswith("<svg") and 'width="512"' in text
     assert text.count("<circle") >= len(report.zeros)

@@ -1,9 +1,16 @@
 """Command-line front end: identity suites, condition sweeps, simulations.
 
-Exit codes: 0 all checks pass, 1 an assertion failed, 2 usage or config
-error.  Every JSON report embeds a run manifest (command, arguments,
-versions, seed, wall time, pass/fail counts) and a schema version.  Outputs
-are deterministic for fixed seed, config, and thread count 1.
+Each command parses its arguments, calls the library and hands the report
+it gets back to ``_finish``.  The report decides: ``verdicts()`` is one
+bool per record (verify) or row (condition, simulate), ``to_dict()`` the
+body of the JSON report and ``lines()`` what is printed, so the CLI decides
+no verdict.  ``_finish`` writes ``<command>.json`` with a schema version and
+a run manifest (command, arguments, versions, seed, wall time, pass/fail
+counts over the verdicts), prints the lines, and returns the exit code.
+
+Exit codes: 0 every verdict passed, 1 a verdict failed, 2 usage or config
+error.  Outputs are deterministic for fixed seed, config, and thread
+count 1.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import time
 
 from . import SCHEMA_VERSION, __version__
 from .errors import UsageError
-from .suites import condition_suite, verify_suite
+from .suites import VerifyReport, condition_suite, verify_suite
 
 
 def _versions() -> dict:
@@ -33,17 +40,6 @@ def _versions() -> dict:
     }
 
 
-def _manifest(command: str, params: dict, seed, t0: float, counts: dict) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "versions": _versions(),
-        "seed": seed,
-        "wall_time_s": round(time.monotonic() - t0, 3),
-        "counts": counts,
-    }
-
-
 @contextlib.contextmanager
 def _writing(out_dir: str):
     """Create the report directory; an OSError while writing into it exits
@@ -55,44 +51,45 @@ def _writing(out_dir: str):
         raise UsageError(f"cannot write the report to {out_dir}: {exc}") from exc
 
 
-def _write_json(out_dir: str, name: str, payload: dict, echo: bool) -> str:
-    path = os.path.join(out_dir, name)
-    with _writing(out_dir), open(path, "w", encoding="utf-8") as fh:
+def _finish(args, report, name: str, params: dict, seed, t0: float) -> int:
+    """Write ``<name>.json`` (schema version, the report body, the run
+    manifest), print the report's lines, and return the exit code: 1 when
+    any of the report's verdicts failed."""
+    verdicts = report.verdicts()
+    failed = verdicts.count(False)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        **report.to_dict(),
+        "manifest": {
+            "command": name,
+            "params": params,
+            "versions": _versions(),
+            "seed": seed,
+            "wall_time_s": round(time.monotonic() - t0, 3),
+            "counts": {"pass": len(verdicts) - failed, "fail": failed},
+        },
+    }
+    path = os.path.join(args.out, f"{name}.json")
+    with _writing(args.out), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    if echo:
+    if args.json:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    return path
+    for line in report.lines():
+        print(line)
+    print(f"report: {path}")
+    return 1 if failed else 0
 
 
 def _cmd_verify(args) -> int:
     n_max = args.n_max if args.n_max is not None else (7 if args.long else 4)
     t0 = time.monotonic()
-    records = verify_suite(n_max=n_max, trials=args.trials, seed=args.seed)
-    failures = [r for r in records if not r.passed]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "entries": [r.to_dict() for r in records],
-        "manifest": _manifest(
-            "verify",
-            {"n_max": n_max, "trials": args.trials, "long": args.long},
-            args.seed, t0,
-            {"pass": len(records) - len(failures), "fail": len(failures)}),
-    }
-    path = _write_json(args.out, "verify.json", payload, args.json)
-    identities = sorted({r.identity for r in records})
-    for name in identities:
-        rows = [r for r in records if r.identity == name]
-        bad = sum(1 for r in rows if not r.passed)
-        status = "ok " if bad == 0 else "FAIL"
-        print(f"[{status}] {name}: {len(rows)} (n,p) entries, "
-              f"{sum(r.trials for r in rows)} checks, {bad} failing entries")
-    for r in failures[:10]:
-        print(f"    counterexample {r.identity} n={r.n} p={r.p}: "
-              f"{r.counterexample}")
-    print(f"report: {path}")
-    return 0 if not failures else 1
+    report = VerifyReport(verify_suite(n_max=n_max, trials=args.trials,
+                                       seed=args.seed))
+    return _finish(args, report, "verify",
+                   {"n_max": n_max, "trials": args.trials, "long": args.long},
+                   args.seed, t0)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -100,17 +97,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list") from exc
-
-
-_CONDITION_LINES = {
-    "correct": lambda row: (f"n={row['n']} r={row['r']} {row['phi_class']}: "
-                            f"max defect {row['max_defect']} over {row['trials']} trials"),
-    "wrong": lambda row: (f"n={row['n']} wrong class ({row['phi_class']}): "
-                          f"nonzero-defect rate {row['nonzero_rate']:.3f}"),
-    "odd_rank": lambda row: (f"n={row['n']} r={row['r']} antisymmetric: "
-                             + (f"det = 0 in {row['trials']}/{row['trials']} trials"
-                                if row["all_singular"] else "nonsingular draw found")),
-}
 
 
 def _cmd_condition(args) -> int:
@@ -122,23 +108,10 @@ def _cmd_condition(args) -> int:
     t0 = time.monotonic()
     report = condition_suite(n_list, r_list, trials=args.trials,
                              seed=args.seed, wrong_trials=args.wrong_trials)
-    verdicts = list(report.verdicts())
-    failures = sum(1 for _kind, _row, ok in verdicts if not ok)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        **report.to_dict(),
-        "manifest": _manifest(
-            "condition",
-            {"n_list": n_list, "r_list": r_list, "trials": args.trials,
-             "wrong_trials": args.wrong_trials},
-            args.seed, t0,
-            {"pass": len(verdicts) - failures, "fail": failures}),
-    }
-    path = _write_json(args.out, "condition.json", payload, args.json)
-    for kind, row, ok in verdicts:
-        print(f"[{'ok ' if ok else 'FAIL'}] {_CONDITION_LINES[kind](row)}")
-    print(f"report: {path}")
-    return 0 if not failures else 1
+    return _finish(args, report, "condition",
+                   {"n_list": n_list, "r_list": r_list, "trials": args.trials,
+                    "wrong_trials": args.wrong_trials},
+                   args.seed, t0)
 
 
 def _resolve_config(path: str):
@@ -154,7 +127,7 @@ def _resolve_config(path: str):
 def _cmd_simulate(args) -> int:
     from .torus.config import ConfigError, load_config
     from .torus.heatmap import write_heatmap_svg
-    from .torus.sweep import check_sweep, row_counts, run_sweep
+    from .torus.sweep import run_sweep
 
     try:
         config = load_config(_resolve_config(args.config))
@@ -162,31 +135,14 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"bad config: {exc}") from exc
     t0 = time.monotonic()
     report = run_sweep(config)
-    problems = check_sweep(report, config)
-
-    payload = report.to_dict()
-    payload["assertions"] = {"passed": not problems, "problems": problems}
-    payload["manifest"] = _manifest(
-        "simulate", {"config": str(args.config)}, config.seed, t0,
-        row_counts(report, config))
-    path = _write_json(args.out, "simulate.json", payload, args.json)
-
-    csv_path = os.path.join(args.out, "simulate.csv")
     with _writing(args.out):
-        report.write_csv(csv_path)
+        report.write_csv(os.path.join(args.out, "simulate.csv"))
         for row, density in zip(report.rows, report.fields):
             svg_path = os.path.join(args.out, f"heatmap_s{row.s:g}.svg")
             write_heatmap_svg(svg_path, density, report.zeros, config.delta,
                               title=f"|zeta|^2 at s = {row.s:g}")
-
-    for r in report.rows:
-        print(f"[{'ok ' if r.converged else 'FAIL'}] s={r.s:g}: "
-              f"sigma_min={r.sigma_min:.6g} outside_mass={r.outside_mass:.6g} "
-              f"({r.iterations} iterations, {r.seconds:.2f}s)")
-    for p in problems:
-        print(f"[FAIL] {p}")
-    print(f"report: {path}; table: {csv_path}")
-    return 0 if not problems else 1
+    return _finish(args, report, "simulate", {"config": str(args.config)},
+                   config.seed, t0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ import functools
 import math
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 from .clifford import EVEN, clifford, spinor_basis, symbol
@@ -68,16 +68,32 @@ class IdentityRecord:
     def passed(self) -> bool:
         return self.failures == 0
 
+
+@dataclass
+class VerifyReport:
+    """The records of a verify run; each record is one verdict."""
+    records: list
+
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "n": self.n,
-            "p": self.p,
-            "trials": self.trials,
-            "failures": self.failures,
-            "max_defect": self.max_defect,
-            "counterexample": self.counterexample,
-        }
+        return {"entries": [asdict(r) for r in self.records]}
+
+    def verdicts(self) -> list[bool]:
+        return [r.passed for r in self.records]
+
+    def lines(self) -> list[str]:
+        """One summary line per identity, then the first 10 counterexamples."""
+        lines = []
+        for name in sorted({r.identity for r in self.records}):
+            rows = [r for r in self.records if r.identity == name]
+            bad = sum(1 for r in rows if not r.passed)
+            lines.append(f"[{'ok ' if bad == 0 else 'FAIL'}] {name}: "
+                         f"{len(rows)} (n,p) entries, "
+                         f"{sum(r.trials for r in rows)} checks, "
+                         f"{bad} failing entries")
+        failures = [r for r in self.records if not r.passed]
+        lines += [f"    counterexample {r.identity} n={r.n} p={r.p}: "
+                  f"{r.counterexample}" for r in failures[:10]]
+        return lines
 
 
 def stable_seed(seed: int, *key) -> int:
@@ -393,11 +409,20 @@ def verify_suite(n_max: int, trials: int, seed: int) -> list[IdentityRecord]:
 
 # -- concentrating-condition suite -------------------------------------------
 
-# The pass rule of each kind of condition row.
+# The pass rule of each kind of condition row, and the line it prints.
 _ROW_PASSES = {
     "correct": lambda row: row["failures"] == 0,
     "wrong": lambda row: row["nonzero_rate"] >= 0.95,
     "odd_rank": lambda row: row["all_singular"],
+}
+_ROW_LINES = {
+    "correct": lambda row: (f"n={row['n']} r={row['r']} {row['phi_class']}: "
+                            f"max defect {row['max_defect']} over {row['trials']} trials"),
+    "wrong": lambda row: (f"n={row['n']} wrong class ({row['phi_class']}): "
+                          f"nonzero-defect rate {row['nonzero_rate']:.3f}"),
+    "odd_rank": lambda row: (f"n={row['n']} r={row['r']} antisymmetric: "
+                             + (f"det = 0 in {row['trials']}/{row['trials']} trials"
+                                if row["all_singular"] else "nonsingular draw found")),
 }
 
 
@@ -407,20 +432,22 @@ class ConditionReport:
     wrong: list
     odd_rank: list
 
-    def verdicts(self):
-        """(kind, row, passed) for every row in report order; the one place
-        that decides whether a row passes."""
-        for kind, passes in _ROW_PASSES.items():
-            for row in getattr(self, kind):
-                yield kind, row, passes(row)
+    def _rows(self) -> list:
+        """(kind, row) for every row in report order."""
+        return [(kind, row) for kind in _ROW_PASSES for row in getattr(self, kind)]
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for _kind, _row, ok in self.verdicts())
+    def verdicts(self) -> list[bool]:
+        """One bool per row in report order; the one place that decides
+        whether a row passes."""
+        return [_ROW_PASSES[kind](row) for kind, row in self._rows()]
+
+    def lines(self) -> list[str]:
+        return [f"[{'ok ' if ok else 'FAIL'}] {_ROW_LINES[kind](row)}"
+                for (kind, row), ok in zip(self._rows(), self.verdicts())]
 
     def to_dict(self) -> dict:
         return {"correct_class": self.correct, "wrong_class": self.wrong,
-                "odd_rank_det": self.odd_rank, "passed": self.passed}
+                "odd_rank_det": self.odd_rank, "passed": all(self.verdicts())}
 
 
 def condition_suite(n_list, r_list, trials: int, seed: int,

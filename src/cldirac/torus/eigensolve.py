@@ -31,13 +31,15 @@ solves are restarted with a widened block whose guard columns are drawn
 from ``config.seed``, and non-convergence is reported in the result, never
 silently dropped.
 
-LOBPCG applies the operator and the preconditioner to whole blocks.  One
-wrapper, ``blockwise``, turns each per-vector function into a block
-function: one transposed copy of the block in, whose rows are contiguous
-vectors that the band code views without copying, one call per vector,
-and one C-ordered copy out.  The result has the same bits and layout as
-applying the function to each strided column and stacking the results, so
-the solver's path does not depend on how the block is fed.
+LOBPCG applies the operator and the preconditioner to whole blocks.  The
+preconditioner is a diagonal, so it scales the rows of a block in one
+multiply.  For the operator and the residual check, one wrapper,
+``blockwise``, turns the per-vector normal matvec into a block function:
+one transposed copy of the block in, whose rows are contiguous vectors
+that the band code views without copying, one call per vector, and one
+C-ordered copy out.  The result has the same bits and layout as applying
+the function to each strided column and stacking the results, so the
+solver's path does not depend on how the block is fed.
 """
 
 from __future__ import annotations
@@ -79,13 +81,14 @@ def _flat_m_sq(op: TorusOperator) -> np.ndarray:
 
 
 def fourier_preconditioner(op: TorusOperator):
-    """SPD approximate inverse of D_s^T D_s: the diagonal 1 / (|m|^2 + shift)."""
+    """SPD approximate inverse of D_s^T D_s: the diagonal 1 / (|m|^2 + shift),
+    applied to a vector or, row by row, to an (nreal, k) block."""
     w_sq = np.abs(op.w) ** 2
     shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
     mult = 1.0 / (_flat_m_sq(op) + shift)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return np.reshape(x, -1) * mult
+        return x * mult[:, None] if x.ndim == 2 else x * mult
 
     return apply
 
@@ -145,7 +148,7 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
     x0, _ = np.linalg.qr(x0)
 
     operator = blockwise(op.normal_matvec)
-    preconditioner = blockwise(fourier_preconditioner(op))
+    preconditioner = fourier_preconditioner(op)
 
     threshold = config.eig_tol * opnorm
     iterations = 0

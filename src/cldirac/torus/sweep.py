@@ -12,8 +12,15 @@ delta-neighborhood of the singular set, and the sweep records the smallest
 singular value sigma_min = sqrt(lambda_min).  Concentration shows up as
 outside-mass decreasing in s with s * mass bounded; for presets with empty
 singular set the interesting column is sigma_min instead (and outside-mass
-is 1 by definition).  Reports are plain dicts keyed by a versioned schema,
-with CSV as a derived view.
+is 1 by definition).  A w with zeros needs at least two s values: its
+concentration checks compare rows, so ``run_sweep`` refuses a single s
+before any solve.
+
+The ``SpectralReport`` is the one place that decides pass or fail: each
+row gets one verdict, failed when a failed check names it (``verdicts``).
+``to_dict`` is the report body, with the config echoed and the failed
+checks under ``assertions``; ``lines`` is one line per row, marked by its
+verdict, then one per failed check; the CSV is a derived view.
 """
 
 from __future__ import annotations
@@ -21,11 +28,10 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .. import SCHEMA_VERSION
 from .config import TWO_PI, ConfigError, SimConfig, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
 from .operators import TorusOperator
@@ -92,11 +98,10 @@ class SweepRow:
 
 @dataclass
 class SpectralReport:
-    config: dict
+    config: SimConfig
     zeros: list
     rows: list
     fit: dict | None
-    band_limit: int
     seconds: float
     notes: list = field(default_factory=list)
     # lowest-cluster density per row, for the heatmaps; not serialized
@@ -106,31 +111,71 @@ class SpectralReport:
     def all_converged(self) -> bool:
         return all(r.converged for r in self.rows)
 
+    def _checks(self) -> list:
+        """The pass rule of a sweep: (problem, indices of the rows it names)
+        for every failed check.
+
+        Every s must converge.  With zeros, the outside mass must decrease
+        strictly in s and s * mass must stay at most its value at the
+        smallest s.  For the constant preset, sigma_min(D_s) = s |w| exactly
+        on the discrete Fourier modes, so each sigma_min must be within 1%
+        of it.
+        """
+        rows = self.rows
+        failed = []
+        bad = [i for i, r in enumerate(rows) if not r.converged]
+        if bad:
+            failed.append((f"solver did not converge at s = {[rows[i].s for i in bad]}",
+                           bad))
+        if self.zeros:
+            bad = [i for i in range(1, len(rows))
+                   if rows[i].outside_mass >= rows[i - 1].outside_mass]
+            if bad:
+                failed.append(("outside-mass not strictly decreasing in s", bad))
+            bound = rows[0].s * rows[0].outside_mass
+            bad = [i for i, r in enumerate(rows)
+                   if r.s * r.outside_mass > bound * (1 + 1e-9)]
+            if bad:
+                failed.append(("s * outside-mass exceeds its value at the smallest s",
+                               bad))
+        elif self.config.preset_kind == "constant":
+            scale = abs(self.config.constant_value)
+            for i, r in enumerate(rows):
+                if abs(r.sigma_min - scale * r.s) > 0.01 * scale * r.s:
+                    failed.append((f"sigma_min {r.sigma_min:.6f} deviates from "
+                                   f"{scale:g} * s = {scale * r.s:g} by >1%", [i]))
+        return failed
+
+    def verdicts(self) -> list[bool]:
+        """One bool per row: a row fails when a failed check names it."""
+        failed = {i for _problem, rows in self._checks() for i in rows}
+        return [i not in failed for i in range(len(self.rows))]
+
+    def lines(self) -> list[str]:
+        """One line per row, marked by its verdict, then one per problem."""
+        lines = [f"[{'ok ' if ok else 'FAIL'}] s={r.s:g}: "
+                 f"sigma_min={r.sigma_min:.6g} outside_mass={r.outside_mass:.6g} "
+                 f"({r.iterations} iterations, {r.seconds:.2f}s)"
+                 for r, ok in zip(self.rows, self.verdicts())]
+        return lines + [f"[FAIL] {problem}" for problem, _rows in self._checks()]
+
     def to_dict(self) -> dict:
+        problems = [problem for problem, _rows in self._checks()]
         return {
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config,
+            "config": self.config.echo(),
             "discretization": {
                 "scheme": "fourier-galerkin-band",
-                "band_limit": self.band_limit,
+                "band_limit": self.config.band_limit,
                 "box": "2pi x 2pi periodic",
-                "spacing": TWO_PI / self.config["N"],
-                "cell_weight": (TWO_PI / self.config["N"]) ** 2,
+                "spacing": self.config.spacing,
+                "cell_weight": self.config.spacing ** 2,
             },
             "zeros": [[zx, zy] for (zx, zy) in self.zeros],
-            "results": [{
-                "s": r.s,
-                "eigenvalues": r.eigenvalues,
-                "outside_mass": r.outside_mass,
-                "sigma_min": r.sigma_min,
-                "residual_max": r.residual_max,
-                "converged": r.converged,
-                "iterations": r.iterations,
-                "seconds": r.seconds,
-            } for r in self.rows],
+            "results": [asdict(r) for r in self.rows],
             "fit": self.fit,
             "seconds": self.seconds,
             "notes": self.notes,
+            "assertions": {"passed": not problems, "problems": problems},
         }
 
     def write_csv(self, path):
@@ -169,6 +214,10 @@ def run_sweep(config: SimConfig) -> SpectralReport:
     if config.preset_kind == "custom" and not zeros:
         raise ConfigError("custom preset's w has no bracketed zero on the grid; "
                           "the sweep would pass on convergence alone")
+    if zeros and len(config.s_values) < 2:
+        raise ConfigError("a w with zeros needs at least two s values: its "
+                          "concentration checks compare rows, so one row "
+                          "would pass on convergence alone")
     rows = []
     densities = []
     start = None
@@ -193,58 +242,11 @@ def run_sweep(config: SimConfig) -> SpectralReport:
     fit = fit_loglog([r.s for r in rows], [r.outside_mass for r in rows]) \
         if zeros else None
     return SpectralReport(
-        config=config.echo(),
+        config=config,
         zeros=zeros,
         rows=rows,
         fit=fit,
-        band_limit=config.band_limit,
         seconds=time.monotonic() - t0,
         fields=densities,
     )
 
-
-def _sweep_checks(report: SpectralReport, config: SimConfig) -> list:
-    """The pass rule of a sweep: (problem, indices of the rows it names) for
-    every failed check.
-
-    Every s must converge.  With zeros, the outside mass must decrease
-    strictly in s and s * mass must stay at most its value at the smallest
-    s.  For the constant preset, sigma_min(D_s) = s |w| exactly on the
-    discrete Fourier modes, so each sigma_min must be within 1% of it.
-    """
-    rows = report.rows
-    failed = []
-    bad = [i for i, r in enumerate(rows) if not r.converged]
-    if bad:
-        failed.append((f"solver did not converge at s = {[rows[i].s for i in bad]}",
-                       bad))
-    if report.zeros:
-        bad = [i for i in range(1, len(rows))
-               if rows[i].outside_mass >= rows[i - 1].outside_mass]
-        if bad:
-            failed.append(("outside-mass not strictly decreasing in s", bad))
-        bound = rows[0].s * rows[0].outside_mass
-        bad = [i for i, r in enumerate(rows)
-               if r.s * r.outside_mass > bound * (1 + 1e-9)]
-        if bad:
-            failed.append(("s * outside-mass exceeds its value at the smallest s",
-                           bad))
-    elif config.preset_kind == "constant":
-        scale = abs(config.constant_value)
-        for i, r in enumerate(rows):
-            if abs(r.sigma_min - scale * r.s) > 0.01 * scale * r.s:
-                failed.append((f"sigma_min {r.sigma_min:.6f} deviates from "
-                               f"{scale:g} * s = {scale * r.s:g} by >1%", [i]))
-    return failed
-
-
-def check_sweep(report: SpectralReport, config: SimConfig) -> list[str]:
-    """The problems of a sweep (empty: passed); see _sweep_checks."""
-    return [problem for problem, _rows in _sweep_checks(report, config)]
-
-
-def row_counts(report: SpectralReport, config: SimConfig) -> dict:
-    """{"pass", "fail"} over the rows: a row fails when a failed check
-    names it."""
-    failed = {i for _problem, rows in _sweep_checks(report, config) for i in rows}
-    return {"pass": len(report.rows) - len(failed), "fail": len(failed)}

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from cldirac.cli import main
-from cldirac.suites import ConditionReport
+from cldirac.suites import ConditionReport, IdentityRecord
 from cldirac.torus.config import load_config
-from cldirac.torus.sweep import SpectralReport, SweepRow, check_sweep, row_counts
+from cldirac.torus.sweep import SpectralReport, SweepRow
 
 
 def test_verify_small_run(tmp_path):
@@ -148,6 +148,8 @@ _BAD_CONFIGS = {
     "N-huge": {"N": "1048576"},
     "eig_tol-below-rounding": {"eig_tol": "1e-300"},
     "key-repeated": _CONFIG + "N = 32\n",
+    # the concentration checks compare rows: one row would have none
+    "zeros-one-s": {"s_values": "1e60"},
     "config-is-directory": None,
 }
 
@@ -242,12 +244,35 @@ def test_condition_cli_reads_the_report_verdicts(tmp_path, monkeypatch, capsys):
     assert [line[:6] for line in lines[:3]] == ["[FAIL]", "[FAIL]", "[ok ] "]
 
 
-def _sweep_report(zeros, masses, sigmas):
+def test_verify_cli_reads_the_report_verdicts(tmp_path, monkeypatch, capsys):
+    records = [IdentityRecord("wedge_anticommute", 1, p, 5, 0, 0.0)
+               for p in (0, 1)]
+    records.append(IdentityRecord("tau_square", 1, 0, 5, 1, 0.5, "x=1"))
+    monkeypatch.setattr("cldirac.cli.verify_suite",
+                        lambda *args, **kwargs: records)
+    assert main(["verify", "--n-max", "1", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["manifest"]["counts"] == {"pass": 2, "fail": 1}
+    assert [e["failures"] for e in report["entries"]] == [0, 0, 1]
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] tau_square: 1 (n,p) entries, 5 checks, 1 failing entries",
+        "[ok ] wedge_anticommute: 2 (n,p) entries, 10 checks, 0 failing entries",
+        "    counterexample tau_square n=1 p=0: x=1",
+        f"report: {tmp_path / 'verify.json'}",
+    ]
+
+
+def _sweep_report(config, zeros, masses, sigmas):
     rows = [SweepRow(s=s, eigenvalues=[sig * sig], outside_mass=m, sigma_min=sig,
                      residual_max=0.0, converged=True, iterations=1, seconds=0.0)
             for s, m, sig in zip((4.0, 8.0, 16.0), masses, sigmas)]
-    return SpectralReport(config={"N": 16}, zeros=zeros, rows=rows, fit=None,
-                          band_limit=5, seconds=0.0)
+    return SpectralReport(config=config, zeros=zeros, rows=rows, fit=None,
+                          seconds=0.0)
+
+
+# the one failing row of each synthetic sweep below; in sin_zeros only the
+# outside-mass check names it, and every row converged
+_FAILING_S = {"sin_zeros": "16", "constant(1)": "8"}
 
 
 @pytest.mark.parametrize("preset,zeros,masses,sigmas,problem", [
@@ -259,8 +284,8 @@ def test_simulate_contract_failures(preset, zeros, masses, sigmas, problem,
                                     tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "synthetic.cfg"
     cfg.write_text(_config_with(phi_preset=preset, s_values="4, 8, 16"))
-    report = _sweep_report(zeros, masses, sigmas)
-    problems = check_sweep(report, load_config(cfg))
+    report = _sweep_report(load_config(cfg), zeros, masses, sigmas)
+    problems = report.to_dict()["assertions"]["problems"]
     assert len(problems) == 1 and problem in problems[0]
     monkeypatch.setattr("cldirac.torus.sweep.run_sweep", lambda config: report)
     out = tmp_path / "out"
@@ -268,27 +293,33 @@ def test_simulate_contract_failures(preset, zeros, masses, sigmas, problem,
     body = json.loads((out / "simulate.json").read_text())
     assert body["assertions"] == {"passed": False, "problems": problems}
     assert body["manifest"]["counts"] == {"pass": 2, "fail": 1}
-    assert f"[FAIL] {problems[0]}" in capsys.readouterr().out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert f"[FAIL] {problems[0]}" in lines
+    # each row's marker is its verdict
+    for s in ("4", "8", "16"):
+        marker = "[FAIL]" if s == _FAILING_S[preset] else "[ok ] "
+        assert [line[:6] for line in lines if f" s={s}:" in line] == [marker]
 
 
 def test_simulate_counts_rows_not_problems(tmp_path):
     # row s = 8 fails two checks, row s = 16 one: two failed rows, three problems
     cfg = tmp_path / "synthetic.cfg"
     cfg.write_text(_config_with(phi_preset="constant(1)", s_values="4, 8, 16"))
-    report = _sweep_report([], (1.0, 1.0, 1.0), (4.0, 8.16, 16.5))
-    report.rows[1].converged = False
     config = load_config(cfg)
-    assert len(check_sweep(report, config)) == 3
-    assert row_counts(report, config) == {"pass": 1, "fail": 2}
-    good = _sweep_report([], (1.0, 1.0, 1.0), (4.0, 8.0, 16.0))
-    assert row_counts(good, config) == {"pass": 3, "fail": 0}
+    report = _sweep_report(config, [], (1.0, 1.0, 1.0), (4.0, 8.16, 16.5))
+    report.rows[1].converged = False
+    assert len(report.to_dict()["assertions"]["problems"]) == 3
+    assert report.verdicts() == [True, False, False]
+    good = _sweep_report(config, [], (1.0, 1.0, 1.0), (4.0, 8.0, 16.0))
+    assert good.verdicts() == [True, True, True]
 
 
 def test_simulate_contract_passes_good_sweeps(tmp_path):
     cfg = tmp_path / "good.cfg"
     cfg.write_text(_config_with(phi_preset="constant(1)", s_values="4, 8, 16"))
-    good = _sweep_report([], (1.0, 1.0, 1.0), (4.0, 8.0, 16.0))
-    assert check_sweep(good, load_config(cfg)) == []
+    good = _sweep_report(load_config(cfg), [], (1.0, 1.0, 1.0), (4.0, 8.0, 16.0))
+    assert good.to_dict()["assertions"] == {"passed": True, "problems": []}
     cfg.write_text(_config_with(s_values="4, 8, 16"))
-    good = _sweep_report([(0.0, 0.0)], (0.3, 0.1, 0.05), (0.0, 0.0, 0.0))
-    assert check_sweep(good, load_config(cfg)) == []
+    good = _sweep_report(load_config(cfg), [(0.0, 0.0)], (0.3, 0.1, 0.05),
+                         (0.0, 0.0, 0.0))
+    assert good.to_dict()["assertions"] == {"passed": True, "problems": []}

@@ -1,4 +1,4 @@
-"""Simulation configuration and the phi field on the grid.
+"""Simulation configuration and the phi field on a grid.
 
 Config files are plain ``key = value`` lines (``#`` comments).  Keys:
 
@@ -18,7 +18,8 @@ Config files are plain ``key = value`` lines (``#`` comments).  Keys:
 
 The torus is [0, 2pi)^2 with spacing h = 2pi/N.  The sin_zeros preset is
 w = sin x + i sin y, whose zeros (0,0), (pi,0), (0,pi), (pi,pi) are exact
-and nondegenerate.
+and nondegenerate.  Fields, densities and zeros live on the (N, N) grid;
+the solver forms the product w u on the smaller (L, L) ``product_grid``.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class SimConfig:
             if all(abs(total) <= 1e-12 * size for total, size in aliased.values()):
                 raise ConfigError("custom preset's w vanishes identically on "
                                   "the grid: its fourier_coeffs cancel")
-            width = max(max(abs(mx), abs(my)) for mx, my, _c in self.fourier_coeffs)
+            width = self.phi_width
             if width + self.band_limit >= self.N / 2:
                 raise ConfigError(
                     f"custom preset's w has modes up to max(|mx|, |my|) = "
@@ -148,6 +149,37 @@ class SimConfig:
     def band_limit(self) -> int:
         """M: a field is its Fourier coefficients with |mx|, |my| <= M."""
         return self.N // 3
+
+    @property
+    def product_grid(self) -> int:
+        """L, the side of the grid on which the solver forms w u: the
+        smallest L >= 2M + b + 1 with no prime factor above 11, a length
+        that numpy's FFT transforms fast (``scipy.fft.next_fast_len``'s
+        rule, without its import), with b = max(|mx|, |my|) over the
+        Fourier modes of w (1 for sin_zeros, 0 for constant).
+
+        It projects conj(w u) onto the band without aliasing.  A band field
+        u has modes |m| <= M on each axis, so conj(w u) has modes up to
+        M + b.  An L-grid folds mode m onto m +- L, and |k +- L| >= L - M
+        exceeds M + b for every band mode |k| <= M, so the band receives
+        nothing folded while L > 2M + b.  N is a power of two, hence a fast
+        length, and the custom fit rule b + M < N/2 gives 2M + b + 1 <= N,
+        so L <= N.
+        """
+        L = 2 * self.band_limit + self.phi_width + 1
+        while not _is_fast_length(L):
+            L += 1
+        return L
+
+    @property
+    def phi_width(self) -> int:
+        """b: max(|mx|, |my|) over the Fourier modes of w."""
+        kind = self.preset_kind
+        if kind == "sin_zeros":
+            return 1
+        if kind == "constant":
+            return 0
+        return max(max(abs(mx), abs(my)) for mx, my, _c in self.fourier_coeffs)
 
     @property
     def preset_kind(self) -> str:
@@ -179,6 +211,13 @@ class SimConfig:
             "seed": self.seed,
             "max_iterations": self.max_iterations,
         }
+
+
+def _is_fast_length(n: int) -> bool:
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 _KEYS = {"N", "s_values", "phi_preset", "fourier_coeffs", "delta",
@@ -253,23 +292,19 @@ def preset_path(name: str):
     return resources.files("cldirac.torus") / "presets" / name
 
 
-def grid_axes(config: SimConfig):
-    x = np.arange(config.N) * config.spacing
-    return x, x
-
-
-def phi_field(config: SimConfig) -> np.ndarray:
-    """The perturbation coefficient w sampled on the grid, shape (N, N)
-    complex with axis 0 = x and axis 1 = y."""
-    x, y = grid_axes(config)
+def phi_field(config: SimConfig, side: int | None = None) -> np.ndarray:
+    """The perturbation coefficient w sampled on the (side, side) grid of
+    the torus, side N by default, complex with axis 0 = x and axis 1 = y."""
+    side = config.N if side is None else side
+    x = np.arange(side) * (TWO_PI / side)
     xx = x[:, None]
-    yy = y[None, :]
+    yy = x[None, :]
     kind = config.preset_kind
     if kind == "sin_zeros":
-        return np.sin(xx) + 1j * np.sin(yy) + np.zeros((config.N, config.N), complex)
+        return np.sin(xx) + 1j * np.sin(yy) + np.zeros((side, side), complex)
     if kind == "constant":
-        return np.full((config.N, config.N), config.constant_value, complex)
-    w = np.zeros((config.N, config.N), complex)
+        return np.full((side, side), config.constant_value, complex)
+    w = np.zeros((side, side), complex)
     for (mx, my, c) in config.fourier_coeffs:
         w += c * np.exp(1j * (mx * xx + my * yy))
     return w

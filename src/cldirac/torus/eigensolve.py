@@ -10,8 +10,9 @@ invariant part, shifted: the diagonal on the band
     1 / (|m|^2 + shift),    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2),
 
 since D_0^T D_0 = |m|^2 on the band (``kernels``: coefficients scaled so
-that the Euclidean norm is the L2 norm, and a w that fits the band,
-max(|mx|, |my|) + M < N/2, so the potential does not alias).  For
+that the Euclidean norm is the L2 norm, and w sampled on the (L, L)
+product grid of ``SimConfig.product_grid``, so the potential does not
+alias); the mean and minimum of |w|^2 are taken over that grid.  For
 constant w, D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the diagonal is the
 shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster; where w
 vanishes on the grid (min|w|^2 = 0) it is the plain s^2 mean|w|^2 shift.
@@ -37,9 +38,11 @@ multiply.  For the operator and the residual check, one wrapper,
 ``blockwise``, turns the per-vector normal matvec into a block function:
 one transposed copy of the block in, whose rows are contiguous vectors
 that the band code views without copying, one call per vector, and one
-C-ordered copy out.  The result has the same bits and layout as applying
-the function to each strided column and stacking the results, so the
-solver's path does not depend on how the block is fed.
+C-ordered copy out.  Both copies move ``COPY_ROWS`` rows of the block at a
+time, so each chunk's source and destination stay in cache.  The result
+has the same bits and layout as applying the function to each strided
+column and stacking the results, so the solver's path does not depend on
+how the block is fed.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ from scipy.sparse.linalg import lobpcg
 from . import kernels
 from .config import SimConfig
 from .operators import TorusOperator
+
+
+# Rows of an (nreal, k) block per chunk of a transposing copy: 2048 rows of
+# 8 doubles are 128 KB, and their transpose is 8 runs of 16 KB, which stay
+# in L2 together where a whole N = 256 block does not.
+COPY_ROWS = 2048
 
 
 @dataclass
@@ -100,16 +109,28 @@ def lowest_modes(op: TorusOperator, count: int) -> np.ndarray:
     return block
 
 
+def _transposed(a: np.ndarray) -> np.ndarray:
+    """a.T as a C-ordered array: a.T itself when it already is one, else a
+    copy made ``COPY_ROWS`` rows of the long axis at a time."""
+    if a.T.flags.c_contiguous:
+        return a.T
+    out = np.empty(a.shape[::-1], a.dtype)
+    src, dst = (a, out.T) if a.shape[0] >= a.shape[1] else (a.T, out)
+    for i in range(0, len(src), COPY_ROWS):
+        dst[i:i + COPY_ROWS] = src[i:i + COPY_ROWS]
+    return out
+
+
 def blockwise(f):
     """Block form of a per-vector function f: column j of the result is
     f(X[:, j]), as a C-ordered array."""
     def apply(X: np.ndarray) -> np.ndarray:
-        rows = np.ascontiguousarray(X.T)
+        rows = _transposed(X)
         out = np.empty(rows.shape)
         for j in range(len(rows)):
             out[j] = f(rows[j])
         del rows  # freed before the copy out: one block less at the peak
-        return np.ascontiguousarray(out.T)
+        return _transposed(out)
 
     return apply
 

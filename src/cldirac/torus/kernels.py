@@ -12,15 +12,18 @@ The matvec pair is
     transpose  D_s^T c = (-i mx - my) c - s A c,
     A c = band(fft2(conj(w * ifft2(pad(c))))),
 
-with i mx - my the symbol of D_0 = d/dx + i d/dy, w sampled on the
-(N, N) grid, ``pad`` placing c at the indices m mod N of an (N, N) zero
-array and ``band`` keeping those indices.  The scales cancel: A c = conj(c)
-at m = 0 for w = 1.  As a real-linear operator A is its own transpose,
-since <A c, d> = N^2 Re sum_j w_j u_j v_j is symmetric in the grid fields
-u, v of c, d.  A c is the exact projection of conj(w u) onto the band while
-the grid resolves the product w u: max(|mx|, |my|) over the modes of w,
-plus M, below N/2, so that no product mode aliases (Orszag, J. Atmos. Sci.
-28, 1971).  Each 2-D transform runs its axis-1 pass on the band's rows only.
+with i mx - my the symbol of D_0 = d/dx + i d/dy, w sampled on an (L, L)
+grid whose side the kernels read from ``w.shape``, ``pad`` placing c at
+the indices m mod L of an (L, L) zero array and ``band`` keeping those
+indices.  The scales cancel: A c = conj(c) at m = 0 for w = 1.  As a
+real-linear operator A is its own transpose, since
+<A c, d> = L^2 Re sum_j w_j u_j v_j is symmetric in the grid fields u, v
+of c, d.  A c is the exact projection of conj(w u) onto the band while no
+product mode folds onto it: L > 2M + b, with b = max(|mx|, |my|) over the
+modes of w (``SimConfig.product_grid``, the smallest such fast length; the
+2/3 rule of Orszag, J. Atmos. Sci. 28, 1971, sized for b = M, is the
+special case L = N).  Each 2-D transform runs its axis-1 pass on the band's
+rows only.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def d0_multiplier(K: int) -> np.ndarray:
 
 
 def _synthesize(c: np.ndarray, N: int) -> np.ndarray:
-    """ifft2(pad(c)) on the (N, N) grid."""
+    """ifft2(pad(c)) on an (N, N) grid."""
     K, hi = c.shape[0], (c.shape[0] + 1) // 2
     rows = np.concatenate((c[:, :hi], np.zeros((K, N - K)), c[:, hi:]), axis=1)
     np.fft.ifft(rows, axis=1, out=rows)
@@ -51,7 +54,8 @@ def _synthesize(c: np.ndarray, N: int) -> np.ndarray:
 
 
 def potential(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """A c = band(fft2(conj(w * ifft2(pad(c))))) for a band c and a grid w."""
+    """A c = band(fft2(conj(w * ifft2(pad(c))))) for a band c and a grid w
+    of any side at least the band's."""
     N, K = w.shape[0], c.shape[0]
     hi, lo = (K + 1) // 2, K // 2  # how many modes have m >= 0 and m < 0
     grid = _synthesize(c, N)
@@ -65,7 +69,7 @@ def potential(c: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def ds_apply(c, w, s, h):
     """D_s c = (i mx - my) c - s A c for a complex band c, as a new array.
-    ``h``, the spacing 2pi/N of w's grid, does not enter: the band
+    ``h``, the display grid's spacing 2pi/N, does not enter: the band
     multipliers are integers."""
     out = potential(c, w)
     out *= -s

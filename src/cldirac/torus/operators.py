@@ -8,8 +8,10 @@ trivially-connected trivial line bundle sends a function u to
 and the conjugate-linear perturbation with coefficient field w adds
 -s*conj(w*u).  A field is its band of Fourier coefficients, a
 (2M+1, 2M+1) complex array with M = N // 3 and ||u||_L2 = ||c||_2
-(``kernels``); w is sampled on the (N, N) grid, and the potential term is
-exact while max(|mx|, |my|) over w's modes + M < N/2 (no aliasing).
+(``kernels``); w is sampled on the (L, L) grid of
+``SimConfig.product_grid``, L >= 2M + b + 1 with b = max(|mx|, |my|) over
+w's modes, on which the potential term projects w u onto the band without
+aliasing.  Fields are read out on the (N, N) grid.
 Conjugation is not complex-linear, so the eigenproblem runs over the real
 vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
 inner product of the fields.  Flat vectors interleave the parts
@@ -43,7 +45,8 @@ def complex_to_flat(u: np.ndarray) -> np.ndarray:
 
 
 class TorusOperator:
-    """D_s on the band of side K = 2M+1, with w sampled on the (N, N) grid.
+    """D_s on the band of side K = 2M+1, with w sampled on the (L, L)
+    product grid, L = ``config.product_grid``.
 
     Every apply returns a new array and reads ``w`` when it runs, so ``w``
     may be reassigned after construction.
@@ -56,7 +59,7 @@ class TorusOperator:
         self.M = config.band_limit
         self.K = 2 * self.M + 1
         self.s = float(s)
-        self.w = phi_field(config)
+        self.w = phi_field(config, config.product_grid)
 
     @property
     def nreal(self) -> int:
@@ -73,8 +76,9 @@ class TorusOperator:
         return kernels.to_grid(flat_to_complex(x, self.K), self.N)
 
     def sigma_max_bound(self) -> float:
-        """max |i mx - my| + s*max|w| = sqrt2 M + s*max|w|; an upper bound
-        for the largest singular value (triangle inequality)."""
+        """max |i mx - my| + s*max|w| = sqrt2 M + s*max|w|, with max|w| over
+        the product grid; an upper bound for the largest singular value
+        (triangle inequality, and Parseval on that grid for A)."""
         return float(math.sqrt(2.0) * self.M + self.s * np.max(np.abs(self.w)))
 
     def dense(self) -> np.ndarray:

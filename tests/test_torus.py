@@ -1,10 +1,12 @@
 """Torus simulator: config, kernels, operator oracles, eigensolver, sweep."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.sparse.linalg import LinearOperator
 
 from cldirac.torus import (
@@ -27,7 +29,13 @@ from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import ConfigError, load_config
 from cldirac.torus.eigensolve import blockwise, residual_norms
 from cldirac.torus.heatmap import _STOPS, _colors
-from cldirac.torus.sweep import fit_loglog, lowest_density, torus_distance_sq
+from cldirac.torus.sweep import (
+    BAND_TAIL_NOTE,
+    band_tail,
+    fit_loglog,
+    lowest_density,
+    torus_distance_sq,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,6 +81,23 @@ def test_parse_config_roundtrip():
 def test_config_validation(text, message):
     with pytest.raises(ConfigError, match=message):
         parse_config_text(text)
+
+
+def test_product_grid_is_alias_free_and_fits_the_display_grid():
+    # b = max(|mx|, |my|) over w's modes runs over every width the custom
+    # fit rule b + M < N/2 admits; sin_zeros and constant are b = 1 and 0
+    for N in (16, 32, 64, 128, 256, 512, 1024):
+        M = N // 3
+        for b in range(N // 2 - M):
+            cfg = SimConfig(N=N, phi_preset="custom", fourier_coeffs=((b, 0, 1 + 0j),))
+            assert 2 * M + b + 1 <= cfg.product_grid <= N
+            assert cfg.product_grid == next_fast_len(2 * M + b + 1)
+        for preset, b in (("sin_zeros", 1), ("constant(1)", 0)):
+            cfg = SimConfig(N=N, phi_preset=preset)
+            assert cfg.phi_width == b
+            assert cfg.product_grid == next_fast_len(2 * M + b + 1) <= N
+    assert SimConfig(N=64).product_grid == 44
+    assert SimConfig(N=256).product_grid == 175
 
 
 def test_bundled_presets_load():
@@ -272,6 +297,46 @@ def test_kernels_match_the_plain_fft2_formulas(N, K):
         got = new(c, w, s, h)
         assert got.shape == (K, K) and got.dtype == complex
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def _fit_limit_config(N, rng):
+    """A custom w with random modes up to the widest that fits the band,
+    max(|mx|, |my|) = N/2 - M - 1."""
+    b = N // 2 - N // 3 - 1
+    modes = [(b, -b), (-b, 1), (0, b), (0, 0)] + [
+        tuple(int(v) for v in rng.integers(-b, b + 1, size=2)) for _ in range(4)]
+    coeffs = tuple((mx, my, complex(*rng.standard_normal(2))) for mx, my in modes)
+    return SimConfig(N=N, phi_preset="custom", fourier_coeffs=coeffs)
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_potential_on_the_product_grid_is_the_display_grid_potential(N):
+    # the band sees no aliasing on the L-grid, so A c is the same operator
+    # as on the (N, N) grid, to rounding
+    rng = np.random.default_rng(N)
+    for cfg in (SimConfig(N=N), SimConfig(N=N, phi_preset="constant(0.3+0.4j)"),
+                _fit_limit_config(N, rng)):
+        L = cfg.product_grid
+        op = TorusOperator(cfg, 4.0)
+        assert op.w.shape == (L, L)
+        for _ in range(3):
+            c = _random_band(rng, op.K)
+            expected = kernels.potential(c, phi_field(cfg))
+            got = kernels.potential(c, phi_field(cfg, L))
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_a_grid_below_the_product_grid_aliases(N):
+    # the control: on a side of 2M + b, product mode M + b folds onto -M,
+    # the band's edge
+    rng = np.random.default_rng(N + 1)
+    for cfg in (SimConfig(N=N), _fit_limit_config(N, rng)):
+        side = 2 * cfg.band_limit + cfg.phi_width
+        c = _random_band(rng, 2 * cfg.band_limit + 1)
+        expected = kernels.potential(c, phi_field(cfg))
+        got = kernels.potential(c, phi_field(cfg, side))
+        assert np.max(np.abs(got - expected)) > 1e-3 * np.max(np.abs(expected))
 
 
 def test_field_on_the_grid():
@@ -617,14 +682,19 @@ def _closed_form_mass(cfg, s):
     return float(np.sum(density[~inside]) / np.sum(density))
 
 
+@functools.lru_cache(maxsize=2)
+def _sin_zeros_sweep(N):
+    cfg = SimConfig(N=N, s_values=S_VALUES, phi_preset="sin_zeros",
+                    delta=0.5, eig_count=3, eig_tol=1e-8)
+    return cfg, run_sweep(cfg)
+
+
 @pytest.mark.parametrize("N", [64, 128])
 def test_sin_zeros_kernel_is_the_continuum_kernel(N):
     # the kernel is span_R{exp(s(cos y - cos x)), i exp(s(cos x - cos y))}:
     # 2-dimensional, with the next level near 2s, and every unit element
     # has the closed-form outside mass; N = 64 does not resolve s = 64
-    cfg = SimConfig(N=N, s_values=S_VALUES, phi_preset="sin_zeros",
-                    delta=0.5, eig_count=3, eig_tol=1e-8)
-    report = run_sweep(cfg)
+    cfg, report = _sin_zeros_sweep(N)
     assert report.all_converged
     for r in report.rows:
         floor = cfg.eig_tol * TorusOperator(cfg, r.s).sigma_max_bound() ** 2
@@ -634,6 +704,21 @@ def test_sin_zeros_kernel_is_the_continuum_kernel(N):
         if N == 128 or r.s <= 32:
             closed = _closed_form_mass(cfg, r.s)
             assert abs(r.outside_mass - closed) <= 0.01 * closed
+
+
+@pytest.mark.parametrize("N,noted", [(64, [64.0]), (128, [])])
+def test_band_tail_notes_the_unresolved_row(N, noted):
+    # the row the band does not resolve, and only that row, gets a note,
+    # and the verdicts stay those of the checks
+    cfg, report = _sin_zeros_sweep(N)
+    tails = [r.band_tail for r in report.rows]
+    assert [r.s for r in report.rows if r.band_tail > BAND_TAIL_NOTE] == noted
+    assert len(report.notes) == len(noted)
+    assert all(f"s = {s:g}: band_tail" in note for s, note in zip(noted, report.notes))
+    assert [line for line in report.lines() if line.startswith("[note]")] == [
+        f"[note] {note}" for note in report.notes]
+    assert report.verdicts() == [True] * 4
+    assert [r["band_tail"] for r in report.to_dict()["results"]] == tails
 
 
 def test_run_sweep_reproducible():
@@ -663,8 +748,11 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
                          [math.sin(angle), math.cos(angle)]])
     vectors = result.vectors.copy()
     vectors[:, :2] = vectors[:, :2] @ rotation
-    rotated = lowest_density(op, dataclasses.replace(result, vectors=vectors))
+    rotated_result = dataclasses.replace(result, vectors=vectors)
+    rotated = lowest_density(op, rotated_result)
     assert np.max(np.abs(rotated - density)) <= 1e-12 * np.max(density)
+    tail = band_tail(op, result)
+    assert abs(band_tail(op, rotated_result) - tail) <= 1e-12 * tail
     assert abs(outside_mass(rotated, cfg) - mass) <= 1e-12 * mass
     # the first vector alone, which a single-field measurement would read,
     # does not agree with its rotated copy

@@ -152,21 +152,27 @@ class SimConfig:
 
     @property
     def product_grid(self) -> int:
-        """L, the side of the grid on which the solver forms w u: the
-        smallest L >= 2M + b + 1 with no prime factor above 11, a length
-        that numpy's FFT transforms fast (``scipy.fft.next_fast_len``'s
-        rule, without its import), with b = max(|mx|, |my|) over the
-        Fourier modes of w (1 for sin_zeros, 0 for constant).
+        """L, the side of the grid on which the solver forms w u on the
+        band |m| <= M: ``product_grid_for(band_limit)``."""
+        return self.product_grid_for(self.band_limit)
+
+    def product_grid_for(self, M: int) -> int:
+        """The side of the grid on which w u is formed for a band field
+        with |mx|, |my| <= M: the smallest L >= 2M + b + 1 with no prime
+        factor above 11, a length that numpy's FFT transforms fast
+        (``scipy.fft.next_fast_len``'s rule, without its import), with
+        b = max(|mx|, |my|) over the Fourier modes of w (1 for sin_zeros,
+        0 for constant).
 
         It projects conj(w u) onto the band without aliasing.  A band field
         u has modes |m| <= M on each axis, so conj(w u) has modes up to
         M + b.  An L-grid folds mode m onto m +- L, and |k +- L| >= L - M
         exceeds M + b for every band mode |k| <= M, so the band receives
         nothing folded while L > 2M + b.  N is a power of two, hence a fast
-        length, and the custom fit rule b + M < N/2 gives 2M + b + 1 <= N,
-        so L <= N.
+        length, and the custom fit rule b + M < N/2 gives 2M + b + 1 <= N
+        for M <= band_limit, so L <= N.
         """
-        L = 2 * self.band_limit + self.phi_width + 1
+        L = 2 * M + self.phi_width + 1
         while not _is_fast_length(L):
             L += 1
         return L

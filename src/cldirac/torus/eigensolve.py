@@ -20,13 +20,17 @@ The diagonal is positive for any positive shift, so the preconditioner is
 symmetric positive definite, and the shift moves only the speed of
 convergence, never the answer.
 
-The first solve starts from the band basis vectors of lowest |m|, the
-preconditioner's eigenvectors: for constant w they span the lowest
-cluster, so LOBPCG stops after its first residual check.  A sweep over s
-warm-starts each later solve with the whole Ritz block of the previous s
-(``EigenResult.block``, the k wanted pairs and the guard columns),
-orthonormalized by QR; the lowest modes move continuously in s, so the
-block is already close to the new invariant subspace.  Only the matvec of
+Without a start block a solve starts from the band basis vectors of
+lowest |m|, the preconditioner's eigenvectors: for constant w they span
+the lowest cluster, so LOBPCG stops after its first residual check.  A
+sweep passes a start block, orthonormalized here by QR: the whole Ritz
+block (``EigenResult.block``, the k wanted pairs and the guard columns)
+of a solve on the half band at the same s, prolonged onto the band
+(``operators.prolong``), where the half band resolves the modes, and
+otherwise that of the previous s, since the lowest modes move
+continuously in s (``sweep``).  Either is already close to the new
+invariant subspace.  The solver does not know where its start came
+from, and its own residual check decides convergence.  Only the matvec of
 the normal operator enters; residuals are checked explicitly, stalled
 solves are restarted with a widened block whose guard columns are drawn
 from ``config.seed``, and non-convergence is reported in the result, never
@@ -154,7 +158,8 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
     with opnorm = ``op.sigma_max_bound()**2``.  Returned vectors have unit
     norm, which is the L2 norm of their fields.  ``start`` is a start block
     of at least eig_count columns, such as the ``block`` of the solve at
-    the previous s; without it the start block is ``lowest_modes``.
+    the previous s or a prolonged half-band ``block``; without it the start
+    block is ``lowest_modes``.
     """
     k, nreal = config.eig_count, op.nreal
     opnorm = op.sigma_max_bound() ** 2

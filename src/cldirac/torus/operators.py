@@ -9,15 +9,23 @@ and the conjugate-linear perturbation with coefficient field w adds
 -s*conj(w*u).  A field is its band of Fourier coefficients, a
 (2M+1, 2M+1) complex array with M = N // 3 and ||u||_L2 = ||c||_2
 (``kernels``); w is sampled on the (L, L) grid of
-``SimConfig.product_grid``, L >= 2M + b + 1 with b = max(|mx|, |my|) over
-w's modes, on which the potential term projects w u onto the band without
-aliasing.  Fields are read out on the (N, N) grid.
+``SimConfig.product_grid_for(M)``, L >= 2M + b + 1 with b = max(|mx|, |my|)
+over w's modes, on which the potential term projects w u onto the band
+without aliasing.  Fields are read out on the (N, N) grid.
+
 Conjugation is not complex-linear, so the eigenproblem runs over the real
 vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
 inner product of the fields.  Flat vectors interleave the parts
 coefficient by coefficient, [Re c0, Im c0, Re c1, Im c1, ...], which is
 the memory layout of a C-ordered complex128 array, so the two forms are
 views of one buffer.
+
+An operator can also be built on a smaller band M_c < M, with w on that
+band's own product grid.  The band M_c is a subspace of the band M, and
+both potentials are exact projections, so the operator on M_c is the
+Galerkin compression of the one on M: restricted to the band M_c, D_s of
+``prolong(c)`` is D_s of c.  A sweep solves there first and starts the
+solve on the band M from the prolonged Ritz block (``sweep``).
 """
 
 from __future__ import annotations
@@ -44,22 +52,36 @@ def complex_to_flat(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u, dtype=np.complex128).reshape(-1).view(np.float64)
 
 
+def prolong(block: np.ndarray, K_from: int, K_to: int) -> np.ndarray:
+    """Flat band vectors of side ``K_from`` (the columns of an (nreal, k)
+    block) as flat vectors of the larger side ``K_to``: coefficient m moves
+    to index m mod K_to and the new modes are zero, an isometric embedding
+    of the smaller band."""
+    k = block.shape[1]
+    m = np.fft.fftfreq(K_from, 1.0 / K_from).astype(int) % K_to
+    c = np.ascontiguousarray(block.T).view(np.complex128).reshape(k, K_from, K_from)
+    out = np.zeros((k, K_to, K_to), complex)
+    out[:, m[:, None], m[None, :]] = c
+    return out.reshape(k, -1).view(np.float64).T
+
+
 class TorusOperator:
-    """D_s on the band of side K = 2M+1, with w sampled on the (L, L)
-    product grid, L = ``config.product_grid``.
+    """D_s on the band of side K = 2M+1, M = ``band_limit`` (by default
+    ``config.band_limit``), with w sampled on the (L, L) product grid,
+    L = ``config.product_grid_for(M)``.
 
     Every apply returns a new array and reads ``w`` when it runs, so ``w``
     may be reassigned after construction.
     """
 
-    def __init__(self, config: SimConfig, s: float):
+    def __init__(self, config: SimConfig, s: float, band_limit: int | None = None):
         self.config = config
         self.N = config.N
         self.h = config.spacing
-        self.M = config.band_limit
+        self.M = config.band_limit if band_limit is None else band_limit
         self.K = 2 * self.M + 1
         self.s = float(s)
-        self.w = phi_field(config, config.product_grid)
+        self.w = phi_field(config, config.product_grid_for(self.M))
 
     @property
     def nreal(self) -> int:

@@ -3,8 +3,8 @@
 For each deformation strength s the sweep solves for the low eigenpairs of
 D_s^T D_s on the Fourier band (``kernels``; w must fit it, with
 max(|mx|, |my|) + M < N/2, and the product w u is formed on the
-alias-free ``SimConfig.product_grid``), warm-started from the Ritz block
-of the previous s.  It measures the lowest eigenspace,
+alias-free ``SimConfig.product_grid``), each from a nearby start block
+(below).  It measures the lowest eigenspace,
 not one vector of it: the mean density |u|^2 over the lowest cluster,
 sampled on the (N, N) grid, does not depend on the basis the solver
 returns inside a degenerate cluster (sin_zeros has an exact 2-dimensional
@@ -19,6 +19,19 @@ singular set the interesting column is sigma_min instead (and outside-mass
 is 1 by definition).  A w with zeros needs at least two s values: its
 concentration checks compare rows, so ``run_sweep`` refuses a single s
 before any solve.
+
+Where w has zeros, the sweep first solves on the half band M_c = M // 2,
+the coarse level, which is nested in the band M (``operators``), and
+starts the solve on the band M from the prolonged coarse Ritz block when
+the coarse modes are resolved: their ``band_tail`` on the half band is at
+most ``BAND_TAIL_NOTE``.  Otherwise a solve starts from the Ritz block of
+the previous s.  Near a
+nondegenerate zero the low modes are Gaussians of width s^-1/2, whose
+coefficient mass beyond M_c falls like exp(-M_c^2/s), so log band_tail
+scales like 1/s: the coarse level stays on for the next s' while
+band_tail^(s/s') is at most eig_tol, and at most one coarse solve per
+sweep is wasted.  For constant w the band's lowest modes are exact and no
+coarse solve runs.  The solve on the band M alone decides convergence.
 
 The ``SpectralReport`` is the one place that decides pass or fail: each
 row gets one verdict, failed when a failed check names it (``verdicts``).
@@ -38,7 +51,7 @@ import numpy as np
 
 from .config import TWO_PI, ConfigError, SimConfig, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import TorusOperator, flat_to_complex
+from .operators import TorusOperator, flat_to_complex, prolong
 
 # band_tail above which a row is noted as not resolved by the band: at
 # N = 64 the sin_zeros kernel reads 8.9e-7 at s = 32, where its outside
@@ -98,12 +111,20 @@ class SweepRow:
     eigenvalues: list
     outside_mass: float
     band_tail: float    # lowest cluster's mean mass on max(|mx|, |my|) = M
+    cluster_dim: int    # eigenpairs in the lowest cluster (lowest_cluster)
     sigma_min: float
+    sigma_floor: float  # sqrt(eig_tol * opnorm): sigma_min below it is not
+                        # resolved from 0
     residual_max: float
     converged: bool
-    iterations: int     # EigenResult.iterations: LOBPCG history rows, 2 per
-                        # run even when the start block has converged
+    iterations: int     # EigenResult.iterations of the solve on the band M:
+                        # LOBPCG history rows, 2 per run even when the start
+                        # block has converged
     seconds: float
+    coarse_band: int | None = None      # M_c when the start was prolonged
+                                        # from the half band, else None
+    coarse_iterations: int = 0          # of the half-band solve, 0 if none ran
+    coarse_band_tail: float | None = None  # its band_tail on the half band
 
 
 @dataclass
@@ -164,9 +185,13 @@ class SpectralReport:
     def lines(self) -> list[str]:
         """One line per row, marked by its verdict, then one per note and
         one per problem."""
+        coarse = coarse_band_limit(self.config)
         lines = [f"[{'ok ' if ok else 'FAIL'}] s={r.s:g}: "
                  f"sigma_min={r.sigma_min:.6g} outside_mass={r.outside_mass:.6g} "
-                 f"({r.iterations} iterations, {r.seconds:.2f}s)"
+                 f"({r.iterations} iterations"
+                 + (f" + {r.coarse_iterations} on M = {coarse}"
+                    if r.coarse_iterations else "")
+                 + f", {r.seconds:.2f}s)"
                  for r, ok in zip(self.rows, self.verdicts())]
         return (lines + [f"[note] {note}" for note in self.notes]
                 + [f"[FAIL] {problem}" for problem, _rows in self._checks()])
@@ -211,10 +236,10 @@ def lowest_cluster(op: TorusOperator, result: EigenResult) -> int:
     return int(np.sum(result.values <= result.values[0] + resolution))
 
 
-def lowest_density(op: TorusOperator, result: EigenResult) -> np.ndarray:
-    """Mean of |u_j|^2 over the fields u_j of the lowest cluster, as a real
-    (N, N) array whose h^2-weighted sum is 1."""
-    size = lowest_cluster(op, result)
+def lowest_density(op: TorusOperator, result: EigenResult, size: int) -> np.ndarray:
+    """Mean of |u_j|^2 over the fields u_j of the lowest cluster, its first
+    ``size`` vectors (``lowest_cluster``), as a real (N, N) array whose
+    h^2-weighted sum is 1."""
     density = np.zeros((op.N, op.N))
     for j in range(size):
         u = op.field(result.vectors[:, j])
@@ -222,18 +247,23 @@ def lowest_density(op: TorusOperator, result: EigenResult) -> np.ndarray:
     return density / size
 
 
-def band_tail(op: TorusOperator, result: EigenResult) -> float:
-    """Mean over the lowest cluster of the squared coefficient mass on the
-    band's outer ring max(|mx|, |my|) = M.  A mode the band resolves decays
-    toward the ring; mass there means the truncation to |m| <= M shapes it."""
+def band_tail(op: TorusOperator, result: EigenResult, size: int) -> float:
+    """Mean over the lowest cluster, its first ``size`` vectors
+    (``lowest_cluster``), of the squared coefficient mass on the band's
+    outer ring max(|mx|, |my|) = M.  A mode the band resolves decays toward
+    the ring; mass there means the truncation to |m| <= M shapes it."""
     m = np.abs(np.fft.fftfreq(op.K, 1.0 / op.K))
     ring = np.maximum(m[:, None], m[None, :]) == op.M
-    size = lowest_cluster(op, result)
     tail = 0.0
     for j in range(size):
         c = flat_to_complex(result.vectors[:, j], op.K)[ring]
         tail += float(np.sum(c.real ** 2 + c.imag ** 2))
     return tail / size
+
+
+def coarse_band_limit(config: SimConfig) -> int:
+    """M_c = M // 2, the half band on which a sweep solves first."""
+    return config.band_limit // 2
 
 
 def run_sweep(config: SimConfig) -> SpectralReport:
@@ -247,18 +277,37 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         raise ConfigError("a w with zeros needs at least two s values: its "
                           "concentration checks compare rows, so one row "
                           "would pass on convergence alone")
+    coarse_M = coarse_band_limit(config)
+    # for constant w the band's lowest modes are exact, so only a w with
+    # zeros solves on the half band, and only where it meets LOBPCG's size
+    # rule, which SimConfig checks for the band M
+    coarse_on = bool(zeros) and 5 * (config.eig_count + 4) <= 2 * (2 * coarse_M + 1) ** 2
     rows = []
     densities = []
     notes = []
-    start = None
-    for s in config.s_values:
+    start = coarse_start = None
+    for s, s_next in zip(config.s_values, config.s_values[1:] + (math.inf,)):
         ts = time.monotonic()
         op = TorusOperator(config, s)
+        coarse_band = coarse_tail = None
+        coarse_iterations = 0
+        if coarse_on:
+            coarse_op = TorusOperator(config, s, coarse_M)
+            coarse = normal_eigenpairs(coarse_op, config, start=coarse_start)
+            coarse_start, coarse_iterations = coarse.block, coarse.iterations
+            coarse_tail = band_tail(coarse_op, coarse, lowest_cluster(coarse_op, coarse))
+            if coarse_tail <= BAND_TAIL_NOTE:
+                start = prolong(coarse.block, coarse_op.K, op.K)
+                coarse_band = coarse_M
+            # log band_tail scales like 1/s: predict it at the next s
+            coarse_on = (coarse_band is not None
+                         and coarse_tail ** (s / s_next) <= config.eig_tol)
         result = normal_eigenpairs(op, config, start=start)
         start = result.block
-        density = lowest_density(op, result)
+        cluster = lowest_cluster(op, result)
+        density = lowest_density(op, result, cluster)
         mass = outside_mass(density, config, zeros)
-        tail = band_tail(op, result)
+        tail = band_tail(op, result, cluster)
         if tail > BAND_TAIL_NOTE:
             notes.append(f"s = {s:g}: band_tail = {tail:.2g} > {BAND_TAIL_NOTE:g}: "
                          f"the lowest modes reach the band edge |m| = M = "
@@ -269,11 +318,16 @@ def run_sweep(config: SimConfig) -> SpectralReport:
             eigenvalues=[float(v) for v in result.values],
             outside_mass=mass,
             band_tail=tail,
+            cluster_dim=cluster,
             sigma_min=float(math.sqrt(max(result.values[0], 0.0))),
+            sigma_floor=float(math.sqrt(config.eig_tol * result.opnorm_estimate)),
             residual_max=float(np.max(result.residuals)),
             converged=result.all_converged,
             iterations=result.iterations,
             seconds=time.monotonic() - ts,
+            coarse_band=coarse_band,
+            coarse_iterations=coarse_iterations,
+            coarse_band_tail=coarse_tail,
         ))
         densities.append(density)
     fit = fit_loglog([r.s for r in rows], [r.outside_mass for r in rows]) \
@@ -287,4 +341,3 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         notes=notes,
         fields=densities,
     )
-

@@ -264,8 +264,8 @@ def test_verify_cli_reads_the_report_verdicts(tmp_path, monkeypatch, capsys):
 
 def _sweep_report(config, zeros, masses, sigmas):
     rows = [SweepRow(s=s, eigenvalues=[sig * sig], outside_mass=m, band_tail=0.0,
-                     sigma_min=sig, residual_max=0.0, converged=True,
-                     iterations=1, seconds=0.0)
+                     cluster_dim=1, sigma_min=sig, sigma_floor=0.0,
+                     residual_max=0.0, converged=True, iterations=1, seconds=0.0)
             for s, m, sig in zip((4.0, 8.0, 16.0), masses, sigmas)]
     return SpectralReport(config=config, zeros=zeros, rows=rows, fit=None,
                           seconds=0.0)

@@ -29,10 +29,12 @@ from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import ConfigError, load_config
 from cldirac.torus.eigensolve import blockwise, residual_norms
 from cldirac.torus.heatmap import _STOPS, _colors
+from cldirac.torus.operators import prolong
 from cldirac.torus.sweep import (
     BAND_TAIL_NOTE,
     band_tail,
     fit_loglog,
+    lowest_cluster,
     lowest_density,
     torus_distance_sq,
 )
@@ -337,6 +339,34 @@ def test_a_grid_below_the_product_grid_aliases(N):
         expected = kernels.potential(c, phi_field(cfg))
         got = kernels.potential(c, phi_field(cfg, side))
         assert np.max(np.abs(got - expected)) > 1e-3 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N", [32, 64])
+def test_half_band_operator_is_the_band_operator_restricted(N):
+    # the half band M_c = M // 2 is a subspace of the band M and both
+    # potentials are exact projections, so D_s on the half band is the
+    # Galerkin compression of D_s on the band, and prolong embeds it
+    rng = np.random.default_rng(N + 2)
+    for cfg in (SimConfig(N=N), SimConfig(N=N, phi_preset="constant(0.3+0.4j)"),
+                _fit_limit_config(N, rng)):
+        fine = TorusOperator(cfg, 4.0)
+        coarse = TorusOperator(cfg, 4.0, cfg.band_limit // 2)
+        L = next_fast_len(2 * coarse.M + cfg.phi_width + 1)
+        assert coarse.w.shape == (L, L) and L == cfg.product_grid_for(coarse.M)
+        m = np.fft.fftfreq(coarse.K, 1.0 / coarse.K).astype(int)
+        block = rng.standard_normal((coarse.nreal, 3))
+        big = prolong(block, coarse.K, fine.K)
+        assert big.shape == (fine.nreal, 3)
+        assert np.allclose(np.linalg.norm(big, axis=0), np.linalg.norm(block, axis=0),
+                           rtol=1e-14, atol=0.0)
+        for j in range(3):
+            c = flat_to_complex(block[:, j], coarse.K)
+            assert np.array_equal(flat_to_complex(big[:, j], fine.K)[np.ix_(m, m)], c)
+            for kernel in (kernels.ds_apply, kernels.dst_apply):
+                expected = kernel(c, coarse.w, coarse.s, coarse.h)
+                got = kernel(flat_to_complex(big[:, j], fine.K), fine.w, fine.s,
+                             fine.h)[np.ix_(m, m)]
+                assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_field_on_the_grid():
@@ -721,6 +751,74 @@ def test_band_tail_notes_the_unresolved_row(N, noted):
     assert [r["band_tail"] for r in report.to_dict()["results"]] == tails
 
 
+@pytest.mark.parametrize("N,coarse", [(64, [8.0]), (128, [8.0, 16.0])])
+def test_the_half_band_starts_the_rows_it_resolves(N, coarse):
+    # log band_tail on the half band scales like 1/s, so the coarse level
+    # starts the low s and switches off before the first s it cannot resolve
+    cfg, report = _sin_zeros_sweep(N)
+    M_c = cfg.band_limit // 2
+    assert [r.s for r in report.rows if r.coarse_band is not None] == coarse
+    lines = report.lines()
+    for r, line in zip(report.rows, lines):
+        assert r.coarse_band in (None, M_c)
+        assert (r.coarse_iterations > 0) == (r.coarse_band_tail is not None)
+        if r.coarse_band is not None:
+            assert r.coarse_band_tail <= BAND_TAIL_NOTE
+            counts = f"({r.iterations} iterations + {r.coarse_iterations} on M = {M_c}, "
+            assert counts in line
+        if r.coarse_band is not None and r.iterations == 2:
+            # accepted at the prolonged start: no mass beyond M_c
+            assert r.band_tail == 0.0
+        opnorm = TorusOperator(cfg, r.s).sigma_max_bound() ** 2
+        assert r.cluster_dim == 2
+        assert r.sigma_floor == math.sqrt(cfg.eig_tol * opnorm)
+    if N == 128:
+        assert report.rows[0].iterations == 2
+    for key in ("coarse_band", "coarse_iterations", "coarse_band_tail",
+                "cluster_dim", "sigma_floor"):
+        assert [row[key] for row in report.to_dict()["results"]] == [
+            getattr(r, key) for r in report.rows]
+
+
+def test_constant_w_and_a_small_half_band_run_no_coarse_solve():
+    # constant w: the band's lowest modes are exact; eig_count = 7 at N = 16:
+    # 5 (7 + 4) > 2 (2 * 2 + 1)^2 = 50 on the half band M_c = 2
+    constant = run_sweep(load_config(preset_path("constant.cfg")))
+    small = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset="sin_zeros",
+                      delta=0.5, eig_count=7, eig_tol=1e-8)
+    for report in (constant, run_sweep(small)):
+        assert report.all_converged
+        assert all(r.coarse_band is None and r.coarse_iterations == 0
+                   and r.coarse_band_tail is None for r in report.rows)
+        assert all(" on M = " not in line for line in report.lines())
+    # the control: at eig_count = 6 the half band meets the rule and runs
+    fits = run_sweep(dataclasses.replace(small, eig_count=6))
+    assert fits.rows[0].coarse_iterations > 0
+
+
+def test_a_prolonged_start_finds_the_warm_started_solution():
+    # each row the half band starts agrees with a solve on the band M that
+    # starts from the previous s's Ritz block, or from the lowest modes
+    cfg, report = _sin_zeros_sweep(128)
+    zeros = zero_locations(cfg)
+    start = None
+    rows = [r for r in report.rows if r.coarse_band is not None]
+    assert len(rows) == 2
+    for r in rows:
+        op = TorusOperator(cfg, r.s)
+        ref = normal_eigenpairs(op, cfg, start=start)
+        start = ref.block
+        assert ref.all_converged
+        values = np.array(r.eigenvalues)
+        big = ref.values > 1e-6
+        assert np.array_equal(values > 1e-6, big) and np.sum(big) >= 1
+        assert np.all(np.abs(values[big] - ref.values[big]) <= 1e-12 * ref.values[big])
+        size = lowest_cluster(op, ref)
+        mass = outside_mass(lowest_density(op, ref, size), cfg, zeros)
+        assert r.cluster_dim == size
+        assert abs(r.outside_mass - mass) <= 1e-6 * mass
+
+
 def test_run_sweep_reproducible():
     cfg = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset="sin_zeros",
                     delta=0.5, eig_count=2, eig_tol=1e-7, seed=5)
@@ -741,7 +839,9 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
     result = normal_eigenpairs(op, cfg)
     floor = cfg.eig_tol * result.opnorm_estimate
     assert result.values[1] <= result.values[0] + floor < result.values[2]
-    density = lowest_density(op, result)
+    size = lowest_cluster(op, result)
+    assert size == 2
+    density = lowest_density(op, result, size)
     mass = outside_mass(density, cfg)
     angle = np.random.default_rng(11).uniform(0.0, TWO_PI)
     rotation = np.array([[math.cos(angle), -math.sin(angle)],
@@ -749,10 +849,10 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
     vectors = result.vectors.copy()
     vectors[:, :2] = vectors[:, :2] @ rotation
     rotated_result = dataclasses.replace(result, vectors=vectors)
-    rotated = lowest_density(op, rotated_result)
+    rotated = lowest_density(op, rotated_result, size)
     assert np.max(np.abs(rotated - density)) <= 1e-12 * np.max(density)
-    tail = band_tail(op, result)
-    assert abs(band_tail(op, rotated_result) - tail) <= 1e-12 * tail
+    tail = band_tail(op, result, size)
+    assert abs(band_tail(op, rotated_result, size) - tail) <= 1e-12 * tail
     assert abs(outside_mass(rotated, cfg) - mass) <= 1e-12 * mass
     # the first vector alone, which a single-field measurement would read,
     # does not agree with its rotated copy
@@ -781,7 +881,8 @@ def test_csv_and_heatmap_outputs(tmp_path):
     assert len(lines) == 3
     svg_path = tmp_path / "map.svg"
     op = TorusOperator(cfg, 4.0)
-    density = lowest_density(op, normal_eigenpairs(op, cfg))
+    result = normal_eigenpairs(op, cfg)
+    density = lowest_density(op, result, lowest_cluster(op, result))
     assert density.shape == (16, 16) and density.dtype == float
     assert abs((TWO_PI / 16) ** 2 * np.sum(density) - 1.0) < 1e-9
     write_heatmap_svg(svg_path, density, report.zeros, cfg.delta, title="test")

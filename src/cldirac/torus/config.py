@@ -9,7 +9,8 @@ Config files are plain ``key = value`` lines (``#`` comments).  Keys:
     phi_preset      sin_zeros | constant(<complex>) | custom
     fourier_coeffs  for custom: "mx,my,re,im; mx,my,re,im; ..." giving
                     w = sum c * exp(i(mx*x + my*y)), with
-                    max(|mx|, |my|) + M < N/2
+                    max(|mx|, |my|) < N/2 and at most MAX_MODES
+                    distinct (mx, my)
     delta           exclusion radius around the singular set (radians)
     eig_count       number of low eigenpairs to compute
     eig_tol         relative residual tolerance for the eigensolver, >= 1e-15
@@ -19,7 +20,7 @@ Config files are plain ``key = value`` lines (``#`` comments).  Keys:
 The torus is [0, 2pi)^2 with spacing h = 2pi/N.  The sin_zeros preset is
 w = sin x + i sin y, whose zeros (0,0), (pi,0), (0,pi), (pi,pi) are exact
 and nondegenerate.  Fields, densities and zeros live on the (N, N) grid;
-the solver forms the product w u on the smaller (L, L) ``product_grid``.
+the solver reads w as its Fourier modes, ``SimConfig.w_modes``.
 """
 
 from __future__ import annotations
@@ -39,11 +40,16 @@ TWO_PI = 2.0 * math.pi
 MAX_N = 1024
 # Smallest eig_tol: below it the residual test sits under float64 rounding.
 MIN_EIG_TOL = 1e-15
-# Bound on sqrt2 M + s_max max|w|, the bound on sigma_max(D_s).  LOBPCG
+# Bound on sqrt2 M + s_max w_bound, the bound on sigma_max(D_s).  LOBPCG
 # takes norms of D_s^T D_s x, whose entries are the squares of D_s's, so
 # they stay finite while this bound stays below the fourth root of the
 # largest float.
 MAX_SIGMA = sys.float_info.max ** 0.25
+# Most distinct Fourier modes of a custom w.  D_s is a sparse matrix with
+# 2 + 2 modes slots of 12 B (a float64 and an int32) per real row, and a
+# band has 2 (2M+1)^2 real rows, so at N = 1024 (M = 341) 16 modes take
+# 34 * 932978 * 12 B = 381 MB.
+MAX_MODES = 16
 
 
 class ConfigError(UsageError):
@@ -103,14 +109,12 @@ class SimConfig:
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         kind = self.preset_kind
-        w_bound = math.sqrt(2.0)  # max|sin x + i sin y|
         if kind == "constant":
             value = self.constant_value
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
                 raise ConfigError("constant preset needs a finite value")
             if value == 0:
                 raise ConfigError("constant preset needs a nonzero value")
-            w_bound = abs(value)
         elif kind == "custom":
             if not self.fourier_coeffs:
                 raise ConfigError("custom preset needs fourier_coeffs")
@@ -125,16 +129,26 @@ class SimConfig:
             if all(abs(total) <= 1e-12 * size for total, size in aliased.values()):
                 raise ConfigError("custom preset's w vanishes identically on "
                                   "the grid: its fourier_coeffs cancel")
-            width = self.phi_width
-            if width + self.band_limit >= self.N / 2:
+            # the zeros and heatmaps sample w on the (N, N) grid, which
+            # resolves modes below N/2 without aliasing
+            width = max(max(abs(mx), abs(my)) for mx, my, _c in self.fourier_coeffs)
+            if width >= self.N / 2:
                 raise ConfigError(
                     f"custom preset's w has modes up to max(|mx|, |my|) = "
-                    f"{width}; the band needs max(|mx|, |my|) + M < N/2 = "
-                    f"{self.N // 2} with M = N // 3 = {self.band_limit}")
-            w_bound = sum(abs(c) for _mx, _my, c in self.fourier_coeffs)
+                    f"{width}; the grid needs max(|mx|, |my|) < N/2 = "
+                    f"{self.N // 2}")
+            modes = len(self.w_modes())
+            if modes > MAX_MODES:
+                nreal = 2 * (2 * (MAX_N // 3) + 1) ** 2
+                raise ConfigError(
+                    f"custom preset's w has {modes} distinct Fourier modes, "
+                    f"more than {MAX_MODES}: D_s stores 12 B per slot and "
+                    f"(2 + 2 modes) slots per real row, "
+                    f"{12 * (2 + 2 * MAX_MODES) * nreal / 1e6:.0f} MB for "
+                    f"{MAX_MODES} modes at N = {MAX_N}")
         elif kind != "sin_zeros":
             raise ConfigError(f"unknown phi preset {self.phi_preset!r}")
-        sigma = math.sqrt(2.0) * self.band_limit + self.s_values[-1] * w_bound
+        sigma = math.sqrt(2.0) * self.band_limit + self.s_values[-1] * self.w_bound
         if not sigma < MAX_SIGMA:
             raise ConfigError(
                 f"sqrt2 M + s_max * max|w| = {sigma:.3g} must be below "
@@ -150,42 +164,27 @@ class SimConfig:
         """M: a field is its Fourier coefficients with |mx|, |my| <= M."""
         return self.N // 3
 
-    @property
-    def product_grid(self) -> int:
-        """L, the side of the grid on which the solver forms w u on the
-        band |m| <= M: ``product_grid_for(band_limit)``."""
-        return self.product_grid_for(self.band_limit)
-
-    def product_grid_for(self, M: int) -> int:
-        """The side of the grid on which w u is formed for a band field
-        with |mx|, |my| <= M: the smallest L >= 2M + b + 1 with no prime
-        factor above 11, a length that numpy's FFT transforms fast
-        (``scipy.fft.next_fast_len``'s rule, without its import), with
-        b = max(|mx|, |my|) over the Fourier modes of w (1 for sin_zeros,
-        0 for constant).
-
-        It projects conj(w u) onto the band without aliasing.  A band field
-        u has modes |m| <= M on each axis, so conj(w u) has modes up to
-        M + b.  An L-grid folds mode m onto m +- L, and |k +- L| >= L - M
-        exceeds M + b for every band mode |k| <= M, so the band receives
-        nothing folded while L > 2M + b.  N is a power of two, hence a fast
-        length, and the custom fit rule b + M < N/2 gives 2M + b + 1 <= N
-        for M <= band_limit, so L <= N.
-        """
-        L = 2 * M + self.phi_width + 1
-        while not _is_fast_length(L):
-            L += 1
-        return L
-
-    @property
-    def phi_width(self) -> int:
-        """b: max(|mx|, |my|) over the Fourier modes of w."""
+    def w_modes(self) -> tuple:
+        """w = sum c exp(i(mx x + my y)) as its distinct Fourier modes, a
+        tuple of (mx, my, c); a custom (mx, my) listed twice is one mode
+        with the summed coefficient."""
         kind = self.preset_kind
-        if kind == "sin_zeros":
-            return 1
+        if kind == "sin_zeros":  # sin x + i sin y
+            return ((1, 0, 0 - 0.5j), (-1, 0, 0 + 0.5j), (0, 1, 0.5 + 0j), (0, -1, -0.5 + 0j))
         if kind == "constant":
-            return 0
-        return max(max(abs(mx), abs(my)) for mx, my, _c in self.fourier_coeffs)
+            return ((0, 0, self.constant_value),)
+        merged = {}
+        for mx, my, c in self.fourier_coeffs:
+            merged[(mx, my)] = merged.get((mx, my), 0) + c
+        return tuple((mx, my, complex(c)) for (mx, my), c in merged.items())
+
+    @property
+    def w_bound(self) -> float:
+        """An upper bound for max|w| over the torus: sqrt2 for sin_zeros,
+        |c| for constant(c), the sum of |c| over the modes for custom."""
+        if self.preset_kind == "sin_zeros":
+            return math.sqrt(2.0)
+        return float(sum(abs(c) for _mx, _my, c in self.w_modes()))
 
     @property
     def preset_kind(self) -> str:
@@ -217,13 +216,6 @@ class SimConfig:
             "seed": self.seed,
             "max_iterations": self.max_iterations,
         }
-
-
-def _is_fast_length(n: int) -> bool:
-    for p in (2, 3, 5, 7, 11):
-        while n % p == 0:
-            n //= p
-    return n == 1
 
 
 _KEYS = {"N", "s_values", "phi_preset", "fourier_coeffs", "delta",

@@ -1,4 +1,4 @@
-"""Matrix-free smallest eigenpairs of the normal operator.
+"""Smallest eigenpairs of the normal operator by LOBPCG.
 
 ``normal_eigenpairs`` is the one solver: it takes the operator, the
 preconditioner and the residual scale from the ``TorusOperator``, and the
@@ -10,9 +10,8 @@ invariant part, shifted: the diagonal on the band
     1 / (|m|^2 + shift),    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2),
 
 since D_0^T D_0 = |m|^2 on the band (``kernels``: coefficients scaled so
-that the Euclidean norm is the L2 norm, and w sampled on the (L, L)
-product grid of ``SimConfig.product_grid``, so the potential does not
-alias); the mean and minimum of |w|^2 are taken over that grid.  For
+that the Euclidean norm is the L2 norm); the mean and minimum of |w|^2 are
+taken over the (N, N) grid that ``zero_locations`` samples.  For
 constant w, D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the diagonal is the
 shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster; where w
 vanishes on the grid (min|w|^2 = 0) it is the plain s^2 mean|w|^2 shift.
@@ -36,17 +35,10 @@ solves are restarted with a widened block whose guard columns are drawn
 from ``config.seed``, and non-convergence is reported in the result, never
 silently dropped.
 
-LOBPCG applies the operator and the preconditioner to whole blocks.  The
-preconditioner is a diagonal, so it scales the rows of a block in one
-multiply.  For the operator and the residual check, one wrapper,
-``blockwise``, turns the per-vector normal matvec into a block function:
-one transposed copy of the block in, whose rows are contiguous vectors
-that the band code views without copying, one call per vector, and one
-C-ordered copy out.  Both copies move ``COPY_ROWS`` rows of the block at a
-time, so each chunk's source and destination stay in cache.  The result
-has the same bits and layout as applying the function to each strided
-column and stacking the results, so the solver's path does not depend on
-how the block is fed.
+LOBPCG applies the operator and the preconditioner to whole blocks: the
+operator is two sparse products, ``D.T @ (D @ X)`` (``operators``), and the
+preconditioner a diagonal that scales the rows of a block in one multiply.
+The residual check applies the operator to the block of wanted vectors.
 """
 
 from __future__ import annotations
@@ -58,14 +50,8 @@ import numpy as np
 from scipy.sparse.linalg import lobpcg
 
 from . import kernels
-from .config import SimConfig
+from .config import SimConfig, phi_field
 from .operators import TorusOperator
-
-
-# Rows of an (nreal, k) block per chunk of a transposing copy: 2048 rows of
-# 8 doubles are 128 KB, and their transpose is 8 runs of 16 KB, which stay
-# in L2 together where a whole N = 256 block does not.
-COPY_ROWS = 2048
 
 
 @dataclass
@@ -96,7 +82,7 @@ def _flat_m_sq(op: TorusOperator) -> np.ndarray:
 def fourier_preconditioner(op: TorusOperator):
     """SPD approximate inverse of D_s^T D_s: the diagonal 1 / (|m|^2 + shift),
     applied to a vector or, row by row, to an (nreal, k) block."""
-    w_sq = np.abs(op.w) ** 2
+    w_sq = np.abs(phi_field(op.config)) ** 2
     shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
     mult = 1.0 / (_flat_m_sq(op) + shift)
 
@@ -113,34 +99,8 @@ def lowest_modes(op: TorusOperator, count: int) -> np.ndarray:
     return block
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """a.T as a C-ordered array: a.T itself when it already is one, else a
-    copy made ``COPY_ROWS`` rows of the long axis at a time."""
-    if a.T.flags.c_contiguous:
-        return a.T
-    out = np.empty(a.shape[::-1], a.dtype)
-    src, dst = (a, out.T) if a.shape[0] >= a.shape[1] else (a.T, out)
-    for i in range(0, len(src), COPY_ROWS):
-        dst[i:i + COPY_ROWS] = src[i:i + COPY_ROWS]
-    return out
-
-
-def blockwise(f):
-    """Block form of a per-vector function f: column j of the result is
-    f(X[:, j]), as a C-ordered array."""
-    def apply(X: np.ndarray) -> np.ndarray:
-        rows = _transposed(X)
-        out = np.empty(rows.shape)
-        for j in range(len(rows)):
-            out[j] = f(rows[j])
-        del rows  # freed before the copy out: one block less at the peak
-        return _transposed(out)
-
-    return apply
-
-
 def residual_norms(apply_block, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """||A x_j - lambda_j x_j||_2 per column, with A given in block form."""
+    """||A x_j - lambda_j x_j||_2 per column, with A applied to the block."""
     ax = apply_block(vectors)
     out = np.empty(len(values))
     for j in range(len(values)):
@@ -173,7 +133,7 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
                              f"{nreal} rows and k = {k}")
     x0, _ = np.linalg.qr(x0)
 
-    operator = blockwise(op.normal_matvec)
+    operator = op.normal_matvec
     preconditioner = fourier_preconditioner(op)
 
     threshold = config.eig_tol * opnorm

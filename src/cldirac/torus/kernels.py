@@ -1,4 +1,4 @@
-"""Band kernels for the deformed operator D_s = D_0 - s A on the flat torus.
+"""The band and its FFT kernels for D_s = D_0 - s A on the flat torus.
 
 A field u on [0, 2pi)^2 is its band of Fourier coefficients c_m with
 |mx|, |my| <= M, a (2M+1, 2M+1) complex array in FFT order (axis 0 is mx,
@@ -6,24 +6,25 @@ axis 1 is my, each 0, 1, ..., M, -M, ..., -1), scaled so that
 
     u(x, y) = (1/2pi) sum_m c_m exp(i(mx x + my y)),    ||u||_L2 = ||c||_2.
 
-The matvec pair is
+``to_grid`` reads a band out on the (N, N) grid, and ``d0_multiplier`` is
+D_0 = d/dx + i d/dy on the band, the multiplier i mx - my.  The solver
+applies D_s as a sparse matrix (``operators.ds_matrix``); the FFT pair
 
     forward    D_s c   = (i mx - my) c - s A c
     transpose  D_s^T c = (-i mx - my) c - s A c,
     A c = band(fft2(conj(w * ifft2(pad(c))))),
 
-with i mx - my the symbol of D_0 = d/dx + i d/dy, w sampled on an (L, L)
-grid whose side the kernels read from ``w.shape``, ``pad`` placing c at
-the indices m mod L of an (L, L) zero array and ``band`` keeping those
+is the reference it is tested against, with w sampled on an (L, L) grid
+whose side the kernels read from ``w.shape``, ``pad`` placing c at the
+indices m mod L of an (L, L) zero array and ``band`` keeping those
 indices.  The scales cancel: A c = conj(c) at m = 0 for w = 1.  As a
 real-linear operator A is its own transpose, since
 <A c, d> = L^2 Re sum_j w_j u_j v_j is symmetric in the grid fields u, v
 of c, d.  A c is the exact projection of conj(w u) onto the band while no
 product mode folds onto it: L > 2M + b, with b = max(|mx|, |my|) over the
-modes of w (``SimConfig.product_grid``, the smallest such fast length; the
-2/3 rule of Orszag, J. Atmos. Sci. 28, 1971, sized for b = M, is the
-special case L = N).  Each 2-D transform runs its axis-1 pass on the band's
-rows only.
+modes of w (the 2/3 rule of Orszag, J. Atmos. Sci. 28, 1971, sized for
+b = M, is the case L = N).  Each 2-D transform runs its axis-1 pass on the
+band's rows only.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Deformation sweep: eigenmodes, localization mass, and report assembly.
 
 For each deformation strength s the sweep solves for the low eigenpairs of
-D_s^T D_s on the Fourier band (``kernels``; w must fit it, with
-max(|mx|, |my|) + M < N/2, and the product w u is formed on the
-alias-free ``SimConfig.product_grid``), each from a nearby start block
-(below).  It measures the lowest eigenspace,
-not one vector of it: the mean density |u|^2 over the lowest cluster,
+D_s^T D_s on the Fourier band (``kernels``), with D_s one sparse matrix
+built from the Fourier modes of w (``operators``), each from a nearby
+start block (below).  It measures the lowest eigenspace, not one vector
+of it: the mean density |u|^2 over the lowest cluster,
 sampled on the (N, N) grid, does not depend on the basis the solver
 returns inside a degenerate cluster (sin_zeros has an exact 2-dimensional
 kernel).  Its unit h^2-weighted sum gives the fraction of mass outside the
@@ -203,7 +202,8 @@ class SpectralReport:
             "discretization": {
                 "scheme": "fourier-galerkin-band",
                 "band_limit": self.config.band_limit,
-                "product_grid": self.config.product_grid,
+                "w_modes": [[mx, my, c.real, c.imag]
+                            for mx, my, c in self.config.w_modes()],
                 "box": "2pi x 2pi periodic",
                 "spacing": self.config.spacing,
                 "cell_weight": self.config.spacing ** 2,
@@ -288,7 +288,6 @@ def run_sweep(config: SimConfig) -> SpectralReport:
     start = coarse_start = None
     for s, s_next in zip(config.s_values, config.s_values[1:] + (math.inf,)):
         ts = time.monotonic()
-        op = TorusOperator(config, s)
         coarse_band = coarse_tail = None
         coarse_iterations = 0
         if coarse_on:
@@ -297,11 +296,15 @@ def run_sweep(config: SimConfig) -> SpectralReport:
             coarse_start, coarse_iterations = coarse.block, coarse.iterations
             coarse_tail = band_tail(coarse_op, coarse, lowest_cluster(coarse_op, coarse))
             if coarse_tail <= BAND_TAIL_NOTE:
-                start = prolong(coarse.block, coarse_op.K, op.K)
+                start = prolong(coarse.block, coarse_op.K, 2 * config.band_limit + 1)
                 coarse_band = coarse_M
             # log band_tail scales like 1/s: predict it at the next s
             coarse_on = (coarse_band is not None
                          and coarse_tail ** (s / s_next) <= config.eig_tol)
+            # freed before the band's matrix is built: of the half band's
+            # solve only its block, the next half-band start, carries over
+            coarse_op = coarse = None
+        op = TorusOperator(config, s)
         result = normal_eigenpairs(op, config, start=start)
         start = result.block
         cluster = lowest_cluster(op, result)
@@ -330,6 +333,8 @@ def run_sweep(config: SimConfig) -> SpectralReport:
             coarse_band_tail=coarse_tail,
         ))
         densities.append(density)
+        # freed before the next s: only result.block, the next start, stays
+        op = result = None
     fit = fit_loglog([r.s for r in rows], [r.outside_mass for r in rows]) \
         if zeros else None
     return SpectralReport(

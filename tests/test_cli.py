@@ -15,7 +15,7 @@ def test_verify_small_run(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["manifest"]["counts"]["fail"] == 0
     entries = report["entries"]
     # one entry per (identity, n, p)
@@ -74,7 +74,7 @@ def test_simulate_small_sweep(tmp_path):
     code = main(["simulate", str(cfg), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "simulate.json").read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["assertions"]["passed"] is True
     assert len(report["results"]) == 2
     assert (out / "simulate.csv").exists()

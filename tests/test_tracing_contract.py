@@ -42,7 +42,7 @@ REACHED = (
     "perturbation.concentrating_defect", "perturbation.singular_verdict",
     "perturbation.random_phi",
     "eigensolve.precond", "operators.flat_convert", "operators.normal_matvec",
-    "kernels.ds_apply", "kernels.dst_apply", "heatmap.write",
+    "heatmap.write",
 )
 
 

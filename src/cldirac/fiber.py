@@ -11,14 +11,23 @@ by conjugation and never stored.
 
 A key (I, J) is stored as a pair of ints with bit i-1 set for index i, so
 the overlap test of a wedge is an and, the merge an or, and the reordering
-sign a popcount.  Only this module builds, unpacks or measures a key; the
-public boundary (Form(ctx, terms), monomial, coeff, items, text) speaks in
-increasing index tuples, and items() keeps graded-lex tuple order.
+sign a popcount.  Only this module and hodge.py build, unpack or measure a
+key; the public boundary (Form(ctx, terms), monomial, coeff, items, text)
+speaks in increasing index tuples, and items() keeps graded-lex tuple order.
+
+Reordering signs come from two parity tables indexed by one half-key (the
+I or the J of a key), filled on first use and the same for every n:
+_ODD_BELOW turns the sign of a wedge into two popcounts, and
+_COMPLEMENT_PARITY gives the sign of a monomial against its complement,
+which fixes the Hodge star.
 
 Every coefficient is an ExactComplex, the one scalar tower (scalars.py), so
-identities hold with exactly zero defect.  Everything here is an immutable
-value and every operation is a pure function, so trial sweeps can share
-objects freely across threads.
+identities hold with exactly zero defect.  wedge, contract, inner and the
+Clifford kernel sum raw products of the scalar tuples in a private
+accumulator and canonicalise once per output coefficient; scaling by a power
+of i is a phase and takes no gcd.  Everything here is an immutable value
+and every operation is a pure function, so trial sweeps can share objects
+freely across threads.
 """
 
 from __future__ import annotations
@@ -35,8 +44,13 @@ from .scalars import (
     EC_SQRT2,
     EC_ZERO,
     ExactComplex,
-    _canon,
     _coerce,
+    _dot_conj,
+    _finish,
+    _mul_into,
+    _phased,
+    _signed,
+    _unit_exponent,
     conj,
     is_zero,
     scalar_text,
@@ -126,6 +140,37 @@ def _swaps(a: int, b: int) -> int:
     return count
 
 
+class _HalfKeyTable(dict):
+    """A parity table over half-keys, each entry computed on first use."""
+
+    def __init__(self, entry):
+        super().__init__()
+        self.entry = entry
+
+    def __missing__(self, b):
+        value = self[b] = self.entry(b)
+        return value
+
+
+def _odd_below(b: int) -> int:
+    """The mask of the indices i with an odd number of indices of b below
+    i; negative when b has odd size, since every i above b then counts."""
+    mask = 0
+    while b:
+        low = b & -b
+        mask ^= -(low << 1)     # all bits above the lowest bit of b
+        b ^= low
+    return mask
+
+
+# _swaps(a, b) % 2 == (a & _ODD_BELOW[b]).bit_count() % 2
+_ODD_BELOW = _HalfKeyTable(_odd_below)
+# _COMPLEMENT_PARITY[b] == _swaps(b, full ^ b) % 2 for every full >= b: an
+# index above all of b contributes no transposition
+_COMPLEMENT_PARITY = _HalfKeyTable(
+    lambda b: _swaps(b, ((1 << b.bit_length()) - 1) ^ b) % 2)
+
+
 def _term_sort_key(key):
     (ti, tj) = key
     return (len(ti), ti, len(tj), tj)
@@ -154,10 +199,17 @@ class Form:
         whose values are ExactComplex by construction: only the zero
         coefficients are dropped, nothing is re-checked.
         The new Form takes ownership of the terms dict."""
+        return cls._exact(ctx, terms if all(terms.values()) else {
+            key: c for key, c in terms.items() if c})
+
+    @classmethod
+    def _exact(cls, ctx: FiberContext, terms: dict) -> "Form":
+        """Form of an internal operation whose terms are nonzero by
+        construction (a kernel's finished accumulator, say); nothing is
+        checked.  The new Form takes ownership of the terms dict."""
         f = object.__new__(cls)
         f.ctx = ctx
-        f._terms = terms if all(terms.values()) else {
-            key: c for key, c in terms.items() if c}
+        f._terms = terms
         return f
 
     # -- inspection ---------------------------------------------------------
@@ -232,7 +284,14 @@ class Form:
 
     def scale(self, c):
         c = self.ctx.coerce(c)
-        return Form._of(self.ctx, {k: v * c for k, v in self._terms.items()})
+        e = _unit_exponent(c)
+        if e is not None:
+            return Form._exact(self.ctx, {k: _phased(v, e)
+                                          for k, v in self._terms.items()})
+        if not c:
+            return Form._exact(self.ctx, {})
+        # a product of nonzero field elements is nonzero
+        return Form._exact(self.ctx, {k: v * c for k, v in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, Form):
@@ -331,6 +390,14 @@ class Covector:
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.a)
 
+    @functools.cached_property
+    def _clifford_steps(self) -> list:
+        """(bit of thb^j, the bits below it, tuples of +-a_j, tuples of
+        -+conj(a_j)) for each j with a_j != 0: the factors of the Clifford
+        kernel, made once per covector."""
+        return [(1 << j, (1 << j) - 1, _signed(a), _signed(a, True)[::-1])
+                for j, a in enumerate(self.a) if a]
+
     def __add__(self, other):
         if not isinstance(other, Covector):
             return NotImplemented
@@ -344,66 +411,74 @@ class Covector:
 
 
 def wedge(x: Form, y: Form) -> Form:
-    """Exterior product; bilinear, graded-anticommutative, associative."""
+    """Exterior product; bilinear, graded-anticommutative, associative.
+
+    The sign of th^I thb^J ^ th^K thb^L is (-1)^(|J||K|) times the parities
+    of sorting I then K and J then L."""
     _same_ctx(x.ctx, y.ctx)
-    out = {}
-    for (ti, tj), c in x._terms.items():
-        qx = tj.bit_count()
-        for (tk, tl), d in y._terms.items():
+    odd_below = _ODD_BELOW
+    xs = [(ti, tj, tj.bit_count() & 1, c._t) for (ti, tj), c in x._terms.items()]
+    acc = {}
+    for (tk, tl), d in y._terms.items():
+        ok, ol, pk = odd_below[tk], odd_below[tl], tk.bit_count() & 1
+        d = _signed(d)
+        for ti, tj, qx, c in xs:
             if ti & tk or tj & tl:
                 continue
-            val = c * d
-            if (qx * tk.bit_count() + _swaps(ti, tk) + _swaps(tj, tl)) % 2:
-                val = -val
-            key = (ti | tk, tj | tl)
-            acc = out.get(key)
-            out[key] = val if acc is None else acc + val
-    return Form._of(x.ctx, out)
+            sign = (ti & ok).bit_count() + (tj & ol).bit_count() + (qx & pk)
+            _mul_into(acc, (ti | tk, tj | tl), c, d[sign & 1])
+    return Form._exact(x.ctx, _finish(acc))
 
 
 def contract(g: Covector, x: Form) -> Form:
     """Contraction by the metric dual of gamma^{1,0}.
 
     Conjugate-linear in g, complex-linear in x; an antiderivation that
-    removes thb indices only (q drops by 1, p is unchanged).
+    removes thb indices only (q drops by 1, p is unchanged).  Removing thb^j
+    passes the |I| th factors and the thb factors of J below j.
     """
     _same_ctx(g.ctx, x.ctx)
-    abar = [conj(c) for c in g.a]
-    out = {}
+    abar = [_signed(c, True) if c else None for c in g.a]
+    acc = {}
     for (ti, tj), c in x._terms.items():
-        base = -c if ti.bit_count() % 2 else c
-        rest, k = tj, 0
+        s = c._t
+        rest, k = tj, ti.bit_count()
         while rest:
             low = rest & -rest
             rest ^= low
             aj = abar[low.bit_length() - 1]
-            if not is_zero(aj):
-                val = base * aj
-                if k % 2:
-                    val = -val
-                key = (ti, tj ^ low)
-                acc = out.get(key)
-                out[key] = val if acc is None else acc + val
+            if aj is not None:
+                _mul_into(acc, (ti, tj ^ low), s, aj[k & 1])
             k += 1
-    return Form._of(x.ctx, out)
+    return Form._exact(x.ctx, _finish(acc))
+
+
+def _clifford_terms(g: Covector, x: Form) -> Form:
+    """sqrt2 (gamma^{0,1} ^ x - contract(gamma^{1,0}, x)) on a (0, q) form,
+    in one pass: thb^j either joins J (coefficient a_j) or leaves it
+    (coefficient -conj(a_j)), with the sign of the thb factors of J below
+    j in both cases; sqrt2 is applied once per output coefficient."""
+    _same_ctx(g.ctx, x.ctx)
+    steps = g._clifford_steps
+    acc = {}
+    for (ti, tj), c in x._terms.items():
+        if ti:
+            raise DegreeError("Clifford action needs a (0, q) input")
+        s = c._t
+        for low, below, join, leave in steps:
+            coef = leave if tj & low else join
+            _mul_into(acc, (0, tj ^ low), s, coef[(tj & below).bit_count() & 1])
+    return Form._exact(x.ctx, _finish(acc, sqrt2=True))
 
 
 def inner(x: Form, y: Form):
     """Hermitian inner product; the monomial basis is orthonormal and the
     second slot is conjugate-linear."""
     _same_ctx(x.ctx, y.ctx)
-    acc = x.ctx.zero
-    if len(y._terms) < len(x._terms):
-        for key, d in y._terms.items():
-            c = x._terms.get(key)
-            if c is not None:
-                acc = acc + c * d.conjugate()
-        return acc
-    for key, c in x._terms.items():
-        d = y._terms.get(key)
-        if d is not None:
-            acc = acc + c * d.conjugate()
-    return acc
+    xt, yt = x._terms, y._terms
+    if len(yt) < len(xt):
+        return _dot_conj((xt[key], d) for key, d in yt.items() if key in xt)
+    return _dot_conj((c, yt[key]) for key, c in xt.items() if key in yt)
 
 
 def _complement(key, n: int):
@@ -412,10 +487,10 @@ def _complement(key, n: int):
     th^top thb^top."""
     ti, tj = key
     full = (1 << n) - 1
-    tic, tjc = full ^ ti, full ^ tj
+    tic = full ^ ti
     parity = (tj.bit_count() * tic.bit_count()
-              + _swaps(ti, tic) + _swaps(tj, tjc)) % 2
-    return (tic, tjc), parity
+              + _COMPLEMENT_PARITY[ti] + _COMPLEMENT_PARITY[tj]) % 2
+    return (tic, full ^ tj), parity
 
 
 def _strip_top(f: Form) -> Form:
@@ -432,10 +507,14 @@ def _strip_top(f: Form) -> Form:
 # -- randomized inputs -------------------------------------------------------
 #
 # Coefficients have numerator in [-3, 3] and denominator in {1, 2, 3} per
-# real/imaginary part.  Scalars are built straight into the canonical int
-# form of scalars.py; small rationals keep the ints short (a few machine
-# words) across long identity chains.  Everything is deterministic in the
-# seed.
+# real/imaginary part: the draws of rng.randint(-3, 3) and
+# rng.choice((1, 2, 3)).  Those draws are made here with getrandbits and the
+# rejection rule of Random._randbelow (draw bit_length(m) bits until the
+# value is below m), so the values and the state of the generator are the
+# same as through randint and choice, at a fraction of the calls; each of
+# the 441 possible scalars is made once, in _RANDOM_SCALARS.  Small
+# rationals keep the ints short (a few machine words) across long identity
+# chains.  Everything is deterministic in the seed.
 
 def _rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
@@ -447,36 +526,71 @@ def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
 
 
+# ra/qa + (rb/qb) i for the draws (ra + 3, qa - 1, rb + 3, qb - 1), in
+# mixed radix 7, 3, 7, 3
+_RANDOM_SCALARS = tuple(
+    ExactComplex(Fraction(ra, qa), Fraction(rb, qb))
+    for ra in range(-3, 4) for qa in (1, 2, 3)
+    for rb in range(-3, 4) for qb in (1, 2, 3))
+# z^2 / |z|^2 for z = a + b i, at 7 (a + 3) + (b + 3); None at z = 0
+_UNIT_SCALARS = tuple(
+    ExactComplex(Fraction(a * a - b * b, a * a + b * b),
+                 Fraction(2 * a * b, a * a + b * b)) if a or b else None
+    for a in range(-3, 4) for b in range(-3, 4))
+
+
+def _draw_scalar(bits) -> ExactComplex:
+    """random_scalar on the getrandbits of a Random."""
+    ra = bits(3)
+    while ra == 7:
+        ra = bits(3)
+    qa = bits(2)
+    while qa == 3:
+        qa = bits(2)
+    rb = bits(3)
+    while rb == 7:
+        rb = bits(3)
+    qb = bits(2)
+    while qb == 3:
+        qb = bits(2)
+    return _RANDOM_SCALARS[((ra * 3 + qa) * 7 + rb) * 3 + qb]
+
+
 def random_scalar(ctx: FiberContext, rng: random.Random) -> ExactComplex:
     """random_rational(rng) + random_rational(rng) * i, with the same draws."""
-    ra, qa = rng.randint(-3, 3), rng.choice((1, 2, 3))
-    rb, qb = rng.randint(-3, 3), rng.choice((1, 2, 3))
-    return _canon(ra * qb, rb * qa, 0, 0, qa * qb)
+    return _draw_scalar(rng.getrandbits)
 
 
 def random_unit_scalar(ctx: FiberContext, seed) -> ExactComplex:
-    """Unit-modulus scalar z^2/|z|^2 for a Gaussian integer z, which has
-    modulus exactly 1 in Q(i)."""
-    rng = _rng(seed)
+    """Unit-modulus scalar z^2/|z|^2 for a Gaussian integer z = a + b i,
+    with a and b drawn by rng.randint(-3, 3) until z != 0; it has modulus
+    exactly 1 in Q(i)."""
+    bits = _rng(seed).getrandbits
     while True:
-        a = rng.randint(-3, 3)
-        b = rng.randint(-3, 3)
-        if a or b:
-            break
-    return _canon(a * a - b * b, 2 * a * b, 0, 0, a * a + b * b)
+        a = bits(3)
+        while a == 7:
+            a = bits(3)
+        b = bits(3)
+        while b == 7:
+            b = bits(3)
+        z = _UNIT_SCALARS[7 * a + b]
+        if z is not None:
+            return z
 
 
 def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
     """Random pure (p, q) form; deterministic in seed; zero coefficients are
     dropped, so the term count is at most C(n,p)*C(n,q)."""
     _check_bidegree(ctx, p, q)
-    rng = _rng(seed)
+    bits = _rng(seed).getrandbits
     tjs = _subset_keys(ctx.n, q)
     terms = {}
     for ti in _subset_keys(ctx.n, p):
         for tj in tjs:
-            terms[(ti, tj)] = random_scalar(ctx, rng)
-    return Form._of(ctx, terms)
+            z = _draw_scalar(bits)
+            if z:
+                terms[(ti, tj)] = z
+    return Form._exact(ctx, terms)
 
 
 def random_covector(ctx: FiberContext, seed) -> Covector:

@@ -7,17 +7,25 @@ against the orthonormal monomial basis, with the volume form
 
 the volume of the underlying real orthonormal coframe.  On a monomial basis
 element the star is computed by solving the defining equation for the single
-complementary coefficient, so no sign table is hand-maintained.
+complementary coefficient, whose sign comes from the complement parity
+table of fiber.py (computed from the reordering count, not hand-maintained).
 
 tau = eps_k * star on total degree k, with eps_k = i^(k(k-1)+n); tau is an
 isometry, squares to (-1)^n, and is self-adjoint up to (-1)^n for the real
 part of the hermitian metric.
+
+So star, tau and tau_graded are phase maps: each sends a monomial to its
+complement times a power of i, after conjugating the coefficient.  That
+permutes and negates the slots of the coefficient's exact tuple, so one pass
+over the terms gives canonical coefficients with no gcd and no sums.
 """
 
 from __future__ import annotations
 
-from .fiber import DegreeError, FiberContext, Form, _complement
-from .scalars import conj, real_part
+import functools
+
+from .fiber import DegreeError, FiberContext, Form, _complement, _same_ctx, inner
+from .scalars import _phased, real_part
 
 
 def volume_form(ctx: FiberContext) -> Form:
@@ -26,17 +34,27 @@ def volume_form(ctx: FiberContext) -> Form:
     return Form(ctx, {(top, top): ctx.ipow(ctx.n * ctx.n)})
 
 
-def _star_terms(x: Form) -> Form:
-    ctx = x.ctx
-    n = ctx.n
+@functools.cache
+def _degree_exponents(n: int, with_epsilon: bool) -> tuple:
+    """The i-exponent of star on each total degree k = 0..2n, times eps_k
+    when asked."""
+    return tuple(n * n + (epsilon_exponent(k, n) if with_epsilon else 0)
+                 for k in range(2 * n + 1))
+
+
+def _star_terms(x: Form, exponents: tuple) -> Form:
+    """conj(c) times i^exponents[k] on the complement of each monomial of
+    total degree k."""
+    n = x.ctx.n
     out = {}
     for key, c in x._terms.items():
         ckey, parity = _complement(key, n)
         # a monomial wedged with its complement is (-1)^parity th^top thb^top,
         # and dv = i^(n^2) th^top thb^top, so the coefficient is
         # i^(n^2) (-1)^parity.
-        out[ckey] = conj(c) * ctx.ipow(n * n + 2 * parity)
-    return Form._of(ctx, out)
+        k = key[0].bit_count() + key[1].bit_count()
+        out[ckey] = _phased(c, exponents[k] + 2 * parity, True)
+    return Form._exact(x.ctx, out)
 
 
 def bar_star(x: Form) -> Form:
@@ -45,7 +63,7 @@ def bar_star(x: Form) -> Form:
         return x
     if not x.is_pure():
         raise DegreeError("star needs a pure (p, q) input")
-    return _star_terms(x)
+    return _star_terms(x, _degree_exponents(x.ctx.n, False))
 
 
 def epsilon(k: int, n: int) -> complex:
@@ -78,25 +96,18 @@ def tau(x: Form) -> Form:
     scalars pass through conjugated before the eps_k factor."""
     if x.is_zero():
         return x
-    k = x.total_degree()
-    return _star_terms(x).scale(x.ctx.ipow(epsilon_exponent(k, x.ctx.n)))
+    x.total_degree()        # raises on a mixed total degree
+    return _star_terms(x, _degree_exponents(x.ctx.n, True))
 
 
 def tau_graded(x: Form) -> Form:
     """tau extended by linearity over total-degree components (Clifford
     images are mixed-degree, so operator identities need this extension)."""
-    if x.is_zero():
-        return x
-    ctx = x.ctx
-    acc = Form._of(ctx, {})
-    for k, comp in x.degree_components().items():
-        acc = acc + _star_terms(comp).scale(ctx.ipow(epsilon_exponent(k, ctx.n)))
-    return acc
+    return _star_terms(x, _degree_exponents(x.ctx.n, True))
 
 
 def tau_adjoint_defect(x: Form, y: Form):
     """Re<tau x, y> - Re<x, (-1)^n tau y>; identically zero."""
-    from .fiber import _same_ctx, inner
     _same_ctx(x.ctx, y.ctx)
     n = x.ctx.n
     if not (x.is_zero() or y.is_zero()):

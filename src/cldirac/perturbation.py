@@ -46,7 +46,7 @@ from .fiber import (
     wedge,
 )
 from .hodge import tau_graded
-from .scalars import ExactComplex, conj, is_zero, real_to_float
+from .scalars import ExactComplex, _finish, _mul_into, conj, is_zero, real_to_float
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -116,15 +116,16 @@ def _check_spinor(phi: PhiMap, z: Spinor):
 
 
 def _combine(ctx: FiberContext, coeffs, forms) -> Form:
-    """sum_k coeffs[k] * forms[k], accumulated in one dict pass."""
-    terms = {}
+    """sum_k coeffs[k] * forms[k], accumulated in one dict pass and
+    canonicalised once per output coefficient."""
+    acc = {}
     for c, f in zip(coeffs, forms):
         if not c:
             continue
+        t = c._t
         for key, v in f._terms.items():
-            acc = terms.get(key)
-            terms[key] = v * c if acc is None else acc + v * c
-    return Form._of(ctx, terms)
+            _mul_into(acc, key, v._t, t)
+    return Form._exact(ctx, _finish(acc))
 
 
 def _adjoint_unit(phi: PhiMap) -> ExactComplex:

@@ -1,7 +1,7 @@
 """The one scalar tower of the fiber calculus: the field Q(i, sqrt2).
 
 A value is ((a + b*i) + (c + d*i)*sqrt2) / q, held as five Python ints
-(a, b, c, d, q) over one shared denominator.  Every operation returns the
+(a, b, c, d, q) over one shared denominator.  Every ExactComplex holds the
 canonical form q > 0, gcd(a, b, c, d, q) == 1, so equality is a tuple
 compare on the ints, and a rational value hashes like the int or Fraction
 it equals.  The formal sqrt2 slot (multiplied out via sqrt2*sqrt2 = 2)
@@ -10,6 +10,16 @@ than merely small.  Fractions appear only at the edges (the constructor,
 the ``ar``/``ai``/``br``/``bi`` views, ``text`` and the hash of a rational
 value), and floats only in ``to_complex`` and ``real_to_float``, for
 display.
+
+The exact kernels of fiber.py, hodge.py and clifford.py go below the
+ExactComplex operators, through the helpers at the end of this module,
+which alone unpack the tuples.  A kernel sums raw products in a private
+accumulator (``_mul_into``), whose tuples are unnormalised: q is any
+positive common denominator and no common factor is removed.  ``_finish``
+canonicalises each entry once and drops the zeros, so nothing unnormalised
+is ever stored in a Form.  A phase (``_phased``: a power of i, after an
+optional conjugation) permutes the slots of a tuple and flips their signs,
+so it keeps a canonical tuple canonical without a gcd.
 """
 
 from __future__ import annotations
@@ -275,3 +285,88 @@ def real_to_float(z) -> float:
 
 def scalar_text(z) -> str:
     return z.text()
+
+
+# -- kernel helpers ----------------------------------------------------------
+
+def _mul_into(acc, key, s, t):
+    """acc[key] += s * t for the tuples s and t, in the unnormalised
+    accumulator acc; the sum is put over the lcm of the denominators."""
+    a, b, c, d, q = s
+    e, f, g, h, r = t
+    if c or d or g or h:
+        x0 = a * e - b * f + 2 * (c * g - d * h)
+        x1 = a * f + b * e + 2 * (c * h + d * g)
+        x2 = a * g - b * h + c * e - d * f
+        x3 = a * h + b * g + c * f + d * e
+    else:                                 # common case: plain Q(i)
+        x0 = a * e - b * f
+        x1 = a * f + b * e
+        x2 = x3 = 0
+    q *= r
+    old = acc.get(key)
+    if old is None:
+        acc[key] = (x0, x1, x2, x3, q)
+        return
+    a, b, c, d, r = old
+    if r == q:
+        acc[key] = (a + x0, b + x1, c + x2, d + x3, q)
+        return
+    g = _gcd(q, r)
+    m, k = q // g, r // g                 # lcm = r * m = q * k
+    acc[key] = (a * m + x0 * k, b * m + x1 * k, c * m + x2 * k,
+                d * m + x3 * k, r * m)
+
+
+def _finish(acc, sqrt2=False) -> dict:
+    """The canonical ExactComplex of each nonzero entry of an accumulator,
+    times sqrt2 when asked: (A + C sqrt2) sqrt2 = 2C + A sqrt2."""
+    out = {}
+    for key, (a, b, c, d, q) in acc.items():
+        if sqrt2:
+            a, b, c, d = 2 * c, 2 * d, a, b
+        if a or b or c or d:
+            out[key] = _canon(a, b, c, d, q)
+    return out
+
+
+def _dot_conj(pairs):
+    """sum of x * conj(y) over the (x, y) pairs, canonicalised once."""
+    acc = {}
+    for x, y in pairs:
+        a, b, c, d, q = y._t
+        _mul_into(acc, 0, x._t, (a, -b, c, -d, q))
+    return _finish(acc).get(0, EC_ZERO)
+
+
+def _phased(z, e: int, conjugate: bool = False):
+    """i**e * z, or i**e * conj(z); canonical without a gcd."""
+    a, b, c, d, q = z._t
+    if conjugate:
+        b, d = -b, -d
+    e &= 3
+    if e == 1:
+        a, b, c, d = -b, a, -d, c
+    elif e == 2:
+        a, b, c, d = -a, -b, -c, -d
+    elif e == 3:
+        a, b, c, d = b, -a, d, -c
+    return _make((a, b, c, d, q))
+
+
+def _signed(z, conjugate: bool = False) -> tuple:
+    """The tuples of z and -z (of conj(z) and -conj(z) when asked), so that
+    a kernel picks a factor's sign by indexing with a parity."""
+    a, b, c, d, q = z._t
+    if conjugate:
+        b, d = -b, -d
+    return (a, b, c, d, q), (-a, -b, -c, -d, q)
+
+
+_UNIT_EXPONENTS = {(1, 0, 0, 0, 1): 0, (0, 1, 0, 0, 1): 1,
+                   (-1, 0, 0, 0, 1): 2, (0, -1, 0, 0, 1): 3}
+
+
+def _unit_exponent(z):
+    """e with z == i**e, or None when z is not a power of i."""
+    return _UNIT_EXPONENTS.get(z._t)

@@ -6,7 +6,8 @@ real covector gamma is
 
     c(gamma) x = sqrt2 * (gamma^{0,1} ^ x  -  contract(gamma^{1,0}, x)),
 
-which flips chirality, is skew-adjoint, and squares to -|gamma|^2.  The
+computed by the fiber kernel `clifford` in one pass over the terms of x.
+It flips chirality, is skew-adjoint, and squares to -|gamma|^2.  The
 sqrt2 factor lives in the formal sqrt2 slot of the scalar tower, so these
 relations hold with exactly zero defect.
 
@@ -27,9 +28,9 @@ from .fiber import (
     DegreeError,
     FiberContext,
     Form,
-    _clifford_terms,
     _rng,
     _same_ctx,
+    clifford,
     inner,
     monomial,
     random_form,
@@ -45,12 +46,6 @@ MIXED = "mixed"
 
 def _flip(chirality: str) -> str:
     return {EVEN: ODD, ODD: EVEN, MIXED: MIXED}[chirality]
-
-
-def clifford(g: Covector, x: Form) -> Form:
-    """c(gamma) on a form with no th factors (p = 0), in one fused pass
-    over the terms of x (fiber._clifford_terms)."""
-    return _clifford_terms(g, x)
 
 
 class Spinor:

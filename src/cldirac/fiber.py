@@ -22,12 +22,12 @@ _COMPLEMENT_PARITY gives the sign of a monomial against its complement,
 which fixes the Hodge star.
 
 Every coefficient is an ExactComplex, the one scalar tower (scalars.py), so
-identities hold with exactly zero defect.  wedge, contract, inner and the
-Clifford kernel sum raw products of the scalar tuples in a private
-accumulator and canonicalise once per output coefficient; scaling by a power
-of i is a phase and takes no gcd.  Everything here is an immutable value
-and every operation is a pure function, so trial sweeps can share objects
-freely across threads.
+identities hold with exactly zero defect.  wedge, contract, inner and
+clifford (the c(gamma) of clifford.py) sum raw products of the scalar
+tuples in a private accumulator and canonicalise once per output
+coefficient; scaling by a power of i is a phase and takes no gcd.
+Everything here is an immutable value and every operation is a pure
+function, so trial sweeps can share objects freely across threads.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ class Form:
         out = {}
         for key, c in self._terms.items():
             out.setdefault(key[0].bit_count() + key[1].bit_count(), {})[key] = c
-        return {k: Form._of(self.ctx, t) for k, t in sorted(out.items())}
+        return {k: Form._exact(self.ctx, t) for k, t in sorted(out.items())}
 
     # -- linear structure ---------------------------------------------------
 
@@ -280,7 +280,7 @@ class Form:
         return Form._of(self.ctx, terms)
 
     def __neg__(self):
-        return Form._of(self.ctx, {k: -c for k, c in self._terms.items()})
+        return Form._exact(self.ctx, {k: -c for k, c in self._terms.items()})
 
     def scale(self, c):
         c = self.ctx.coerce(c)
@@ -305,7 +305,7 @@ class Form:
             sign = ti.bit_count() * tj.bit_count() % 2
             val = conj(c)
             terms[(tj, ti)] = -val if sign else val
-        return Form._of(self.ctx, terms)
+        return Form._exact(self.ctx, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -333,7 +333,7 @@ class Form:
 
 
 def zero_form(ctx: FiberContext) -> Form:
-    return Form._of(ctx, {})
+    return Form._exact(ctx, {})
 
 
 def monomial(ctx: FiberContext, ti, tj, coeff=1) -> Form:
@@ -453,11 +453,12 @@ def contract(g: Covector, x: Form) -> Form:
     return Form._exact(x.ctx, _finish(acc))
 
 
-def _clifford_terms(g: Covector, x: Form) -> Form:
-    """sqrt2 (gamma^{0,1} ^ x - contract(gamma^{1,0}, x)) on a (0, q) form,
-    in one pass: thb^j either joins J (coefficient a_j) or leaves it
-    (coefficient -conj(a_j)), with the sign of the thb factors of J below
-    j in both cases; sqrt2 is applied once per output coefficient."""
+def clifford(g: Covector, x: Form) -> Form:
+    """c(gamma) x = sqrt2 (gamma^{0,1} ^ x - contract(gamma^{1,0}, x)) on a
+    form with no th factors (p = 0), in one pass over the terms of x: thb^j
+    either joins J (coefficient a_j) or leaves it (coefficient -conj(a_j)),
+    with the sign of the thb factors of J below j in both cases; sqrt2 is
+    applied once per output coefficient."""
     _same_ctx(g.ctx, x.ctx)
     steps = g._clifford_steps
     acc = {}
@@ -501,7 +502,7 @@ def _strip_top(f: Form) -> Form:
         if ti != top:
             raise DegreeError("expected a form divisible by the top (n,0) frame")
         out[(0, tj)] = c
-    return Form._of(f.ctx, out)
+    return Form._exact(f.ctx, out)
 
 
 # -- randomized inputs -------------------------------------------------------

@@ -19,10 +19,8 @@ cancellation
 
 holds exactly for symmetric phi when n = 1 mod 4 and antisymmetric phi when
 n = 3 mod 4.  `concentrating_defect` measures the worst basis-vector norm of
-that sum; whether it is zero is decided exactly.  A basis spinor is one
-monomial e_J in one E-slot, so its image combines, with entries of
-conj(phi), just two forms built from e_J: the defect costs two form images
-per monomial of S+, whatever the rank.
+that sum, in closed form: two form images and three inner products per
+monomial of S+, whatever the rank; whether it is zero is decided exactly.
 """
 
 from __future__ import annotations
@@ -44,9 +42,10 @@ from .fiber import (
     random_scalar,
     random_unit_scalar,
     wedge,
+    zero_form,
 )
 from .hodge import tau_graded
-from .scalars import ExactComplex, _finish, _mul_into, conj, is_zero, real_to_float
+from .scalars import ExactComplex, abs_sq, conj, is_zero, real_to_float
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -115,19 +114,6 @@ def _check_spinor(phi: PhiMap, z: Spinor):
         raise ChiralityError("perturbation needs a pure-chirality spinor")
 
 
-def _combine(ctx: FiberContext, coeffs, forms) -> Form:
-    """sum_k coeffs[k] * forms[k], accumulated in one dict pass and
-    canonicalised once per output coefficient."""
-    acc = {}
-    for c, f in zip(coeffs, forms):
-        if not c:
-            continue
-        t = c._t
-        for key, v in f._terms.items():
-            _mul_into(acc, key, v._t, t)
-    return Form._exact(ctx, _finish(acc))
-
-
 def _adjoint_unit(phi: PhiMap) -> ExactComplex:
     """(-1)^n conj(u) for the framing scalar u of eta; the (-1)^n factor
     comes from the adjoint of tau."""
@@ -141,7 +127,7 @@ def apply_A(phi: PhiMap, z: Spinor) -> Spinor:
     _check_spinor(phi, z)
     eta = phi.eta()
     images = [tau_graded(wedge(eta, f)) for f in z.parts]
-    out = [_combine(phi.ctx, [conj(c) for c in row], images)
+    out = [sum((f.scale(conj(c)) for c, f in zip(row, images)), zero_form(phi.ctx))
            for row in phi.entries]
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
 
@@ -153,9 +139,34 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
     _check_spinor(phi, z)
     ubar = _adjoint_unit(phi)
     stripped = [_strip_top(tau_graded(f)).scale(ubar) for f in z.parts]
-    out = [_combine(phi.ctx, [conj(row[i]) for row in phi.entries], stripped)
+    out = [sum((f.scale(conj(row[i])) for row, f in zip(phi.entries, stripped)),
+               zero_form(phi.ctx))
            for i in range(phi.r)]
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
+
+
+def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
+    """Exact squared norm of the image of each basis spinor of S+ (x) E, in
+    spinor_basis(ctx, r, EVEN) order; see concentrating_defect."""
+    _require_odd(phi.ctx)
+    _same_ctx(phi.ctx, g.ctx)
+    ctx, r, e = phi.ctx, phi.r, phi.entries
+    eta = phi.eta()
+    ubar = _adjoint_unit(phi)
+    col = [sum((abs_sq(e[i][j]) for i in range(r)), ctx.zero) for j in range(r)]
+    row = [sum(map(abs_sq, e[j]), ctx.zero) for j in range(r)]
+    mix = [sum((conj(e[i][j]) * e[j][i] for i in range(r)), ctx.zero)
+           for j in range(r)]
+    out = []
+    for tj in chirality_subsets(ctx.n, EVEN):
+        mono = monomial(ctx, (), tj)
+        f = clifford(g, tau_graded(wedge(eta, mono)))
+        h = _strip_top(tau_graded(clifford(g, mono))).scale(ubar)
+        ff, hh, fh = inner(f, f), inner(h, h), inner(f, h)
+        for j in range(r):
+            x = mix[j] * fh
+            out.append(col[j] * ff + row[j] * hh + x + conj(x))
+    return out
 
 
 def concentrating_defect(phi: PhiMap, g: Covector) -> float:
@@ -169,34 +180,24 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
         G_J = (-1)^n conj(u) strip_top(tau(c(gamma) e_J)),
 
     since the symbols act slot by slot, c(gamma) is complex-linear and A, A*
-    are the matrix formulas above.  So each monomial costs two form images,
-    whatever the rank.
+    are the matrix formulas above.  Summed over i, its squared norm is
+
+        col_j |F_J|^2 + row_j |G_J|^2 + 2 Re(mix_j <F_J, G_J>),
+
+    col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2 and
+    mix_j = sum_i conj(phi_ij) phi_ji, so no form is built per slot pair.
 
     Exactly 0.0 when the class matches the dimension (symmetric for
-    n = 1 mod 4, antisymmetric for n = 3 mod 4).  The zero test is exact,
-    and real_to_float has no cancellation, so a nonzero defect never
-    returns 0.0."""
-    _require_odd(phi.ctx)
-    _same_ctx(phi.ctx, g.ctx)
-    ctx, r = phi.ctx, phi.r
-    eta = phi.eta()
-    ubar = _adjoint_unit(phi)
-    cphi = [[conj(c) for c in row] for row in phi.entries]
-    all_zero = True
-    worst = 0.0
-    for tj in chirality_subsets(ctx.n, EVEN):
-        mono = monomial(ctx, (), tj)
-        f_and_g = (clifford(g, tau_graded(wedge(eta, mono))),
-                   _strip_top(tau_graded(clifford(g, mono))).scale(ubar))
-        for j in range(r):
-            nsq = ctx.zero
-            for i in range(r):
-                part = _combine(ctx, (cphi[i][j], cphi[j][i]), f_and_g)
-                nsq = nsq + inner(part, part)
-            if not is_zero(nsq):
-                all_zero = False
-                worst = max(worst, real_to_float(nsq))
-    return 0.0 if all_zero else worst ** 0.5
+    n = 1 mod 4, antisymmetric for n = 3 mod 4): a symmetric phi has
+    mix_j = col_j = row_j and squared norm col_j |F_J + G_J|^2, an
+    antisymmetric one mix_j = -col_j and col_j |F_J - G_J|^2, so a class
+    cancels for every phi exactly when F_J = -+ G_J for all J and gamma.
+    The zero test is exact, and real_to_float has no cancellation, so a
+    nonzero defect never returns 0.0."""
+    nsqs = _defect_norms_sq(phi, g)
+    if all(is_zero(x) for x in nsqs):
+        return 0.0
+    return max(map(real_to_float, nsqs)) ** 0.5
 
 
 def _exact_det(rows):

@@ -222,16 +222,14 @@ def _star_square(ctx, p, rng):
     q = rng.randint(0, ctx.n)
     x = random_form(ctx, p, q, rng)
     sign = -1 if (p + q) % 2 else 1
-    diff = bar_star(bar_star(x)) - x.scale(sign) if not x.is_zero() else zero_form(ctx)
-    return diff, functools.partial(_describe, x=x)
+    return bar_star(bar_star(x)) - x.scale(sign), functools.partial(_describe, x=x)
 
 
 def _tau_square(ctx, p, rng):
     q = rng.randint(0, ctx.n)
     x = random_form(ctx, p, q, rng)
     sign = -1 if ctx.n % 2 else 1
-    diff = tau(tau(x)) - x.scale(sign) if not x.is_zero() else zero_form(ctx)
-    return diff, functools.partial(_describe, x=x)
+    return tau(tau(x)) - x.scale(sign), functools.partial(_describe, x=x)
 
 
 def _tau_isometry(ctx, p, rng):
@@ -246,7 +244,7 @@ def _star_wedge_shift(ctx, p, rng):
     g = random_covector(ctx, rng)
     eta = _eta(ctx, rng)
     n = ctx.n
-    lhs = bar_star(wedge(g.part01(), beta)) if p < n else zero_form(ctx)
+    lhs = bar_star(wedge(g.part01(), beta))
     rhs = wedge(eta, contract(g, bar_star(wedge(eta, beta))))
     sign = -1 if (n * (p + 1) + p) % 2 else 1
     return (lhs - rhs.scale(sign),
@@ -274,8 +272,7 @@ def _star_clifford_commutation(ctx, p, rng):
     eta = _eta(ctx, rng)
     n = ctx.n
     lhs = tau_graded(clifford(g, beta))
-    rhs = wedge(eta, clifford(g, tau(wedge(eta, beta)))) \
-        if not beta.is_zero() else zero_form(ctx)
+    rhs = wedge(eta, clifford(g, tau(wedge(eta, beta))))
     sign = -1 if (n * (n + 1) // 2 + 1) % 2 else 1
     return (lhs - rhs.scale(sign),
             functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))

@@ -56,6 +56,13 @@ class ConfigError(UsageError):
     """Bad simulation configuration or config file."""
 
 
+def _lobpcg_fits(eig_count: int, M: int) -> bool:
+    """LOBPCG's size rule on the band M: it runs with up to eig_count + 4
+    columns, and scipy's lobpcg needs 5 per column in the problem size, the
+    band's 2 (2M+1)^2 reals, for its iterative path."""
+    return 5 * (eig_count + 4) <= 2 * (2 * M + 1) ** 2
+
+
 @dataclass(frozen=True)
 class SimConfig:
     N: int = 64
@@ -90,15 +97,11 @@ class SimConfig:
                 f"{self.spacing:.4f}")
         if self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1")
-        # LOBPCG runs with up to eig_count + 4 columns, and scipy's lobpcg
-        # needs 5 per column in the problem size, the band's 2 (2M+1)^2
-        # reals, for its iterative path
-        nreal = 2 * (2 * self.band_limit + 1) ** 2
-        if 5 * (self.eig_count + 4) > nreal:
+        if not _lobpcg_fits(self.eig_count, self.band_limit):
             raise ConfigError(
                 f"eig_count = {self.eig_count} is too large for N = {self.N}: "
-                f"need 5 * (eig_count + 4) <= 2 (2M+1)^2 = {nreal}, "
-                f"M = N // 3")
+                f"need 5 * (eig_count + 4) <= 2 (2M+1)^2 = "
+                f"{2 * (2 * self.band_limit + 1) ** 2}, M = N // 3")
         if not (math.isfinite(self.eig_tol) and self.eig_tol >= MIN_EIG_TOL):
             raise ConfigError(
                 f"eig_tol must be finite and >= {MIN_EIG_TOL:g}, got "

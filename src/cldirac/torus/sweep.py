@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import TWO_PI, ConfigError, SimConfig, zero_locations
+from .config import TWO_PI, ConfigError, SimConfig, _lobpcg_fits, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
 from .operators import TorusOperator, flat_to_complex, prolong
 
@@ -281,7 +281,7 @@ def run_sweep(config: SimConfig) -> SpectralReport:
     # for constant w the band's lowest modes are exact, so only a w with
     # zeros solves on the half band, and only where it meets LOBPCG's size
     # rule, which SimConfig checks for the band M
-    coarse_on = bool(zeros) and 5 * (config.eig_count + 4) <= 2 * (2 * coarse_M + 1) ** 2
+    coarse_on = bool(zeros) and _lobpcg_fits(config.eig_count, coarse_M)
     rows = []
     densities = []
     notes = []

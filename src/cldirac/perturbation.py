@@ -147,7 +147,14 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
 
 def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
     """Exact squared norm of the image of each basis spinor of S+ (x) E, in
-    spinor_basis(ctx, r, EVEN) order; see concentrating_defect."""
+    spinor_basis(ctx, r, EVEN) order; see concentrating_defect.
+
+    |F_J|^2 and |G_J|^2 are computed, not taken as |gamma|^2, although a
+    correct tau and Clifford action make both equal to it.  With that
+    shortcut the symmetric-class defect would read
+    2 col_j (|gamma|^2 + Re <F_J, G_J>), and a broken kernel with
+    F_J = -G_J + v, v orthogonal to G_J and nonzero, would read exactly 0
+    where the true defect is col_j |v|^2."""
     _require_odd(phi.ctx)
     _same_ctx(phi.ctx, g.ctx)
     ctx, r, e = phi.ctx, phi.r, phi.entries

@@ -46,9 +46,9 @@ MIN_EIG_TOL = 1e-15
 # largest float.
 MAX_SIGMA = sys.float_info.max ** 0.25
 # Most distinct Fourier modes of a custom w.  D_s is a sparse matrix with
-# 2 + 2 modes slots of 12 B (a float64 and an int32) per real row, and a
-# band has 2 (2M+1)^2 real rows, so at N = 1024 (M = 341) 16 modes take
-# 34 * 932978 * 12 B = 381 MB.
+# at most 2 + 2 modes stored entries per real row, 12 B each (a float64 and
+# an int32), and a band has 2 (2M+1)^2 real rows, so at N = 1024 (M = 341)
+# 16 modes take at most 34 * 932978 * 12 B = 381 MB.
 MAX_MODES = 16
 
 
@@ -145,8 +145,8 @@ class SimConfig:
                 nreal = 2 * (2 * (MAX_N // 3) + 1) ** 2
                 raise ConfigError(
                     f"custom preset's w has {modes} distinct Fourier modes, "
-                    f"more than {MAX_MODES}: D_s stores 12 B per slot and "
-                    f"(2 + 2 modes) slots per real row, "
+                    f"more than {MAX_MODES}: D_s stores at most 2 + 2 modes "
+                    f"entries per real row, 12 B each, up to "
                     f"{12 * (2 + 2 * MAX_MODES) * nreal / 1e6:.0f} MB for "
                     f"{MAX_MODES} modes at N = {MAX_N}")
         elif kind != "sin_zeros":

@@ -23,9 +23,10 @@ the exact projection of conj(w u) is
 
     (A c)_n = sum_k conj(w_k) conj(c_{-n-k}),  over the k with |-n-k| <= M,
 
-one 2x2 real block per mode of w in each row pair.  ``ds_matrix`` builds
-D_s = D_0 - s A once per band and s as a real CSR matrix; the FFT kernels
-of ``kernels`` are the reference it is tested against.
+one 2x2 real block per in-band source in each row pair.  ``ds_matrix``
+builds D_s = D_0 - s A once per band and s as a real CSR matrix that
+stores no zero; the FFT kernels of ``kernels`` are the reference it is
+tested against.  Where mode m lives in a band is ``kernels.band_modes``.
 
 An operator can also be built on a smaller band M_c < M.  The band M_c is
 a subspace of the band M, and A is the exact projection on both, so the
@@ -62,15 +63,27 @@ def complex_to_flat(u: np.ndarray) -> np.ndarray:
 
 def prolong(block: np.ndarray, K_from: int, K_to: int) -> np.ndarray:
     """Flat band vectors of side ``K_from`` (the columns of an (nreal, k)
-    block) as flat vectors of the larger side ``K_to``: coefficient m moves
-    to index m mod K_to and the new modes are zero, an isometric embedding
-    of the smaller band."""
+    block) as flat vectors of the larger side ``K_to``: ``kernels.embed``,
+    an isometric embedding of the smaller band."""
     k = block.shape[1]
-    m = np.fft.fftfreq(K_from, 1.0 / K_from).astype(int) % K_to
     c = np.ascontiguousarray(block.T).view(np.complex128).reshape(k, K_from, K_from)
-    out = np.zeros((k, K_to, K_to), complex)
-    out[:, m[:, None], m[None, :]] = c
-    return out.reshape(k, -1).view(np.float64).T
+    return kernels.embed(c, K_to).reshape(k, -1).view(np.float64).T
+
+
+def _part(src: np.ndarray, a=0.0, b=0.0) -> csr_array:
+    """Real CSR matrix of c -> a c_src + b conj(c_src): complex row n reads
+    coefficient src[n], so real rows 2n and 2n + 1 hold a 2x2 block on
+    columns 2 src[n] and 2 src[n] + 1.  Indices are int32, and its zero
+    values are not stored."""
+    n = 2 * src.size
+    # block entry (r, c) of row pair i is at 4i + 2r + c of data and cols
+    data = np.stack((a.real + b.real, b.imag - a.imag, a.imag + b.imag,
+                     a.real - b.real), axis=-1).reshape(-1)
+    cols = np.add.outer(2 * src.astype(np.int32), np.array([0, 1, 0, 1], np.int32))
+    keep = data != 0
+    indptr = np.zeros(n + 1, np.int32)
+    indptr[1:] = np.cumsum(keep, dtype=np.int32)[1::2]
+    return csr_array((data[keep], cols.reshape(-1)[keep], indptr), shape=(n, n))
 
 
 def ds_matrix(K: int, modes, s: float) -> csr_array:
@@ -78,39 +91,22 @@ def ds_matrix(K: int, modes, s: float) -> csr_array:
     matrix on flat band vectors, for w given by ``modes``, (mx, my, w_k)
     triples (``SimConfig.w_modes``).
 
-    Complex row n holds (i mx - my) c_n and, for each mode k,
-    -s conj(w_k) conj(c_{-n-k}); in real form each is a 2x2 block, so every
-    real row has 2 + 2 len(modes) slots, and indptr is a multiple of that
-    width.  A source -n-k outside the band is an explicit zero on the
-    row's own columns.  The arrays are built in place, with int32 indices
-    and no COO step; D_s^T is ``D.T``, a view of the same arrays.
+    Complex row n holds (i mx - my) c_n and, for each mode k whose source
+    -n-k is in the band, -s conj(w_k) conj(c_{-n-k}).  D_0 and each mode
+    are one ``_part``.  The sum adds the entries that land on the same
+    (row, column), so a real row stores at most 2 + 2 len(modes) entries;
+    summing the parts one at a time, not as one list of every entry, keeps
+    the build's peak memory near twice the matrix's.  D_s^T is ``D.T``, a
+    view of the same arrays.
     """
-    M = K // 2
-    m = np.fft.fftfreq(K, 1.0 / K).astype(np.int64)
-    mx, my = m[:, None], m[None, :]
-    width = 2 + 2 * len(modes)
-    data = np.empty((K, K, 2, width))
-    cols = np.empty((K, K, 2, width), np.int32)
-    own = 2 * np.arange(K * K).reshape(K, K, 1)
-    # (i mx - my) c: Re row [-my, -mx], Im row [mx, -my] on (Re c, Im c)
-    data[:, :, 0, 0] = data[:, :, 1, 1] = -my
-    data[:, :, 0, 1] = -mx
-    data[:, :, 1, 0] = mx
-    cols[:, :, :, 0], cols[:, :, :, 1] = own, own + 1
-    for t, (kx, ky, wk) in enumerate(modes):
-        # b conj(c_j) with b = -s conj(w_k), j = -n - k: Re row [Re b, Im b],
-        # Im row [Im b, -Re b] on (Re c_j, Im c_j)
-        b_re, b_im = -s * wk.real, s * wk.imag
-        jx, jy = -mx - kx, -my - ky
-        inside = ((np.abs(jx) <= M) & (np.abs(jy) <= M))[:, :, None]
-        src = np.where(inside, 2 * ((jx % K) * K + jy % K)[:, :, None], own)
-        slot = 2 + 2 * t
-        data[:, :, :, slot] = np.where(inside, [b_re, b_im], 0.0)
-        data[:, :, :, slot + 1] = np.where(inside, [b_im, -b_re], 0.0)
-        cols[:, :, :, slot], cols[:, :, :, slot + 1] = src, src + 1
-    n = 2 * K * K
-    indptr = np.arange(0, n * width + 1, width, dtype=np.int32)
-    return csr_array((data.reshape(-1), cols.reshape(-1), indptr), shape=(n, n))
+    m = kernels.band_modes(K)
+    D = _part(np.arange(K * K), a=kernels.d0_multiplier(K).reshape(-1))
+    for kx, ky, wk in modes:
+        jx, jy = -m[:, None] - kx, -m[None, :] - ky
+        inside = (np.abs(jx) <= K // 2) & (np.abs(jy) <= K // 2)
+        b = np.where(inside, -s * np.conj(wk), 0)
+        D = D + _part(((jx % K) * K + jy % K).reshape(-1), b=b.reshape(-1))
+    return D
 
 
 class TorusOperator:
@@ -121,7 +117,6 @@ class TorusOperator:
     def __init__(self, config: SimConfig, s: float, band_limit: int | None = None):
         self.config = config
         self.N = config.N
-        self.h = config.spacing
         self.M = config.band_limit if band_limit is None else band_limit
         self.K = 2 * self.M + 1
         self.s = float(s)

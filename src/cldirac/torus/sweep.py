@@ -50,7 +50,8 @@ import numpy as np
 
 from .config import TWO_PI, ConfigError, SimConfig, _lobpcg_fits, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import TorusOperator, flat_to_complex, prolong
+from . import kernels
+from .operators import TorusOperator, prolong
 
 # band_tail above which a row is noted as not resolved by the band: at
 # N = 64 the sin_zeros kernel reads 8.9e-7 at s = 32, where its outside
@@ -252,13 +253,11 @@ def band_tail(op: TorusOperator, result: EigenResult, size: int) -> float:
     (``lowest_cluster``), of the squared coefficient mass on the band's
     outer ring max(|mx|, |my|) = M.  A mode the band resolves decays toward
     the ring; mass there means the truncation to |m| <= M shapes it."""
-    m = np.abs(np.fft.fftfreq(op.K, 1.0 / op.K))
-    ring = np.maximum(m[:, None], m[None, :]) == op.M
-    tail = 0.0
-    for j in range(size):
-        c = flat_to_complex(result.vectors[:, j], op.K)[ring]
-        tail += float(np.sum(c.real ** 2 + c.imag ** 2))
-    return tail / size
+    m = np.abs(kernels.band_modes(op.K))
+    ring = np.maximum(m[:, None], m[None, :]).reshape(-1) == op.M
+    # coefficient i of a flat vector is its reals 2i and 2i + 1
+    x = result.vectors[np.repeat(ring, 2), :size]
+    return float(np.sum(x * x)) / size
 
 
 def coarse_band_limit(config: SimConfig) -> int:

@@ -148,7 +148,7 @@ def _apply(op, kernel, x):
     """An FFT reference kernel, with w on the (N, N) grid, on a flat real
     vector, as a flat real vector."""
     return complex_to_flat(kernel(flat_to_complex(x, op.K), phi_field(op.config),
-                                  op.s, op.h))
+                                  op.s, op.config.spacing))
 
 
 def _unit_mode(K, mx, my):
@@ -170,8 +170,8 @@ def test_d0_is_the_band_multiplier():
         x = complex_to_flat(e)
         assert np.array_equal(flat_to_complex(op.D @ x, op.K), (1j * mx - my) * e)
         assert np.array_equal(flat_to_complex(op.D.T @ x, op.K), (-1j * mx - my) * e)
-        assert np.array_equal(kernels.ds_apply(e, w, 0.0, op.h), (1j * mx - my) * e)
-        assert np.array_equal(kernels.dst_apply(e, w, 0.0, op.h), (-1j * mx - my) * e)
+        assert np.array_equal(kernels.ds_apply(e, w, 0.0, op.config.spacing), (1j * mx - my) * e)
+        assert np.array_equal(kernels.dst_apply(e, w, 0.0, op.config.spacing), (-1j * mx - my) * e)
 
 
 def test_flat_views_share_memory():
@@ -252,9 +252,8 @@ def test_constant_w_energy_splitting():
 
 
 # -- the band formulas, written the plain way -----------------------------------
-# The kernels split each 2-D transform by axis and pad by concatenation;
-# these are the formulas they implement, with full fft2 calls and a
-# scatter/gather at the indices m mod N.
+# The formulas the kernels implement, with the band's indices m mod N taken
+# from fftfreq here rather than from kernels.band_modes and kernels.embed.
 
 def _modes(K):
     return np.fft.fftfreq(K, 1.0 / K).astype(int)
@@ -310,9 +309,17 @@ def _edge_config(N, rng):
     return SimConfig(N=N, phi_preset="custom", fourier_coeffs=coeffs)
 
 
+def _even_mode_config(N):
+    """A custom w with the even modes (2, 0) and (0, -2): for an even mode k
+    the source -n-k of row n = -k/2 is n itself, so D_0 and A land on the
+    same entries of that row."""
+    return SimConfig(N=N, phi_preset="custom", fourier_coeffs=(
+        (2, 0, 0.7 - 0.4j), (0, -2, 0.3j), (1, 1, -0.5 + 0j)))
+
+
 def _reference_configs(N, rng):
     return (SimConfig(N=N), SimConfig(N=N, phi_preset="constant(0.3+0.4j)"),
-            _repeated_config(N), _edge_config(N, rng))
+            _repeated_config(N), _edge_config(N, rng), _even_mode_config(N))
 
 
 def test_w_modes_merge_a_repeated_mode():
@@ -326,21 +333,20 @@ def test_w_modes_merge_a_repeated_mode():
 def test_sparse_operator_is_the_fft_reference(N):
     # D and D^T equal the FFT pair with w on the (N, N) grid, which folds
     # no product mode onto the band for these w, on the band and on the
-    # half band; every real row has 2 + 2 modes slots, int32 indices
+    # half band; D stores no zero and has int32 indices
     rng = np.random.default_rng(N)
     for cfg in _reference_configs(N, rng):
         w = phi_field(cfg)
         for M in (cfg.band_limit, cfg.band_limit // 2):
             op = TorusOperator(cfg, 4.0, M)
-            width = 2 + 2 * len(cfg.w_modes())
             assert op.D.indices.dtype == np.int32
-            assert np.array_equal(op.D.indptr, np.arange(op.nreal + 1) * width)
+            assert np.count_nonzero(op.D.data) == op.D.nnz
             for _ in range(3):
                 x = rng.standard_normal(op.nreal)
                 c = flat_to_complex(x, op.K)
                 for got, kernel in ((op.D @ x, kernels.ds_apply),
                                     (op.D.T @ x, kernels.dst_apply)):
-                    expected = complex_to_flat(kernel(c, w, op.s, op.h))
+                    expected = complex_to_flat(kernel(c, w, op.s, op.config.spacing))
                     assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(expected))
 
 
@@ -367,17 +373,21 @@ def test_a_grid_below_the_product_grid_aliases(N):
 def test_half_band_operator_is_the_band_operator_restricted(N):
     # the half band M_c = M // 2 is a subspace of the band M and A is the
     # exact projection on both, so D_s on the half band is the Galerkin
-    # compression of D_s on the band, and prolong embeds it
+    # compression of D_s on the band, and prolong embeds it (mode m at
+    # index m mod K), which restrict undoes
     rng = np.random.default_rng(N + 2)
     for cfg in _reference_configs(N, rng):
         fine = TorusOperator(cfg, 4.0)
         coarse = TorusOperator(cfg, 4.0, cfg.band_limit // 2)
-        m = np.fft.fftfreq(coarse.K, 1.0 / coarse.K).astype(int)
+        m = _modes(coarse.K) % fine.K
         block = rng.standard_normal((coarse.nreal, 3))
         big = prolong(block, coarse.K, fine.K)
         assert big.shape == (fine.nreal, 3)
         assert np.allclose(np.linalg.norm(big, axis=0), np.linalg.norm(block, axis=0),
                            rtol=1e-14, atol=0.0)
+        bands = block.T.copy().view(complex).reshape(3, coarse.K, coarse.K)
+        assert np.array_equal(kernels.restrict(big.T.copy().view(complex).reshape(
+            3, fine.K, fine.K), coarse.K), bands)
         for coarse_D, fine_D in ((coarse.D, fine.D), (coarse.D.T, fine.D.T)):
             expected, got = coarse_D @ block, fine_D @ big
             for j in range(3):
@@ -412,12 +422,19 @@ def test_field_on_the_grid():
     x /= np.linalg.norm(x)
     u = op.field(x)
     assert u.shape == (32, 32)
-    assert abs(op.h * np.linalg.norm(u) - 1.0) < 1e-12
-    xs = np.arange(32) * op.h
+    h = cfg.spacing
+    assert abs(h * np.linalg.norm(u) - 1.0) < 1e-12
+    xs = np.arange(32) * h
     for (mx, my) in [(0, 0), (3, -2), (-cfg.band_limit, 1)]:
         u = kernels.to_grid(_unit_mode(op.K, mx, my), 32)
         wave = np.exp(1j * (mx * xs[:, None] + my * xs[None, :])) / TWO_PI
         assert np.max(np.abs(u - wave)) < 1e-14
+    # restrict undoes embed, on a band inside the grid and on the whole
+    # even-sided grid, where the band's mode -N/2 is its index N/2
+    for K in (op.K, 32):
+        c = _random_band(rng, K)
+        assert np.array_equal(kernels.restrict(kernels.embed(c, 32), K), c)
+    assert np.array_equal(kernels.embed(c, 32), c)
 
 
 def test_preconditioner_is_the_shifted_diagonal():

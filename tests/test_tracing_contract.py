@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` rebinds cldirac functions by module and name from
 outside ``src/``; a renamed or bypassed function makes its layer read zero
 calls instead of failing.  ``Tracer.install()`` rebinds module globals, so
-the probe runs in a fresh interpreter.
+the probe runs in a fresh interpreter.  Like ``run.py --trace 1``, the probe
+then runs ``worker.micro_timings``, which calls the kernels directly.
 """
 
 import json
@@ -32,7 +33,10 @@ codes = [cldirac.cli.main(argv + ["--out", out]) for argv in (
     ["condition", "--n-list", "1", "--r-list", "1", "--trials", "1",
      "--wrong-trials", "1"],
     ["simulate", cfg])]
-print(json.dumps({"codes": codes, "layers": tracing.per_layer(tracer.spans)}))
+layers = tracing.per_layer(tracer.spans)
+import worker  # as --trace 1: the micro-timings run after the commands
+micro = worker.micro_timings(1)
+print(json.dumps({"codes": codes, "layers": layers, "micro": micro}))
 """
 
 REACHED = (
@@ -57,3 +61,5 @@ def test_every_traced_layer_is_called(tmp_path):
     assert result["codes"] == [0, 0, 0]
     layers = result["layers"]
     assert [name for name in REACHED if not layers[f"{name}.calls"] > 0] == []
+    # the micro-timings call the FFT kernels by position on (n, n) bands
+    assert all(result["micro"][f"kernels.matvec_pair_us.n{n}"] > 0 for n in (64, 256))

@@ -4,7 +4,7 @@ Config files are plain ``key = value`` lines (``#`` comments).  Keys:
 
     N               grid points per axis; power of two, 16 <= N <= 1024.
                     Fields are their Fourier coefficients with
-                    |mx|, |my| <= M = N // 3
+                    |mx|, |my| <= M, M chosen per s up to N // 3
     s_values        comma-separated deformation strengths, strictly increasing
     phi_preset      sin_zeros | constant(<complex>) | custom
     fourier_coeffs  for custom: "mx,my,re,im; mx,my,re,im; ..." giving
@@ -164,7 +164,8 @@ class SimConfig:
 
     @property
     def band_limit(self) -> int:
-        """M: a field is its Fourier coefficients with |mx|, |my| <= M."""
+        """The widest band M = N // 3: a field is its Fourier coefficients
+        with |mx|, |my| <= M, M chosen per s up to this cap (``sweep``)."""
         return self.N // 3
 
     def w_modes(self) -> tuple:

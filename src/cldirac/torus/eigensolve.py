@@ -24,12 +24,12 @@ lowest |m|, the preconditioner's eigenvectors: for constant w they span
 the lowest cluster, so LOBPCG stops after its first residual check.  A
 sweep passes a start block, orthonormalized here by QR: the whole Ritz
 block (``EigenResult.block``, the k wanted pairs and the guard columns)
-of a solve on the half band at the same s, prolonged onto the band
-(``operators.prolong``), where the half band resolves the modes, and
-otherwise that of the previous s, since the lowest modes move
-continuously in s (``sweep``).  Either is already close to the new
-invariant subspace.  The solver does not know where its start came
-from, and its own residual check decides convergence.  Only the matvec of
+of the previous s, or of the same s on a smaller band, prolonged onto
+the band of this solve (``operators.prolong``).  The lowest modes move
+continuously in s, and a band that resolves them holds nearly all their
+mass, so the block is already close to the new invariant subspace
+(``sweep``).  The solver does not know where its start came from, and
+its own residual check decides convergence.  Only the matvec of
 the normal operator enters; residuals are checked explicitly, stalled
 solves are restarted with a widened block whose guard columns are drawn
 from ``config.seed``, and non-convergence is reported in the result, never
@@ -118,8 +118,8 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
     with opnorm = ``op.sigma_max_bound()**2``.  Returned vectors have unit
     norm, which is the L2 norm of their fields.  ``start`` is a start block
     of at least eig_count columns, such as the ``block`` of the solve at
-    the previous s or a prolonged half-band ``block``; without it the start
-    block is ``lowest_modes``.
+    the previous s, prolonged onto this band; without it the start block
+    is ``lowest_modes``.
     """
     k, nreal = config.eig_count, op.nreal
     opnorm = op.sigma_max_bound() ** 2

@@ -7,8 +7,9 @@ trivially-connected trivial line bundle sends a function u to
 
 and the conjugate-linear perturbation with coefficient field w adds
 -s*conj(w*u).  A field is its band of Fourier coefficients, a
-(2M+1, 2M+1) complex array with M = N // 3 and ||u||_L2 = ||c||_2
-(``kernels``).  Fields are read out on the (N, N) grid.
+(2M+1, 2M+1) complex array with M at most N // 3 (``SimConfig.band_limit``)
+and ||u||_L2 = ||c||_2 (``kernels``).  Fields are read out on the (N, N)
+grid.
 
 Conjugation is not complex-linear, so the eigenproblem runs over the real
 vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
@@ -28,12 +29,12 @@ builds D_s = D_0 - s A once per band and s as a real CSR matrix that
 stores no zero; the FFT kernels of ``kernels`` are the reference it is
 tested against.  Where mode m lives in a band is ``kernels.band_modes``.
 
-An operator can also be built on a smaller band M_c < M.  The band M_c is
-a subspace of the band M, and A is the exact projection on both, so the
-operator on M_c is the Galerkin compression of the one on M: restricted to
-the band M_c, D_s of ``prolong(c)`` is D_s of c.  A sweep solves there
-first and starts the solve on the band M from the prolonged Ritz block
-(``sweep``).
+Bands are nested: a smaller band M_c < M is a subspace of the band M,
+and A is the exact projection on both, so the operator on M_c is the
+Galerkin compression of the one on M: restricted to the band M_c, D_s of
+``prolong(c)`` is D_s of c.  A sweep solves each s on its own band, which
+grows with s, and starts it from the previous band's Ritz block,
+prolonged (``sweep``).
 """
 
 from __future__ import annotations

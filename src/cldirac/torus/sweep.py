@@ -1,36 +1,39 @@
 """Deformation sweep: eigenmodes, localization mass, and report assembly.
 
 For each deformation strength s the sweep solves for the low eigenpairs of
-D_s^T D_s on the Fourier band (``kernels``), with D_s one sparse matrix
-built from the Fourier modes of w (``operators``), each from a nearby
-start block (below).  It measures the lowest eigenspace, not one vector
-of it: the mean density |u|^2 over the lowest cluster,
-sampled on the (N, N) grid, does not depend on the basis the solver
-returns inside a degenerate cluster (sin_zeros has an exact 2-dimensional
-kernel).  Its unit h^2-weighted sum gives the fraction of mass outside the
-delta-neighborhood of the singular set, and the sweep records the smallest
-singular value sigma_min = sqrt(lambda_min) and the cluster's mass on the
-band's outer ring, ``band_tail``, which a mode the band resolves keeps
-near zero; a row whose band_tail exceeds ``BAND_TAIL_NOTE`` gets a note,
-and no verdict changes.  Concentration shows up as
-outside-mass decreasing in s with s * mass bounded; for presets with empty
-singular set the interesting column is sigma_min instead (and outside-mass
-is 1 by definition).  A w with zeros needs at least two s values: its
+D_s^T D_s on a Fourier band (``kernels``) of its own, with D_s one sparse
+matrix built from the Fourier modes of w (``operators``).  It measures the
+lowest eigenspace, not one vector of it: the mean density |u|^2 over the
+lowest cluster, sampled on the (N, N) grid, does not depend on the basis
+the solver returns inside a degenerate cluster (sin_zeros has an exact
+2-dimensional kernel).  Its unit h^2-weighted sum gives the fraction of
+mass outside the delta-neighborhood of the singular set, and the sweep
+records the smallest singular value sigma_min = sqrt(lambda_min) and the
+cluster's mass on the band's outer ring, ``band_tail``, which a mode the
+band resolves keeps near zero.  Concentration shows up as outside-mass
+decreasing in s with s * mass bounded; for presets with empty singular
+set the interesting column is sigma_min instead (and outside-mass is 1 by
+definition).  A w with zeros needs at least two s values: its
 concentration checks compare rows, so ``run_sweep`` refuses a single s
 before any solve.
 
-Where w has zeros, the sweep first solves on the half band M_c = M // 2,
-the coarse level, which is nested in the band M (``operators``), and
-starts the solve on the band M from the prolonged coarse Ritz block when
-the coarse modes are resolved: their ``band_tail`` on the half band is at
-most ``BAND_TAIL_NOTE``.  Otherwise a solve starts from the Ritz block of
-the previous s.  Near a
-nondegenerate zero the low modes are Gaussians of width s^-1/2, whose
-coefficient mass beyond M_c falls like exp(-M_c^2/s), so log band_tail
-scales like 1/s: the coarse level stays on for the next s' while
-band_tail^(s/s') is at most eig_tol, and at most one coarse solve per
-sweep is wasted.  For constant w the band's lowest modes are exact and no
-coarse solve runs.  The solve on the band M alone decides convergence.
+Each s is solved on the band M(s) that resolves it, at most the cap
+M = N // 3 (``SimConfig.band_limit``).  Near a nondegenerate zero the low
+modes are Gaussians of width (g s)^-1/2, where g bounds |dw| and |dbar w|,
+so their coefficient mass beyond M(s) falls like exp(-M(s)^2 / (g s)).
+The a-priori band ``a_priori_band`` = ceil(sqrt(32 g s)) puts it near
+1e-12 for sin_zeros.  A row's band is at least that, at least the
+previous row's and at least the smallest on which LOBPCG runs
+(``_lobpcg_fits``), and at most the cap.  Since s increases, each band is
+nested in the next (``operators``), and each solve starts from the
+previous row's Ritz block, prolonged onto its band; the first starts from
+the lowest modes.  When the cluster's ``band_tail`` exceeds eig_tol below
+the cap, the row doubles its band, up to the cap, and solves again from
+its own prolonged block.  A row at the cap whose band_tail still exceeds
+eig_tol gets a note, and no verdict changes.  For constant w, g = 0 and
+the lowest modes are exact on any band that holds them, so every row runs
+on the smallest band.  On every band the solver's own residual check
+decides convergence.
 
 The ``SpectralReport`` is the one place that decides pass or fail: each
 row gets one verdict, failed when a failed check names it (``verdicts``).
@@ -52,11 +55,6 @@ from .config import TWO_PI, ConfigError, SimConfig, _lobpcg_fits, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
 from . import kernels
 from .operators import TorusOperator, prolong
-
-# band_tail above which a row is noted as not resolved by the band: at
-# N = 64 the sin_zeros kernel reads 8.9e-7 at s = 32, where its outside
-# mass is 0.39% off the closed form, and 6.7e-4 at s = 64, 576 times off.
-BAND_TAIL_NOTE = 1e-5
 
 
 def torus_distance_sq(x, y, zx, zy):
@@ -111,20 +109,18 @@ class SweepRow:
     eigenvalues: list
     outside_mass: float
     band_tail: float    # lowest cluster's mean mass on max(|mx|, |my|) = M
+    band_limit: int     # M, the band the row was solved on
     cluster_dim: int    # eigenpairs in the lowest cluster (lowest_cluster)
     sigma_min: float
-    sigma_floor: float  # sqrt(eig_tol * opnorm): sigma_min below it is not
-                        # resolved from 0
+    sigma_floor: float  # sqrt(eig_tol * opnorm), opnorm of the row's band:
+                        # sigma_min below it is not resolved from 0
     residual_max: float
     converged: bool
-    iterations: int     # EigenResult.iterations of the solve on the band M:
-                        # LOBPCG history rows, 2 per run even when the start
-                        # block has converged
+    iterations: int     # EigenResult.iterations summed over the row's
+                        # solves, one per band it tried: LOBPCG history
+                        # rows, 2 per run even when the start block has
+                        # converged
     seconds: float
-    coarse_band: int | None = None      # M_c when the start was prolonged
-                                        # from the half band, else None
-    coarse_iterations: int = 0          # of the half-band solve, 0 if none ran
-    coarse_band_tail: float | None = None  # its band_tail on the half band
 
 
 @dataclass
@@ -185,13 +181,10 @@ class SpectralReport:
     def lines(self) -> list[str]:
         """One line per row, marked by its verdict, then one per note and
         one per problem."""
-        coarse = coarse_band_limit(self.config)
         lines = [f"[{'ok ' if ok else 'FAIL'}] s={r.s:g}: "
                  f"sigma_min={r.sigma_min:.6g} outside_mass={r.outside_mass:.6g} "
-                 f"({r.iterations} iterations"
-                 + (f" + {r.coarse_iterations} on M = {coarse}"
-                    if r.coarse_iterations else "")
-                 + f", {r.seconds:.2f}s)"
+                 f"({r.iterations} iterations on M = {r.band_limit}, "
+                 f"{r.seconds:.2f}s)"
                  for r, ok in zip(self.rows, self.verdicts())]
         return (lines + [f"[note] {note}" for note in self.notes]
                 + [f"[FAIL] {problem}" for problem, _rows in self._checks()])
@@ -202,6 +195,7 @@ class SpectralReport:
             "config": self.config.echo(),
             "discretization": {
                 "scheme": "fourier-galerkin-band",
+                # the cap on every row's band; each row has its own
                 "band_limit": self.config.band_limit,
                 "w_modes": [[mx, my, c.real, c.imag]
                             for mx, my, c in self.config.w_modes()],
@@ -260,9 +254,13 @@ def band_tail(op: TorusOperator, result: EigenResult, size: int) -> float:
     return float(np.sum(x * x)) / size
 
 
-def coarse_band_limit(config: SimConfig) -> int:
-    """M_c = M // 2, the half band on which a sweep solves first."""
-    return config.band_limit // 2
+def a_priori_band(config: SimConfig, s: float) -> int:
+    """M0(s) = ceil(sqrt(32 g s)) with g = sum_k |k| |w_k| / 2 over the modes
+    of w, a bound on max|dw| and max|dbar w|: 1 for sin_zeros, 0 for a
+    constant w.  A Gaussian of width (g s)^-1/2 keeps about exp(-32) of its
+    coefficient mass beyond M0."""
+    g = 0.5 * sum(math.hypot(mx, my) * abs(c) for mx, my, c in config.w_modes())
+    return math.ceil(math.sqrt(32.0 * g * s))
 
 
 def run_sweep(config: SimConfig) -> SpectralReport:
@@ -276,60 +274,48 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         raise ConfigError("a w with zeros needs at least two s values: its "
                           "concentration checks compare rows, so one row "
                           "would pass on convergence alone")
-    coarse_M = coarse_band_limit(config)
-    # for constant w the band's lowest modes are exact, so only a w with
-    # zeros solves on the half band, and only where it meets LOBPCG's size
-    # rule, which SimConfig checks for the band M
-    coarse_on = bool(zeros) and _lobpcg_fits(config.eig_count, coarse_M)
+    cap = config.band_limit
+    # the smallest band on which LOBPCG runs; SimConfig checks the cap
+    M = next(M for M in range(1, cap + 1) if _lobpcg_fits(config.eig_count, M))
     rows = []
     densities = []
     notes = []
-    start = coarse_start = None
-    for s, s_next in zip(config.s_values, config.s_values[1:] + (math.inf,)):
+    start = None
+    for s in config.s_values:
         ts = time.monotonic()
-        coarse_band = coarse_tail = None
-        coarse_iterations = 0
-        if coarse_on:
-            coarse_op = TorusOperator(config, s, coarse_M)
-            coarse = normal_eigenpairs(coarse_op, config, start=coarse_start)
-            coarse_start, coarse_iterations = coarse.block, coarse.iterations
-            coarse_tail = band_tail(coarse_op, coarse, lowest_cluster(coarse_op, coarse))
-            if coarse_tail <= BAND_TAIL_NOTE:
-                start = prolong(coarse.block, coarse_op.K, 2 * config.band_limit + 1)
-                coarse_band = coarse_M
-            # log band_tail scales like 1/s: predict it at the next s
-            coarse_on = (coarse_band is not None
-                         and coarse_tail ** (s / s_next) <= config.eig_tol)
-            # freed before the band's matrix is built: of the half band's
-            # solve only its block, the next half-band start, carries over
-            coarse_op = coarse = None
-        op = TorusOperator(config, s)
-        result = normal_eigenpairs(op, config, start=start)
-        start = result.block
-        cluster = lowest_cluster(op, result)
+        M = min(max(a_priori_band(config, s), M), cap)
+        iterations = 0
+        while True:
+            op = TorusOperator(config, s, M)
+            if start is not None:
+                start = prolong(start, math.isqrt(start.shape[0] // 2), op.K)
+            result = normal_eigenpairs(op, config, start=start)
+            start = result.block
+            iterations += result.iterations
+            cluster = lowest_cluster(op, result)
+            tail = band_tail(op, result, cluster)
+            if tail <= config.eig_tol or M == cap:
+                break
+            M = min(2 * M, cap)
+        if tail > config.eig_tol:
+            notes.append(f"s = {s:g}: band_tail = {tail:.2g} > eig_tol = "
+                         f"{config.eig_tol:g} on the widest band M = N // 3 = "
+                         f"{cap}: the lowest modes reach its edge, so this row "
+                         f"is not resolved; a larger N resolves it")
         density = lowest_density(op, result, cluster)
-        mass = outside_mass(density, config, zeros)
-        tail = band_tail(op, result, cluster)
-        if tail > BAND_TAIL_NOTE:
-            notes.append(f"s = {s:g}: band_tail = {tail:.2g} > {BAND_TAIL_NOTE:g}: "
-                         f"the lowest modes reach the band edge |m| = M = "
-                         f"{config.band_limit}, so this row is not resolved; "
-                         f"a larger N resolves it")
         rows.append(SweepRow(
             s=float(s),
             eigenvalues=[float(v) for v in result.values],
-            outside_mass=mass,
+            outside_mass=outside_mass(density, config, zeros),
             band_tail=tail,
+            band_limit=M,
             cluster_dim=cluster,
             sigma_min=float(math.sqrt(max(result.values[0], 0.0))),
             sigma_floor=float(math.sqrt(config.eig_tol * result.opnorm_estimate)),
             residual_max=float(np.max(result.residuals)),
             converged=result.all_converged,
-            iterations=result.iterations,
+            iterations=iterations,
             seconds=time.monotonic() - ts,
-            coarse_band=coarse_band,
-            coarse_iterations=coarse_iterations,
-            coarse_band_tail=coarse_tail,
         ))
         densities.append(density)
         # freed before the next s: only result.block, the next start, stays

@@ -15,7 +15,7 @@ def test_verify_small_run(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["manifest"]["counts"]["fail"] == 0
     entries = report["entries"]
     # one entry per (identity, n, p)
@@ -74,7 +74,7 @@ def test_simulate_small_sweep(tmp_path):
     code = main(["simulate", str(cfg), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "simulate.json").read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["assertions"]["passed"] is True
     assert len(report["results"]) == 2
     assert (out / "simulate.csv").exists()
@@ -264,7 +264,7 @@ def test_verify_cli_reads_the_report_verdicts(tmp_path, monkeypatch, capsys):
 
 def _sweep_report(config, zeros, masses, sigmas):
     rows = [SweepRow(s=s, eigenvalues=[sig * sig], outside_mass=m, band_tail=0.0,
-                     cluster_dim=1, sigma_min=sig, sigma_floor=0.0,
+                     band_limit=10, cluster_dim=1, sigma_min=sig, sigma_floor=0.0,
                      residual_max=0.0, converged=True, iterations=1, seconds=0.0)
             for s, m, sig in zip((4.0, 8.0, 16.0), masses, sigmas)]
     return SpectralReport(config=config, zeros=zeros, rows=rows, fit=None,

@@ -25,12 +25,12 @@ from cldirac.torus import (
     zero_locations,
 )
 from cldirac.torus import eigensolve, kernels
-from cldirac.torus.config import MAX_MODES, ConfigError, load_config
+from cldirac.torus.config import MAX_MODES, ConfigError, _lobpcg_fits, load_config
 from cldirac.torus.eigensolve import residual_norms
 from cldirac.torus.heatmap import _STOPS, _colors
 from cldirac.torus.operators import prolong
 from cldirac.torus.sweep import (
-    BAND_TAIL_NOTE,
+    a_priori_band,
     band_tail,
     fit_loglog,
     lowest_cluster,
@@ -332,8 +332,8 @@ def test_w_modes_merge_a_repeated_mode():
 @pytest.mark.parametrize("N", [16, 32, 64])
 def test_sparse_operator_is_the_fft_reference(N):
     # D and D^T equal the FFT pair with w on the (N, N) grid, which folds
-    # no product mode onto the band for these w, on the band and on the
-    # half band; D stores no zero and has int32 indices
+    # no product mode onto the band for these w, on the band and on a
+    # smaller band; D stores no zero and has int32 indices
     rng = np.random.default_rng(N)
     for cfg in _reference_configs(N, rng):
         w = phi_field(cfg)
@@ -371,10 +371,11 @@ def test_a_grid_below_the_product_grid_aliases(N):
 
 @pytest.mark.parametrize("N", [32, 64])
 def test_half_band_operator_is_the_band_operator_restricted(N):
-    # the half band M_c = M // 2 is a subspace of the band M and A is the
-    # exact projection on both, so D_s on the half band is the Galerkin
+    # a smaller band M_c < M is a subspace of the band M and A is the exact
+    # projection on both, so D_s on the smaller band is the Galerkin
     # compression of D_s on the band, and prolong embeds it (mode m at
-    # index m mod K), which restrict undoes
+    # index m mod K), which restrict undoes: a sweep starts each band's
+    # solve from the prolonged Ritz block of a smaller one
     rng = np.random.default_rng(N + 2)
     for cfg in _reference_configs(N, rng):
         fine = TorusOperator(cfg, 4.0)
@@ -771,13 +772,14 @@ def test_sin_zeros_kernel_is_the_continuum_kernel(N):
             assert abs(r.outside_mass - closed) <= 0.01 * closed
 
 
-@pytest.mark.parametrize("N,noted", [(64, [64.0]), (128, [])])
+@pytest.mark.parametrize("N,noted", [(64, [32.0, 64.0]), (128, [])])
 def test_band_tail_notes_the_unresolved_row(N, noted):
-    # the row the band does not resolve, and only that row, gets a note,
-    # and the verdicts stay those of the checks
+    # a row whose band_tail exceeds eig_tol on the widest band, and only
+    # such a row, gets a note, and the verdicts stay those of the checks
     cfg, report = _sin_zeros_sweep(N)
     tails = [r.band_tail for r in report.rows]
-    assert [r.s for r in report.rows if r.band_tail > BAND_TAIL_NOTE] == noted
+    assert [r.s for r in report.rows if r.band_tail > cfg.eig_tol] == noted
+    assert all(r.band_limit == cfg.band_limit for r in report.rows if r.s in noted)
     assert len(report.notes) == len(noted)
     assert all(f"s = {s:g}: band_tail" in note for s, note in zip(noted, report.notes))
     assert [line for line in report.lines() if line.startswith("[note]")] == [
@@ -786,59 +788,59 @@ def test_band_tail_notes_the_unresolved_row(N, noted):
     assert [r["band_tail"] for r in report.to_dict()["results"]] == tails
 
 
-@pytest.mark.parametrize("N,coarse", [(64, [8.0]), (128, [8.0, 16.0])])
-def test_the_half_band_starts_the_rows_it_resolves(N, coarse):
-    # log band_tail on the half band scales like 1/s, so the coarse level
-    # starts the low s and switches off before the first s it cannot resolve
+def test_a_capped_row_with_a_small_mass_is_noted():
+    # at s = 128 the widest band N // 3 = 42 leaves a band_tail of 5.1e-7,
+    # and an outside mass about 4e6 times the closed form: a fixed tail
+    # threshold of 1e-5 let it pass unnoted
+    cfg = dataclasses.replace(load_config(preset_path("sin_zeros.cfg")), N=128,
+                              s_values=(32.0, 64.0, 128.0))
+    report = run_sweep(cfg)
+    assert [r.band_limit for r in report.rows] == [32, 42, 42]
+    assert len(report.notes) == 1 and report.notes[0].startswith("s = 128: band_tail")
+    assert report.rows[2].outside_mass > 1e3 * _closed_form_mass(cfg, 128.0)
+    assert report.verdicts() == [True] * 3
+
+
+@pytest.mark.parametrize("N,bands", [(64, [16, 21, 21, 21]), (128, [16, 23, 32, 42])])
+def test_each_row_is_solved_on_its_own_band(N, bands):
+    # the band is ceil(sqrt(32 s)) for sin_zeros (g = 1), capped at N // 3;
+    # it never decreases, and a row below the cap resolves its modes
     cfg, report = _sin_zeros_sweep(N)
-    M_c = cfg.band_limit // 2
-    assert [r.s for r in report.rows if r.coarse_band is not None] == coarse
-    lines = report.lines()
-    for r, line in zip(report.rows, lines):
-        assert r.coarse_band in (None, M_c)
-        assert (r.coarse_iterations > 0) == (r.coarse_band_tail is not None)
-        if r.coarse_band is not None:
-            assert r.coarse_band_tail <= BAND_TAIL_NOTE
-            counts = f"({r.iterations} iterations + {r.coarse_iterations} on M = {M_c}, "
-            assert counts in line
-        if r.coarse_band is not None and r.iterations == 2:
-            # accepted at the prolonged start: no mass beyond M_c
-            assert r.band_tail == 0.0
-        opnorm = TorusOperator(cfg, r.s).sigma_max_bound() ** 2
+    assert [a_priori_band(cfg, s) for s in S_VALUES] == [
+        math.ceil(math.sqrt(32 * s)) for s in S_VALUES]
+    assert [r.band_limit for r in report.rows] == bands
+    for r, line in zip(report.rows, report.lines()):
+        assert r.band_tail <= cfg.eig_tol or r.band_limit == cfg.band_limit
+        assert f"({r.iterations} iterations on M = {r.band_limit}, " in line
+        opnorm = TorusOperator(cfg, r.s, r.band_limit).sigma_max_bound() ** 2
         assert r.cluster_dim == 2
         assert r.sigma_floor == math.sqrt(cfg.eig_tol * opnorm)
-    if N == 128:
-        assert report.rows[0].iterations == 2
-    for key in ("coarse_band", "coarse_iterations", "coarse_band_tail",
-                "cluster_dim", "sigma_floor"):
-        assert [row[key] for row in report.to_dict()["results"]] == [
-            getattr(r, key) for r in report.rows]
+    results = report.to_dict()["results"]
+    for key in ("band_limit", "cluster_dim", "sigma_floor"):
+        assert [row[key] for row in results] == [getattr(r, key) for r in report.rows]
+    assert not any(key.startswith("coarse") for row in results for key in row)
 
 
-def test_constant_w_and_a_small_half_band_run_no_coarse_solve():
-    # constant w: the band's lowest modes are exact; eig_count = 7 at N = 16:
-    # 5 (7 + 4) > 2 (2 * 2 + 1)^2 = 50 on the half band M_c = 2
-    constant = run_sweep(load_config(preset_path("constant.cfg")))
-    small = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset="sin_zeros",
-                      delta=0.5, eig_count=7, eig_tol=1e-8)
-    for report in (constant, run_sweep(small)):
-        assert report.all_converged
-        assert all(r.coarse_band is None and r.coarse_iterations == 0
-                   and r.coarse_band_tail is None for r in report.rows)
-        assert all(" on M = " not in line for line in report.lines())
-    # the control: at eig_count = 6 the half band meets the rule and runs
-    fits = run_sweep(dataclasses.replace(small, eig_count=6))
-    assert fits.rows[0].coarse_iterations > 0
+@pytest.mark.parametrize("eig_count,band", [(4, 2), (7, 3)])
+def test_constant_rows_run_on_the_smallest_band(eig_count, band):
+    # constant w: the band's lowest modes are exact, so every row runs on
+    # the smallest band that meets LOBPCG's size rule, and the start block
+    # has converged already
+    cfg = dataclasses.replace(load_config(preset_path("constant.cfg")),
+                              eig_count=eig_count)
+    assert _lobpcg_fits(eig_count, band) and not _lobpcg_fits(eig_count, band - 1)
+    report = run_sweep(cfg)
+    assert report.all_converged and report.verdicts() == [True] * 4
+    assert [r.band_limit for r in report.rows] == [band] * 4
+    assert [r.iterations for r in report.rows] == [2] * 4
+    assert all(abs(r.sigma_min - r.s) <= 0.01 * r.s for r in report.rows)
 
 
-def test_a_prolonged_start_finds_the_warm_started_solution():
-    # each row the half band starts agrees with a solve on the band M that
-    # starts from the previous s's Ritz block, or from the lowest modes
-    cfg, report = _sin_zeros_sweep(128)
+def _matches_the_full_band(cfg, rows):
+    """Each row agrees with a solve on the band N // 3 that starts from the
+    previous row's solve there, or from the lowest modes."""
     zeros = zero_locations(cfg)
     start = None
-    rows = [r for r in report.rows if r.coarse_band is not None]
-    assert len(rows) == 2
     for r in rows:
         op = TorusOperator(cfg, r.s)
         ref = normal_eigenpairs(op, cfg, start=start)
@@ -852,6 +854,50 @@ def test_a_prolonged_start_finds_the_warm_started_solution():
         mass = outside_mass(lowest_density(op, ref, size), cfg, zeros)
         assert r.cluster_dim == size
         assert abs(r.outside_mass - mass) <= 1e-6 * mass
+
+
+def test_a_prolonged_start_finds_the_warm_started_solution():
+    # each row below the cap, two of them started from the previous row's
+    # block prolonged onto a wider band, agrees with the band N // 3
+    cfg, report = _sin_zeros_sweep(128)
+    rows = [r for r in report.rows if r.band_limit < cfg.band_limit]
+    assert [r.band_limit for r in rows] == [16, 23, 32]
+    _matches_the_full_band(cfg, rows)
+
+
+def test_a_row_the_a_priori_band_does_not_resolve_widens(monkeypatch):
+    # with the a-priori band forced to 2, each row doubles its band until
+    # band_tail <= eig_tol, the last step capped at N // 3 = 21, and
+    # agrees with the band N // 3
+    tried = []
+
+    def recording(config, s, band_limit=None):
+        tried.append(band_limit)
+        return TorusOperator(config, s, band_limit)
+    monkeypatch.setattr("cldirac.torus.sweep.a_priori_band", lambda config, s: 2)
+    monkeypatch.setattr("cldirac.torus.sweep.TorusOperator", recording)
+    cfg = SimConfig(N=64, s_values=(8.0, 16.0), phi_preset="sin_zeros",
+                    delta=0.5, eig_count=3, eig_tol=1e-8)
+    report = run_sweep(cfg)
+    assert tried == [2, 4, 8, 16, 16, 21]
+    assert [r.band_limit for r in report.rows] == [16, 21]
+    assert all(r.band_tail <= cfg.eig_tol for r in report.rows)
+    assert report.notes == [] and report.verdicts() == [True, True]
+    _matches_the_full_band(cfg, report.rows)
+
+
+def test_the_benchmark_scale_sweep_resolves_every_row():
+    # sin_zeros at N = 256, s = 8, 32: each row on its own band, well below
+    # the cap 85, with the closed-form mass on the 256^2 mask
+    cfg = dataclasses.replace(load_config(preset_path("sin_zeros.cfg")), N=256,
+                              s_values=(8.0, 32.0))
+    report = run_sweep(cfg)
+    assert [r.band_limit for r in report.rows] == [16, 32]
+    assert [r.cluster_dim for r in report.rows] == [2, 2]
+    assert report.notes == [] and report.verdicts() == [True, True]
+    for r in report.rows:
+        closed = _closed_form_mass(cfg, r.s)
+        assert abs(r.outside_mass - closed) <= 0.01 * closed
 
 
 def test_run_sweep_reproducible():

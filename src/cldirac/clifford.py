@@ -37,7 +37,6 @@ from .fiber import (
     subsets_increasing,
     zero_form,
 )
-from .scalars import real_part
 
 EVEN = "even"
 ODD = "odd"
@@ -120,9 +119,6 @@ class Spinor:
         for a, b in zip(self.parts, other.parts):
             acc = acc + inner(a, b)
         return acc
-
-    def real_inner(self, other: "Spinor"):
-        return real_part(self.inner(other))
 
     def norm_sq(self):
         return self.inner(self)

@@ -53,7 +53,6 @@ from .scalars import (
     _unit_exponent,
     conj,
     is_zero,
-    scalar_text,
 )
 
 
@@ -228,9 +227,6 @@ class Form:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def num_terms(self) -> int:
-        return len(self._terms)
-
     def bidegrees(self) -> set:
         """The bidegrees (p, q) of the terms."""
         return {(ti.bit_count(), tj.bit_count()) for ti, tj in self._terms}
@@ -325,7 +321,7 @@ class Form:
     def text(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(f"({scalar_text(c)})*{self._key_text(k)}"
+        return " + ".join(f"({c.text()})*{self._key_text(k)}"
                           for k, c in self.items())
 
     def __repr__(self):
@@ -375,10 +371,6 @@ class Covector:
 
     def part01(self) -> Form:
         return Form._of(self.ctx, {(0, 1 << k): c for k, c in enumerate(self.a)})
-
-    def part10(self) -> Form:
-        return Form._of(self.ctx,
-                        {(1 << k, 0): conj(c) for k, c in enumerate(self.a)})
 
     def norm_sq(self):
         """|gamma|^2 = 2 sum |a_i|^2 for the real covector."""

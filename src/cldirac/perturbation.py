@@ -45,7 +45,7 @@ from .fiber import (
     zero_form,
 )
 from .hodge import tau_graded
-from .scalars import ExactComplex, abs_sq, conj, is_zero, real_to_float
+from .scalars import ExactComplex, _dot_conj, conj, is_zero, real_to_float
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -121,12 +121,23 @@ def _adjoint_unit(phi: PhiMap) -> ExactComplex:
     return -ubar if phi.ctx.n % 2 else ubar
 
 
+def _A_slot(eta: Form, f: Form) -> Form:
+    """A on one slot before its matrix: tau(eta ^ f)."""
+    return tau_graded(wedge(eta, f))
+
+
+def _A_adjoint_slot(ubar, f: Form) -> Form:
+    """A* on one slot before its matrix: ubar strip_top(tau f), with
+    ubar = _adjoint_unit(phi)."""
+    return _strip_top(tau_graded(f)).scale(ubar)
+
+
 def apply_A(phi: PhiMap, z: Spinor) -> Spinor:
     """Conjugate-linear perturbation; exchanges the chiral halves."""
     _require_odd(phi.ctx)
     _check_spinor(phi, z)
     eta = phi.eta()
-    images = [tau_graded(wedge(eta, f)) for f in z.parts]
+    images = [_A_slot(eta, f) for f in z.parts]
     out = [sum((f.scale(conj(c)) for c, f in zip(row, images)), zero_form(phi.ctx))
            for row in phi.entries]
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
@@ -138,7 +149,7 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
     _require_odd(phi.ctx)
     _check_spinor(phi, z)
     ubar = _adjoint_unit(phi)
-    stripped = [_strip_top(tau_graded(f)).scale(ubar) for f in z.parts]
+    stripped = [_A_adjoint_slot(ubar, f) for f in z.parts]
     out = [sum((f.scale(conj(row[i])) for row, f in zip(phi.entries, stripped)),
                zero_form(phi.ctx))
            for i in range(phi.r)]
@@ -160,15 +171,14 @@ def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
     ctx, r, e = phi.ctx, phi.r, phi.entries
     eta = phi.eta()
     ubar = _adjoint_unit(phi)
-    col = [sum((abs_sq(e[i][j]) for i in range(r)), ctx.zero) for j in range(r)]
-    row = [sum(map(abs_sq, e[j]), ctx.zero) for j in range(r)]
-    mix = [sum((conj(e[i][j]) * e[j][i] for i in range(r)), ctx.zero)
-           for j in range(r)]
+    col = [_dot_conj((e[i][j], e[i][j]) for i in range(r)) for j in range(r)]
+    row = [_dot_conj((x, x) for x in e[j]) for j in range(r)]
+    mix = [_dot_conj((e[j][i], e[i][j]) for i in range(r)) for j in range(r)]
     out = []
     for tj in chirality_subsets(ctx.n, EVEN):
         mono = monomial(ctx, (), tj)
-        f = clifford(g, tau_graded(wedge(eta, mono)))
-        h = _strip_top(tau_graded(clifford(g, mono))).scale(ubar)
+        f = clifford(g, _A_slot(eta, mono))
+        h = _A_adjoint_slot(ubar, clifford(g, mono))
         ff, hh, fh = inner(f, f), inner(h, h), inner(f, h)
         for j in range(r):
             x = mix[j] * fh
@@ -183,11 +193,13 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     The basis spinor with the monomial e_J in slot j and zero elsewhere has
     image conj(phi_ij) F_J + conj(phi_ji) G_J in slot i, where
 
-        F_J = c(gamma) tau(eta ^ e_J)
-        G_J = (-1)^n conj(u) strip_top(tau(c(gamma) e_J)),
+        F_J = c(gamma) _A_slot(e_J) = c(gamma) tau(eta ^ e_J)
+        G_J = _A_adjoint_slot(c(gamma) e_J)
+            = (-1)^n conj(u) strip_top(tau(c(gamma) e_J)),
 
     since the symbols act slot by slot, c(gamma) is complex-linear and A, A*
-    are the matrix formulas above.  Summed over i, its squared norm is
+    are the slot maps under the matrix formulas above, the ones apply_A and
+    apply_A_adjoint use.  Summed over i, its squared norm is
 
         col_j |F_J|^2 + row_j |G_J|^2 + 2 Re(mix_j <F_J, G_J>),
 

@@ -283,10 +283,6 @@ def real_to_float(z) -> float:
     return a / q + SQRT2_FLOAT * (c / q)
 
 
-def scalar_text(z) -> str:
-    return z.text()
-
-
 # -- kernel helpers ----------------------------------------------------------
 
 def _mul_into(acc, key, s, t):

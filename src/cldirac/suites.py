@@ -51,7 +51,7 @@ from .perturbation import (
     random_phi,
     singular_verdict,
 )
-from .scalars import is_zero
+from .scalars import ExactComplex, is_zero
 
 
 @dataclass
@@ -120,22 +120,28 @@ def _failure_size(defect) -> float | None:
     return abs(defect.to_complex())
 
 
-def _run(identity, n, p, trials, seed, check) -> IdentityRecord:
-    """check(rng) returns (exact defect, describe); a trial fails when the
-    defect is not exactly zero, and the first of the largest failures is
-    kept as the counterexample, whose text describe() builds only then."""
-    rng = random.Random(stable_seed(seed, identity, n, p))
-    failures = 0
-    worst = 0.0
-    example = None
-    for _ in range(trials):
-        defect, describe = check(rng)
+def _tally(cases) -> tuple[int, int, float, str | None]:
+    """(count, failures, worst, example) over (exact defect, describe)
+    pairs: a case fails when its defect is not exactly zero, and the first
+    of the largest failures is the example, whose text describe() builds
+    only then."""
+    count = failures = 0
+    worst, example = 0.0, None
+    for defect, describe in cases:
+        count += 1
         size = _failure_size(defect)
         if size is not None:
             failures += 1
             if example is None or size > worst:
                 worst, example = size, describe()
-    return IdentityRecord(identity, n, p, trials, failures, worst, example)
+    return count, failures, worst, example
+
+
+def _run(identity, n, p, trials, seed, check) -> IdentityRecord:
+    """The record of trials draws of check(rng), each an (exact defect,
+    describe) pair."""
+    rng = random.Random(stable_seed(seed, identity, n, p))
+    return IdentityRecord(identity, n, p, *_tally(check(rng) for _ in range(trials)))
 
 
 def _eta(ctx, rng):
@@ -200,22 +206,18 @@ def _contract_twice(ctx, p, rng):
 
 def _star_defining_exhaustive(ctx, p) -> tuple[int, int, float, str | None]:
     """alpha ^ star(beta) = <alpha, beta> dv over all same-bidegree basis
-    pairs; returns (pairs, failures, worst, example)."""
+    pairs; returns _tally's (pairs, failures, worst, example)."""
     dv = volume_form(ctx)
-    pairs = failures = 0
-    worst, example = 0.0, None
-    for q in range(ctx.n + 1):
-        basis = basis_forms(ctx, p, q)
-        stars = [bar_star(b) for b in basis]
-        for a in basis:
-            for b, sb in zip(basis, stars):
-                pairs += 1
-                size = _failure_size(wedge(a, sb) - dv.scale(inner(a, b)))
-                if size is not None:
-                    failures += 1
-                    if example is None or size > worst:
-                        worst, example = size, _describe(alpha=a, beta=b)
-    return pairs, failures, worst, example
+
+    def cases():
+        for q in range(ctx.n + 1):
+            basis = basis_forms(ctx, p, q)
+            stars = [bar_star(b) for b in basis]
+            for a in basis:
+                for b, sb in zip(basis, stars):
+                    yield (wedge(a, sb) - dv.scale(inner(a, b)),
+                           functools.partial(_describe, alpha=a, beta=b))
+    return _tally(cases())
 
 
 def _star_square(ctx, p, rng):
@@ -392,15 +394,13 @@ def verify_suite(n_max: int, trials: int, seed: int) -> list[IdentityRecord]:
         # basis pairs through n = 5, the n <= n_max loop otherwise)
         if n <= 5:
             for p in range(n + 1):
-                pairs, failures, worst, example = _star_defining_exhaustive(ctx, p)
-                records.append(IdentityRecord("star_defining", n, p, pairs,
-                                              failures, worst, example))
+                records.append(IdentityRecord("star_defining", n, p,
+                                              *_star_defining_exhaustive(ctx, p)))
     for n in range(1, 9):
         for p in range(n + 1):
-            ok = epsilon_shift_identity(n, p)
-            records.append(IdentityRecord(
-                "epsilon_shift", n, p, 1, 0 if ok else 1,
-                0.0 if ok else 1.0, None if ok else f"n={n}, p={p}"))
+            defect = ExactComplex(0 if epsilon_shift_identity(n, p) else 1)
+            records.append(IdentityRecord("epsilon_shift", n, p, *_tally(
+                [(defect, lambda: f"n={n}, p={p}")])))
     return records
 
 

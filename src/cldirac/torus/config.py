@@ -1,33 +1,22 @@
 """Simulation configuration and the phi field on a grid.
 
-Config files are plain ``key = value`` lines (``#`` comments).  Keys:
-
-    N               grid points per axis; power of two, 16 <= N <= 1024.
-                    Fields are their Fourier coefficients with
-                    |mx|, |my| <= M, M chosen per s up to N // 3
-    s_values        comma-separated deformation strengths, strictly increasing
-    phi_preset      sin_zeros | constant(<complex>) | custom
-    fourier_coeffs  for custom: "mx,my,re,im; mx,my,re,im; ..." giving
-                    w = sum c * exp(i(mx*x + my*y)), with
-                    max(|mx|, |my|) < N/2 and at most MAX_MODES
-                    distinct (mx, my)
-    delta           exclusion radius around the singular set (radians)
-    eig_count       number of low eigenpairs to compute
-    eig_tol         relative residual tolerance for the eigensolver, >= 1e-15
-    seed            RNG seed for the solver's start block
-    max_iterations  eigensolver iteration cap
+Config files are plain ``key = value`` lines (``#`` comments).  The keys
+are the fields of ``SimConfig``, in its order; the comment beside each
+field says what it holds, and ``parse_config_text`` reads each key by its
+field.
 
 The torus is [0, 2pi)^2 with spacing h = 2pi/N.  The sin_zeros preset is
 w = sin x + i sin y, whose zeros (0,0), (pi,0), (0,pi), (pi,pi) are exact
 and nondegenerate.  Fields, densities and zeros live on the (N, N) grid;
-the solver reads w as its Fourier modes, ``SimConfig.w_modes``.
+every preset's w is its Fourier modes, ``SimConfig.w_modes``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -63,16 +52,63 @@ def _lobpcg_fits(eig_count: int, M: int) -> bool:
     return 5 * (eig_count + 4) <= 2 * (2 * M + 1) ** 2
 
 
+def _number(cast, key: str, text: str):
+    try:
+        return cast(text.strip())
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{key}: expected {kind}, got {text.strip()!r}") from None
+
+
+def _read_s_values(key: str, text: str) -> tuple:
+    return tuple(_number(float, key, tok) for tok in text.split(","))
+
+
+def _read_fourier_coeffs(key: str, text: str) -> tuple:
+    coeffs = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        toks = [t.strip() for t in chunk.split(",")]
+        if len(toks) != 4:
+            raise ConfigError(f"{key} entries are mx,my,re,im")
+        mx, my = (_number(int, key, t) for t in toks[:2])
+        re, im = (_number(float, key, t) for t in toks[2:])
+        coeffs.append((mx, my, complex(re, im)))
+    return tuple(coeffs)
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """One field per config key.  A key is read as its default's type
+    unless its field's metadata names a reader ("read"), and echoed with
+    tuples as lists unless it names a JSON shape ("echo")."""
+
+    # grid points per axis; power of two, 16 <= N <= 1024.  Fields are
+    # their Fourier coefficients with |mx|, |my| <= M, M chosen per s up to
+    # N // 3
     N: int = 64
-    s_values: tuple = (8.0, 16.0, 32.0, 64.0)
+    # comma-separated deformation strengths, strictly increasing
+    s_values: tuple = field(default=(8.0, 16.0, 32.0, 64.0),
+                            metadata={"read": _read_s_values})
+    # exactly sin_zeros, custom or constant(<complex>)
     phi_preset: str = "sin_zeros"
-    fourier_coeffs: tuple = ()
+    # custom only: "mx,my,re,im; mx,my,re,im; ..." giving
+    # w = sum c * exp(i(mx*x + my*y)), with max(|mx|, |my|) < N/2 and at
+    # most MAX_MODES distinct (mx, my)
+    fourier_coeffs: tuple = field(default=(), metadata={
+        "read": _read_fourier_coeffs,
+        "echo": lambda coeffs: [[mx, my, c.real, c.imag] for mx, my, c in coeffs]})
+    # exclusion radius around the singular set (radians)
     delta: float = 0.5
+    # number of low eigenpairs to compute
     eig_count: int = 6
+    # relative residual tolerance for the eigensolver, >= MIN_EIG_TOL
     eig_tol: float = 1e-9
+    # RNG seed for the solver's start block
     seed: int = 1
+    # eigensolver iteration cap
     max_iterations: int = 800
 
     def __post_init__(self):
@@ -118,7 +154,13 @@ class SimConfig:
                 raise ConfigError("constant preset needs a finite value")
             if value == 0:
                 raise ConfigError("constant preset needs a nonzero value")
-        elif kind == "custom":
+        elif self.phi_preset.strip() not in ("sin_zeros", "custom"):
+            raise ConfigError(f"unknown phi preset {self.phi_preset!r}: expected "
+                              f"sin_zeros, custom or constant(<complex>)")
+        if self.fourier_coeffs and kind != "custom":
+            raise ConfigError(f"fourier_coeffs is read only by the custom "
+                              f"preset, not by {self.phi_preset!r}")
+        if kind == "custom":
             if not self.fourier_coeffs:
                 raise ConfigError("custom preset needs fourier_coeffs")
             if not all(np.isfinite(c) for _mx, _my, c in self.fourier_coeffs):
@@ -149,8 +191,6 @@ class SimConfig:
                     f"entries per real row, 12 B each, up to "
                     f"{12 * (2 + 2 * MAX_MODES) * nreal / 1e6:.0f} MB for "
                     f"{MAX_MODES} modes at N = {MAX_N}")
-        elif kind != "sin_zeros":
-            raise ConfigError(f"unknown phi preset {self.phi_preset!r}")
         sigma = math.sqrt(2.0) * self.band_limit + self.s_values[-1] * self.w_bound
         if not sigma < MAX_SIGMA:
             raise ConfigError(
@@ -208,25 +248,18 @@ class SimConfig:
             raise ConfigError(f"bad constant value {inside!r}") from exc
 
     def echo(self) -> dict:
-        return {
-            "N": self.N,
-            "s_values": list(self.s_values),
-            "phi_preset": self.phi_preset,
-            "fourier_coeffs": [[mx, my, c.real, c.imag]
-                               for (mx, my, c) in self.fourier_coeffs],
-            "delta": self.delta,
-            "eig_count": self.eig_count,
-            "eig_tol": self.eig_tol,
-            "seed": self.seed,
-            "max_iterations": self.max_iterations,
-        }
-
-
-_KEYS = {"N", "s_values", "phi_preset", "fourier_coeffs", "delta",
-         "eig_count", "eig_tol", "seed", "max_iterations"}
+        """The config as JSON, one entry per field in declaration order."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if "echo" in f.metadata:
+                value = f.metadata["echo"](value)
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def parse_config_text(text: str) -> SimConfig:
+    keys = {f.name: f for f in fields(SimConfig)}
     values = {}
     lines = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -237,7 +270,7 @@ def parse_config_text(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEYS:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in lines:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line "
@@ -245,39 +278,11 @@ def parse_config_text(text: str) -> SimConfig:
         values[key] = val
         lines[key] = lineno
     kwargs = {}
-    if "N" in values:
-        kwargs["N"] = _number(int, "N", values["N"])
-    if "s_values" in values:
-        kwargs["s_values"] = tuple(_number(float, "s_values", tok)
-                                   for tok in values["s_values"].split(","))
-    if "phi_preset" in values:
-        kwargs["phi_preset"] = values["phi_preset"]
-    if "fourier_coeffs" in values:
-        coeffs = []
-        for chunk in values["fourier_coeffs"].split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            toks = [t.strip() for t in chunk.split(",")]
-            if len(toks) != 4:
-                raise ConfigError("fourier_coeffs entries are mx,my,re,im")
-            mx, my = (_number(int, "fourier_coeffs", t) for t in toks[:2])
-            re, im = (_number(float, "fourier_coeffs", t) for t in toks[2:])
-            coeffs.append((mx, my, complex(re, im)))
-        kwargs["fourier_coeffs"] = tuple(coeffs)
-    for key, cast in (("delta", float), ("eig_count", int), ("eig_tol", float),
-                      ("seed", int), ("max_iterations", int)):
+    for key, f in keys.items():
         if key in values:
-            kwargs[key] = _number(cast, key, values[key])
+            read = f.metadata.get("read", functools.partial(_number, type(f.default)))
+            kwargs[key] = read(key, values[key])
     return SimConfig(**kwargs)
-
-
-def _number(cast, key: str, text: str):
-    try:
-        return cast(text.strip())
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{key}: expected {kind}, got {text.strip()!r}") from None
 
 
 def load_config(path) -> SimConfig:
@@ -296,20 +301,13 @@ def preset_path(name: str):
 
 def phi_field(config: SimConfig, side: int | None = None) -> np.ndarray:
     """The perturbation coefficient w sampled on the (side, side) grid of
-    the torus, side N by default, complex with axis 0 = x and axis 1 = y."""
+    the torus, side N by default, complex with axis 0 = x and axis 1 = y:
+    the sum over ``config.w_modes()`` of c outer(e^{i mx x}, e^{i my y}),
+    one matrix product of the two factor tables."""
     side = config.N if side is None else side
     x = np.arange(side) * (TWO_PI / side)
-    xx = x[:, None]
-    yy = x[None, :]
-    kind = config.preset_kind
-    if kind == "sin_zeros":
-        return np.sin(xx) + 1j * np.sin(yy) + np.zeros((side, side), complex)
-    if kind == "constant":
-        return np.full((side, side), config.constant_value, complex)
-    w = np.zeros((side, side), complex)
-    for (mx, my, c) in config.fourier_coeffs:
-        w += c * np.exp(1j * (mx * xx + my * yy))
-    return w
+    mx, my, c = (np.array(col) for col in zip(*config.w_modes()))
+    return (c * np.exp(1j * np.outer(x, mx))) @ np.exp(1j * np.outer(my, x))
 
 
 def zero_locations(config: SimConfig):

@@ -175,4 +175,4 @@ def normal_eigenpairs(op: TorusOperator, config: SimConfig,
 def dense_sigma_min(op: TorusOperator) -> float:
     """Smallest singular value of D_s by dense SVD; independent cross-check
     for small grids."""
-    return float(np.linalg.svd(op.dense(), compute_uv=False)[-1])
+    return float(np.linalg.svd(op.D.toarray(), compute_uv=False)[-1])

@@ -50,8 +50,9 @@ from .config import SimConfig
 
 def flat_to_complex(x: np.ndarray, side: int) -> np.ndarray:
     """(side, side) complex view of a flat real vector.  It copies only when
-    ``x`` is not a contiguous float64 array; the eigensolver hands it
-    contiguous rows of a transposed block, so there it never copies."""
+    ``x`` is not a contiguous float64 array; its one caller,
+    ``TorusOperator.field``, hands it a column of the Ritz block, which is
+    strided, so there it copies."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     return x.reshape(-1).view(np.complex128).reshape(side, side)
 
@@ -142,7 +143,3 @@ class TorusOperator:
         upper bound for the largest singular value (triangle inequality,
         and ||A|| <= max|w| since A is a projection of conj(w u))."""
         return float(math.sqrt(2.0) * self.M + self.s * self.config.w_bound)
-
-    def dense(self) -> np.ndarray:
-        """Materialize D_s as a real matrix (tests and small cross-checks)."""
-        return self.D.toarray()

@@ -137,8 +137,14 @@ _BAD_CONFIGS = {
     # |w| >= 0.75: no zero for the mass checks, no check but convergence
     "fourier-no-zero": {"phi_preset": "custom",
                         "fourier_coeffs": "0,0,1,0; 1,0,0.25,0"},
-    # N = 16 has band limit M = 5, so modes need max(|mx|, |my|) < 3
-    "fourier-beyond-band": {"phi_preset": "custom", "fourier_coeffs": "3,0,1,0"},
+    # the N = 16 grid resolves modes below N/2 only: e^{8ix} aliases e^{-8ix}
+    "fourier-aliased": {"phi_preset": "custom",
+                        "fourier_coeffs": "8,0,1,0; 0,0,-0.5,0"},
+    # a preset name is exact, and fourier_coeffs is read by custom only
+    "sin_zeros-suffix": {"phi_preset": "sin_zeros(2)"},
+    "custom-suffix": {"phi_preset": "custom(typo)",
+                      "fourier_coeffs": "1,0,0,-0.5; -1,0,0,0.5; 0,1,0.5,0; 0,-1,-0.5,0"},
+    "fourier-unused": {"fourier_coeffs": "0,0,1,0; 2,0,0.5,0"},
     # sqrt2 M + s_max max|w| must stay below float max ** 0.25 ~ 1.2e77
     "s_values-overflow": {"s_values": "1e160"},
     "constant-s-overflow": {"phi_preset": "constant(1)", "s_values": "1e100"},

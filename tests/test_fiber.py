@@ -139,7 +139,8 @@ def test_covector_norm():
     g = Covector(ctx, (ExactComplex(1), ExactComplex(0, 1)))
     assert g.norm_sq() == 4  # 2 * (1 + 1)
     # matches the hermitian norm of the two parts
-    total = inner(g.part01(), g.part01()) + inner(g.part10(), g.part10())
+    g10 = g.part01().conjugate()
+    total = inner(g.part01(), g.part01()) + inner(g10, g10)
     assert g.norm_sq() == total
 
 
@@ -156,7 +157,7 @@ def test_random_form_range_error():
 
 def test_random_form_term_bound():
     f = random_form(FiberContext(3), 0, 2, seed=1)
-    assert f.num_terms() <= 3  # C(3, 2)
+    assert len(f.items()) <= 3  # C(3, 2)
 
 
 def test_random_unit_scalar_exact():
@@ -211,7 +212,7 @@ def test_internal_constructions_equal_checked_forms(n):
                    contract(g, contract(g, x)), bar_star(x), tau(x),
                    tau_graded(x + y), clifford(g, s), clifford(g, clifford(g, s)),
                    x + y, x - y, x - x, x + (-x), x.scale(c), x.scale(0),
-                   x.conjugate(), g.part01(), g.part10()]
+                   x.conjugate(), g.part01(), g.part01().conjugate()]
         results += list((x + y).degree_components().values())
         for f in results:
             _assert_checked_form(f)

@@ -17,7 +17,6 @@ from cldirac.scalars import (
     abs_sq,
     real_part,
     real_to_float,
-    scalar_text,
 )
 
 small = st.integers(min_value=-4, max_value=4)
@@ -75,8 +74,8 @@ def test_abs_sq_is_real_nonnegative():
 def test_real_part_and_text():
     z = ExactComplex(Fraction(1, 2), Fraction(-3), Fraction(2, 3), Fraction(5))
     assert real_part(z) == ExactComplex(Fraction(1, 2), 0, Fraction(2, 3), 0)
-    assert scalar_text(ExactComplex(1)) == "1"
-    assert "sqrt2" in scalar_text(EC_SQRT2)
+    assert ExactComplex(1).text() == "1"
+    assert "sqrt2" in EC_SQRT2.text()
 
 
 def test_division_example():

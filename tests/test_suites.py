@@ -35,6 +35,17 @@ def test_run_form_defects():
     assert record.max_defect == 3.0 and record.counterexample == "c"
 
 
+def test_failing_epsilon_shift_is_one_failed_trial(monkeypatch):
+    monkeypatch.setattr("cldirac.suites.epsilon_shift_identity",
+                        lambda n, p: (n, p) != (3, 1))
+    records = [r for r in verify_suite(1, 1, 1) if r.identity == "epsilon_shift"]
+    bad = [r for r in records if not r.passed]
+    assert [(r.n, r.p, r.trials, r.failures, r.max_defect, r.counterexample)
+            for r in bad] == [(3, 1, 1, 1, 1.0, "n=3, p=1")]
+    assert all(r.trials == 1 and r.max_defect == 0.0 and r.counterexample is None
+               for r in records if r.passed)
+
+
 def _expected_keys(n_max, trials):
     per_p = ("wedge_anticommute", "wedge_associative", "contract_antiderivation",
              "contract_twice_zero", "star_square", "tau_square", "tau_isometry",

@@ -43,6 +43,12 @@ TWO_PI = 2.0 * math.pi
 
 # -- configuration ------------------------------------------------------------
 
+def _repeated_config(N):
+    """A custom w that lists the mode (1, -1) twice."""
+    return SimConfig(N=N, phi_preset="custom", fourier_coeffs=(
+        (0, 0, 1 + 0j), (1, -1, 0.5j), (0, 1, -0.3 + 0j), (1, -1, 0.25 + 0j)))
+
+
 def test_parse_config_roundtrip():
     cfg = parse_config_text("""
         # comment
@@ -80,6 +86,8 @@ def test_parse_config_roundtrip():
     ("s_values = 1e77", "fourth root"),
     ("N = 16\nN = 16", "line 2: key 'N' repeats line 1"),
     ("phi_preset = bogus", "unknown phi preset"),
+    ("phi_preset = custom(typo)\nfourier_coeffs = 1,0,1,0", "unknown phi preset"),
+    ("phi_preset = constant(1)\nfourier_coeffs = 1,0,1,0", "read only by the custom"),
     ("bogus_key = 1", "unknown key"),
 ])
 def test_config_validation(text, message):
@@ -87,11 +95,44 @@ def test_config_validation(text, message):
         parse_config_text(text)
 
 
+def _config_text(echo: dict) -> str:
+    """A config file whose keys and values are an echo()."""
+    def value(key, val):
+        if key == "s_values":
+            return ", ".join(map(repr, val))
+        if key == "fourier_coeffs":
+            return "; ".join(",".join(map(repr, entry)) for entry in val)
+        return str(val)
+    return "".join(f"{key} = {value(key, val)}\n" for key, val in echo.items())
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(),
+    SimConfig(N=32, s_values=(0.1, 3.0), phi_preset="constant(0.3+0.4j)",
+              delta=0.75, eig_count=2, eig_tol=1e-7, seed=4, max_iterations=9),
+    _repeated_config(16),
+])
+def test_echo_parses_back_to_the_config(cfg):
+    echo = cfg.echo()
+    assert list(echo) == [f.name for f in dataclasses.fields(SimConfig)]
+    assert parse_config_text(_config_text(echo)) == cfg
+
+
 def test_bundled_presets_load():
     for name in ("sin_zeros.cfg", "constant.cfg"):
         cfg = load_config(preset_path(name))
         assert cfg.N == 64
         assert cfg.s_values == (8.0, 16.0, 32.0, 64.0)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_phi_field_is_the_sum_over_w_modes(N):
+    x = np.arange(N) * (TWO_PI / N)
+    for cfg in (SimConfig(N=N), SimConfig(N=N, phi_preset="constant(0.3+0.4j)"),
+                _repeated_config(N)):
+        direct = sum(c * np.exp(1j * (mx * x[:, None] + my * x[None, :]))
+                     for mx, my, c in cfg.w_modes())
+        assert np.max(np.abs(phi_field(cfg) - direct)) <= 1e-15
 
 
 def test_sin_zeros_field_and_zeros():
@@ -291,12 +332,6 @@ def test_kernels_match_the_plain_fft2_formulas(N, K):
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def _repeated_config(N):
-    """A custom w that lists the mode (1, -1) twice."""
-    return SimConfig(N=N, phi_preset="custom", fourier_coeffs=(
-        (0, 0, 1 + 0j), (1, -1, 0.5j), (0, 1, -0.3 + 0j), (1, -1, 0.25 + 0j)))
-
-
 def _edge_config(N, rng):
     """A custom w with random modes out to the band edge,
     max(|mx|, |my|) = M, so that for each of those modes the source -n-k
@@ -409,7 +444,7 @@ def test_sigma_max_bound_bounds_the_largest_singular_value(N):
         assert abs(cfg.w_bound - w_bound) <= 1e-15 * w_bound
         for s in (0.5, 4.0, 64.0):
             op = TorusOperator(cfg, s)
-            sigma_max = np.linalg.svd(op.dense(), compute_uv=False)[0]
+            sigma_max = np.linalg.svd(op.D.toarray(), compute_uv=False)[0]
             assert sigma_max <= op.sigma_max_bound()
 
 
@@ -585,7 +620,7 @@ def test_constant_preset_eigenvalue_oracle():
     res = normal_eigenpairs(op, cfg)
     assert res.all_converged
     assert abs(res.values[0] - s * s) < 0.01 * s * s
-    dense = np.linalg.eigvalsh(op.dense().T @ op.dense())
+    dense = np.linalg.eigvalsh(op.D.toarray().T @ op.D.toarray())
     assert abs(dense[0] - s * s) < 1e-9 * s * s
     assert abs(res.values[0] - dense[0]) < 1e-6 * s * s
     assert abs(dense_sigma_min(op) - s) < 1e-9 * s

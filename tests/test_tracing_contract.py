@@ -34,9 +34,14 @@ codes = [cldirac.cli.main(argv + ["--out", out]) for argv in (
      "--wrong-trials", "1"],
     ["simulate", cfg])]
 layers = tracing.per_layer(tracer.spans)
+# the trials perfbench reads from _run's arguments and from
+# _star_defining_exhaustive's result
+traced = sum(rec[4]["trials"] for rec in tracer.spans
+             if rec[0] in ("suites.family", "suites.star_defining"))
 import worker  # as --trace 1: the micro-timings run after the commands
 micro = worker.micro_timings(1)
-print(json.dumps({"codes": codes, "layers": layers, "micro": micro}))
+print(json.dumps({"codes": codes, "layers": layers, "micro": micro,
+                  "traced_trials": traced}))
 """
 
 REACHED = (
@@ -61,5 +66,9 @@ def test_every_traced_layer_is_called(tmp_path):
     assert result["codes"] == [0, 0, 0]
     layers = result["layers"]
     assert [name for name in REACHED if not layers[f"{name}.calls"] > 0] == []
+    # the per-family rows are labelled by the traced trial counts
+    entries = json.loads((tmp_path / "verify.json").read_text())["entries"]
+    assert result["traced_trials"] == sum(
+        e["trials"] for e in entries if e["identity"] != "epsilon_shift")
     # the micro-timings call the FFT kernels by position on (n, n) bands
     assert all(result["micro"][f"kernels.matvec_pair_us.n{n}"] > 0 for n in (64, 256))

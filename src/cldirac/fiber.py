@@ -220,10 +220,6 @@ class Form:
                        for (ti, tj), c in self._terms.items()),
                       key=lambda kv: _term_sort_key(kv[0]))
 
-    def coeff(self, ti, tj):
-        n = self.ctx.n
-        return self._terms.get((_mask(ti, n), _mask(tj, n)), self.ctx.zero)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -234,24 +230,11 @@ class Form:
     def is_pure(self) -> bool:
         return len(self.bidegrees()) <= 1
 
-    def bidegree(self):
-        """(p, q) of a pure nonzero form."""
-        degs = self.bidegrees()
-        if len(degs) != 1:
-            raise DegreeError("form is zero or of mixed bidegree")
-        return degs.pop()
-
     def total_degree(self) -> int:
         degs = {p + q for p, q in self.bidegrees()}
         if len(degs) != 1:
             raise DegreeError("form is zero or of mixed total degree")
         return degs.pop()
-
-    def degree_components(self):
-        out = {}
-        for key, c in self._terms.items():
-            out.setdefault(key[0].bit_count() + key[1].bit_count(), {})[key] = c
-        return {k: Form._exact(self.ctx, t) for k, t in sorted(out.items())}
 
     # -- linear structure ---------------------------------------------------
 

@@ -261,11 +261,6 @@ def is_zero(z) -> bool:
     return not z
 
 
-def abs_sq(z):
-    """z * conj(z); exact and real."""
-    return z * z.conjugate()
-
-
 def real_part(z):
     """Real part, still exact."""
     a, _b, c, _d, q = z._t

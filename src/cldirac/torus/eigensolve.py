@@ -10,14 +10,17 @@ invariant part, shifted: the diagonal on the band
     1 / (|m|^2 + shift),    shift = max(s^2 (mean|w|^2 - min|w|^2), 1e-2),
 
 since D_0^T D_0 = |m|^2 on the band (``kernels``: coefficients scaled so
-that the Euclidean norm is the L2 norm); the mean and minimum of |w|^2 are
-taken over the (N, N) grid that ``zero_locations`` samples.  For
-constant w, D_s^T D_s = D_0^T D_0 + s^2 |w|^2 exactly, so the diagonal is the
-shift-invert (A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster; where w
-vanishes on the grid (min|w|^2 = 0) it is the plain s^2 mean|w|^2 shift.
-The diagonal is positive for any positive shift, so the preconditioner is
-symmetric positive definite, and the shift moves only the speed of
-convergence, never the answer.
+that the Euclidean norm is the L2 norm).  Both moments come from the
+modes of w (``SimConfig.w_modes``): mean|w|^2 = sum_k |w_k|^2 by
+Parseval, and min|w|^2 is |c|^2 when w is the constant c, its one mode
+(0, 0), and 0 otherwise: sin_zeros vanishes, and a sweep runs a custom w
+only when it has a zero.  So a solve reads w's modes, s and the band M,
+never the display grid N.  For constant w, D_s^T D_s = D_0^T D_0 +
+s^2 |w|^2 exactly, so the diagonal is the shift-invert
+(A - (s^2 |w|^2 - 1e-2))^-1 of the lowest cluster; where w vanishes it is
+the plain s^2 mean|w|^2 shift.  The diagonal is positive for any positive
+shift, so the preconditioner is symmetric positive definite, and the
+shift moves only the speed of convergence, never the answer.
 
 Without a start block a solve starts from the band basis vectors of
 lowest |m|, the preconditioner's eigenvectors: for constant w they span
@@ -49,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import lobpcg
 
-from . import kernels
-from .config import SimConfig, phi_field
+from .config import SimConfig
 from .operators import TorusOperator
 
 
@@ -73,18 +75,18 @@ class EigenResult:
         return bool(np.all(self.converged))
 
 
-def _flat_m_sq(op: TorusOperator) -> np.ndarray:
-    """|m|^2 for each real of a flat band vector."""
-    d = kernels.d0_multiplier(op.K)
-    return np.repeat((d.real ** 2 + d.imag ** 2).ravel(), 2)
+def _m_sq(mx, my):
+    return mx * mx + my * my
 
 
 def fourier_preconditioner(op: TorusOperator):
     """SPD approximate inverse of D_s^T D_s: the diagonal 1 / (|m|^2 + shift),
     applied to a vector or, row by row, to an (nreal, k) block."""
-    w_sq = np.abs(phi_field(op.config)) ** 2
-    shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
-    mult = 1.0 / (_flat_m_sq(op) + shift)
+    modes = op.config.w_modes()
+    mean_sq = sum(abs(c) ** 2 for _mx, _my, c in modes)
+    min_sq = abs(modes[0][2]) ** 2 if [m[:2] for m in modes] == [(0, 0)] else 0.0
+    shift = max(op.s ** 2 * (mean_sq - min_sq), 1e-2)
+    mult = 1.0 / (op.per_real(_m_sq) + shift)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return x * mult[:, None] if x.ndim == 2 else x * mult
@@ -95,7 +97,7 @@ def fourier_preconditioner(op: TorusOperator):
 def lowest_modes(op: TorusOperator, count: int) -> np.ndarray:
     """(nreal, count) block of the band basis vectors of lowest |m|."""
     block = np.zeros((op.nreal, count))
-    block[np.argsort(_flat_m_sq(op), kind="stable")[:count], np.arange(count)] = 1.0
+    block[np.argsort(op.per_real(_m_sq), kind="stable")[:count], np.arange(count)] = 1.0
     return block
 
 

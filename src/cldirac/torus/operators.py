@@ -16,7 +16,10 @@ vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
 inner product of the fields.  Flat vectors interleave the parts
 coefficient by coefficient, [Re c0, Im c0, Re c1, Im c1, ...], which is
 the memory layout of a C-ordered complex128 array, so the two forms are
-views of one buffer.
+views of one buffer.  This module is the one torus module that knows that
+layout: ``TorusOperator.per_real`` spreads a function of the modes over
+the reals, ``TorusOperator.field`` reads a vector out on the grid, and
+``prolong`` reads a block's band from its row count.
 
 Every preset's w is a trigonometric polynomial, w = sum_k w_k e^{i k.x}
 (``SimConfig.w_modes``), so on the band the potential is a sparse matrix:
@@ -50,9 +53,8 @@ from .config import SimConfig
 
 def flat_to_complex(x: np.ndarray, side: int) -> np.ndarray:
     """(side, side) complex view of a flat real vector.  It copies only when
-    ``x`` is not a contiguous float64 array; its one caller,
-    ``TorusOperator.field``, hands it a column of the Ritz block, which is
-    strided, so there it copies."""
+    ``x`` is not a contiguous float64 array; ``TorusOperator.field`` hands
+    it a column of the Ritz block, which is strided, so there it copies."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     return x.reshape(-1).view(np.complex128).reshape(side, side)
 
@@ -63,13 +65,16 @@ def complex_to_flat(u: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u, dtype=np.complex128).reshape(-1).view(np.float64)
 
 
-def prolong(block: np.ndarray, K_from: int, K_to: int) -> np.ndarray:
-    """Flat band vectors of side ``K_from`` (the columns of an (nreal, k)
-    block) as flat vectors of the larger side ``K_to``: ``kernels.embed``,
-    an isometric embedding of the smaller band."""
+def prolong(block: np.ndarray, K_to: int) -> np.ndarray:
+    """Flat band vectors (the columns of an (nreal, k) block, nreal = 2 K^2
+    for the block's band side K) as flat vectors of the larger side
+    ``K_to``: ``kernels.embed``, an isometric embedding of the smaller
+    band."""
     k = block.shape[1]
-    c = np.ascontiguousarray(block.T).view(np.complex128).reshape(k, K_from, K_from)
-    return kernels.embed(c, K_to).reshape(k, -1).view(np.float64).T
+    c = np.ascontiguousarray(block.T).view(np.complex128)
+    K_from = math.isqrt(c.shape[1])
+    c = kernels.embed(c.reshape(k, K_from, K_from), K_to)
+    return c.reshape(k, -1).view(np.float64).T
 
 
 def _part(src: np.ndarray, a=0.0, b=0.0) -> csr_array:
@@ -127,6 +132,13 @@ class TorusOperator:
     @property
     def nreal(self) -> int:
         return 2 * self.K * self.K
+
+    def per_real(self, f) -> np.ndarray:
+        """f(mx, my) on the band's modes, mx as a (K, 1) and my as a (1, K)
+        int array, with one entry per real of a flat band vector: the value
+        at coefficient i is entries 2i and 2i + 1."""
+        m = kernels.band_modes(self.K)
+        return np.repeat(f(m[:, None], m[None, :]).reshape(-1), 2)
 
     def normal_matvec(self, x: np.ndarray) -> np.ndarray:
         """Symmetric positive-semidefinite D_s^T D_s on a flat band vector or

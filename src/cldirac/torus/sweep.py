@@ -53,7 +53,6 @@ import numpy as np
 
 from .config import TWO_PI, ConfigError, SimConfig, _lobpcg_fits, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from . import kernels
 from .operators import TorusOperator, prolong
 
 
@@ -247,10 +246,8 @@ def band_tail(op: TorusOperator, result: EigenResult, size: int) -> float:
     (``lowest_cluster``), of the squared coefficient mass on the band's
     outer ring max(|mx|, |my|) = M.  A mode the band resolves decays toward
     the ring; mass there means the truncation to |m| <= M shapes it."""
-    m = np.abs(kernels.band_modes(op.K))
-    ring = np.maximum(m[:, None], m[None, :]).reshape(-1) == op.M
-    # coefficient i of a flat vector is its reals 2i and 2i + 1
-    x = result.vectors[np.repeat(ring, 2), :size]
+    ring = op.per_real(lambda mx, my: np.maximum(np.abs(mx), np.abs(my)) == op.M)
+    x = result.vectors[ring, :size]
     return float(np.sum(x * x)) / size
 
 
@@ -274,6 +271,14 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         raise ConfigError("a w with zeros needs at least two s values: its "
                           "concentration checks compare rows, so one row "
                           "would pass on convergence alone")
+    # a uniform unit density has outside mass 0 exactly when every site is
+    # inside a disk
+    if zeros and outside_mass(np.full((config.N, config.N), TWO_PI ** -2),
+                              config, zeros) == 0:
+        raise ConfigError(f"delta = {config.delta:g} covers every grid site: "
+                          f"no site lies outside the delta-disks around the "
+                          f"zeros, so the outside mass is 0 at every s and "
+                          f"cannot decrease")
     cap = config.band_limit
     # the smallest band on which LOBPCG runs; SimConfig checks the cap
     M = next(M for M in range(1, cap + 1) if _lobpcg_fits(config.eig_count, M))
@@ -288,7 +293,7 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         while True:
             op = TorusOperator(config, s, M)
             if start is not None:
-                start = prolong(start, math.isqrt(start.shape[0] // 2), op.K)
+                start = prolong(start, op.K)
             result = normal_eigenpairs(op, config, start=start)
             start = result.block
             iterations += result.iterations

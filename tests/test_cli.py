@@ -156,6 +156,9 @@ _BAD_CONFIGS = {
     "key-repeated": _CONFIG + "N = 32\n",
     # the concentration checks compare rows: one row would have none
     "zeros-one-s": {"s_values": "1e60"},
+    # every site lies within pi/sqrt2 of a zero of sin_zeros: no site is
+    # outside the disks, so the outside mass is 0 at every s
+    "delta-covers-every-site": {"delta": "2.5"},
     "config-is-directory": None,
 }
 

@@ -14,7 +14,6 @@ from cldirac.scalars import (
     EC_ONE,
     EC_SQRT2,
     ExactComplex,
-    abs_sq,
     real_part,
     real_to_float,
 )
@@ -64,9 +63,9 @@ def test_sqrt2_squares_to_two():
     assert (EC_SQRT2 * EC_I) * (EC_SQRT2 * EC_I) == -2
 
 
-def test_abs_sq_is_real_nonnegative():
+def test_norm_square_is_real_nonnegative():
     z = ExactComplex(Fraction(1, 2), 3, Fraction(-2, 3), 1)
-    nsq = abs_sq(z)
+    nsq = z * z.conjugate()
     assert nsq.ai == 0 and nsq.bi == 0
     assert real_to_float(nsq) > 0
 

@@ -1,8 +1,10 @@
 """Torus simulator: config, kernels, operator oracles, eigensolver, sweep."""
 
+import ast
 import dataclasses
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,14 @@ def _repeated_config(N):
     """A custom w that lists the mode (1, -1) twice."""
     return SimConfig(N=N, phi_preset="custom", fourier_coeffs=(
         (0, 0, 1 + 0j), (1, -1, 0.5j), (0, 1, -0.3 + 0j), (1, -1, 0.25 + 0j)))
+
+
+def _custom_config(N, **kw):
+    """w = sin x + i sin y + 0.1: the modes of sin_zeros and a constant, so
+    min|w| = 0 on the torus but not on every grid."""
+    return SimConfig(N=N, phi_preset="custom", fourier_coeffs=(
+        (1, 0, -0.5j), (-1, 0, 0.5j), (0, 1, 0.5 + 0j), (0, -1, -0.5 + 0j),
+        (0, 0, 0.1 + 0j)), **kw)
 
 
 def test_parse_config_roundtrip():
@@ -417,7 +427,7 @@ def test_half_band_operator_is_the_band_operator_restricted(N):
         coarse = TorusOperator(cfg, 4.0, cfg.band_limit // 2)
         m = _modes(coarse.K) % fine.K
         block = rng.standard_normal((coarse.nreal, 3))
-        big = prolong(block, coarse.K, fine.K)
+        big = prolong(block, fine.K)
         assert big.shape == (fine.nreal, 3)
         assert np.allclose(np.linalg.norm(big, axis=0), np.linalg.norm(block, axis=0),
                            rtol=1e-14, atol=0.0)
@@ -475,14 +485,23 @@ def test_field_on_the_grid():
 
 def test_preconditioner_is_the_shifted_diagonal():
     rng = np.random.default_rng(11)
-    for N, preset in ((16, "sin_zeros"), (64, "sin_zeros"), (64, "constant(1)")):
-        op = TorusOperator(_config(N=N, preset=preset), 4.0)
+    for N, preset in ((16, "sin_zeros"), (64, "sin_zeros"), (64, "constant(1)"),
+                      (64, "constant(0.3+0.4j)"), (16, "custom")):
+        cfg = _custom_config(N) if preset == "custom" else _config(N=N, preset=preset)
+        op = TorusOperator(cfg, 4.0)
         precond = fourier_preconditioner(op)
-        # the diagonal as the eigensolve docstring defines it
+        # the diagonal as the eigensolve docstring defines it: mean|w|^2 by
+        # Parseval over the modes, min|w|^2 = |c|^2 for constant(c), else 0
         m = _modes(op.K)
         m_sq = m[:, None] ** 2 + m[None, :] ** 2
-        w_sq = np.abs(phi_field(op.config)) ** 2
-        shift = max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
+        mean_sq = sum(abs(c) ** 2 for _mx, _my, c in cfg.w_modes())
+        min_sq = abs(cfg.constant_value) ** 2 if preset.startswith("constant") else 0.0
+        shift = max(op.s ** 2 * (mean_sq - min_sq), 1e-2)
+        if preset != "custom":
+            # on the presets it is the shift of mean|w|^2 - min|w|^2 over
+            # the (N, N) grid, to the bit
+            w_sq = np.abs(phi_field(cfg)) ** 2
+            assert shift == max(float(op.s ** 2 * (np.mean(w_sq) - np.min(w_sq))), 1e-2)
         for _ in range(3):
             x = rng.standard_normal(op.nreal)
             expected = complex_to_flat(flat_to_complex(x, op.K) / (m_sq + shift))
@@ -680,6 +699,44 @@ def test_start_block_must_fit_the_operator():
         normal_eigenpairs(op, cfg, start=np.ones((op.nreal - 2, 5)))
 
 
+def test_the_solve_does_not_read_the_display_grid():
+    # a solve reads w's modes, s and the band M only: on one band, three
+    # grids give the same bits, also for a w whose minimum over the grid
+    # depends on N
+    for make in (lambda N: _config(N=N), _custom_config):
+        solves = []
+        for N in (32, 64, 128):
+            cfg = make(N)
+            op = TorusOperator(cfg, 8.0, 10)
+            precond = fourier_preconditioner(op)(np.ones(op.nreal))
+            solves.append((normal_eigenpairs(op, cfg), precond))
+        (first, first_precond), *rest = solves
+        assert first.all_converged
+        for res, precond in rest:
+            assert res.iterations == first.iterations
+            for got, want in ((res.values, first.values), (res.vectors, first.vectors),
+                              (precond, first_precond)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_only_operators_knows_how_a_band_sits_in_the_reals():
+    # the interleaved real layout of a band is spelled in operators alone,
+    # and the solve does not sample w on a grid
+    layout = (".view(np.complex128)", ".view(np.float64)", "np.repeat(", "isqrt(")
+    torus = Path(eigensolve.__file__).parent
+    for path in sorted(torus.glob("*.py")):
+        if path.name != "operators.py":
+            text = path.read_text(encoding="utf-8")
+            assert [s for s in layout if s in text] == [], path.name
+    tree = ast.parse((torus / "eigensolve.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {a.name.split(".")[-1] for node in imports for a in node.names}
+    names |= {node.module.split(".")[-1] for node in imports
+              if isinstance(node, ast.ImportFrom) and node.module}
+    assert not names & {"phi_field", "kernels"}
+
+
 # -- outside mass --------------------------------------------------------------
 
 def _unit_density(u):
@@ -752,6 +809,47 @@ def test_sin_zeros_preset_concentrates_for_each_seed(seed):
     assert all(b < a for a, b in zip(masses, masses[1:]))
     bound = report.rows[0].s * masses[0]
     assert all(r.s * r.outside_mass <= bound * (1 + 1e-9) for r in report.rows)
+
+
+def test_a_restarting_sweep_agrees_across_solver_seeds(monkeypatch):
+    # the seed draws only the guard columns of a restart, so a sweep whose
+    # solve restarts reads the same for every seed, to the solve's
+    # tolerance; the restart is asserted first, so the test is not vacuous
+    runs = []
+    solver = eigensolve.lobpcg
+
+    def lobpcg(*args, **kwargs):
+        runs.append(1)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "lobpcg", lobpcg)
+    reports = []
+    for seed in (1, 2, 3, 4):
+        runs.clear()
+        cfg = _custom_config(32, s_values=(4.0, 8.0), eig_count=4, eig_tol=1e-8,
+                             seed=seed)
+        reports.append(run_sweep(cfg))
+        assert len(runs) > len(reports[-1].rows)
+    first = reports[0]
+    assert first.all_converged
+    rel = math.sqrt(cfg.eig_tol)
+    for report in reports[1:]:
+        assert report.verdicts() == first.verdicts()
+        assert report.to_dict()["assertions"] == first.to_dict()["assertions"]
+        assert report.notes == first.notes
+        assert len(report.rows) == len(first.rows)
+        for r, r0 in zip(report.rows, first.rows):
+            assert (r.cluster_dim, r.band_limit, r.converged) == (
+                r0.cluster_dim, r0.band_limit, r0.converged)
+            for got, want in ((r.outside_mass, r0.outside_mass),
+                              (r.band_tail, r0.band_tail)):
+                assert abs(got - want) <= rel * max(abs(got), abs(want))
+            # sigma_floor^2 = eig_tol * opnorm: below it a value is not
+            # resolved from 0
+            floor = r0.sigma_floor ** 2
+            for got, want in zip(r.eigenvalues, r0.eigenvalues):
+                if max(got, want) > floor:
+                    assert abs(got - want) <= floor
 
 
 # -- the continuum's spectrum on the band (no lattice doublers) -----------------

@@ -118,8 +118,8 @@ def ds_matrix(K: int, modes, s: float) -> csr_array:
 
 class TorusOperator:
     """D_s on the band of side K = 2M+1, M = ``band_limit`` (by default
-    ``config.band_limit``), as the sparse matrix ``D`` (``ds_matrix``).
-    Every apply returns a new array."""
+    ``config.band_limit``), as the sparse matrix ``D`` (``ds_matrix``) and
+    its transpose ``DT``.  Every apply returns a new array."""
 
     def __init__(self, config: SimConfig, s: float, band_limit: int | None = None):
         self.config = config
@@ -128,6 +128,7 @@ class TorusOperator:
         self.K = 2 * self.M + 1
         self.s = float(s)
         self.D = ds_matrix(self.K, config.w_modes(), self.s)
+        self.DT = self.D.T  # a view of D's arrays, not rebuilt per apply
 
     @property
     def nreal(self) -> int:
@@ -143,7 +144,7 @@ class TorusOperator:
     def normal_matvec(self, x: np.ndarray) -> np.ndarray:
         """Symmetric positive-semidefinite D_s^T D_s on a flat band vector or
         on each column of an (nreal, k) block."""
-        return self.D.T @ (self.D @ x)
+        return self.DT @ (self.D @ x)
 
     def field(self, x: np.ndarray) -> np.ndarray:
         """The flat band vector x as a field on the (N, N) grid; its

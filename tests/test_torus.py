@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import functools
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from cldirac.torus import (
 from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import MAX_MODES, ConfigError, _lobpcg_fits, load_config
 from cldirac.torus.eigensolve import residual_norms
-from cldirac.torus.heatmap import _STOPS, _colors
+from cldirac.torus.heatmap import SIZE, _STOPS, _color_codes
 from cldirac.torus.operators import prolong
 from cldirac.torus.sweep import (
     a_priori_band,
@@ -523,6 +525,14 @@ def test_preconditioner_block_is_the_column_loop_bitwise(order):
     got = precond(X)
     assert got.shape == X.shape
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("M", [21, 32])
+def test_transpose_is_held_once_as_a_view(M):
+    op = TorusOperator(_config(N=128), 8.0, band_limit=M)
+    assert np.shares_memory(op.DT.data, op.D.data)
+    X = np.random.default_rng(M).standard_normal((op.nreal, 8))
+    assert np.array_equal(op.normal_matvec(X), op.D.T @ (op.D @ X))
 
 
 def test_normal_matvec_and_preconditioner_return_fresh_arrays():
@@ -1118,10 +1128,90 @@ def test_vectorized_colors_match_scalar_formula():
     t = np.concatenate([
         np.random.default_rng(6).random(20000), stops,
         np.nextafter(stops, 2.0), np.nextafter(stops, -1.0), [-0.5, 1.5]])
-    assert _colors(t).tolist() == [_scalar_color(float(v)) for v in t]
+    assert ["#%06x" % c for c in _color_codes(t).tolist()] == [
+        _scalar_color(float(v)) for v in t]
     grid = t[:400].reshape(20, 20)
-    assert _colors(grid).tolist() == [[_scalar_color(float(v)) for v in row]
-                                      for row in grid]
+    assert [["#%06x" % c for c in row] for row in _color_codes(grid).tolist()] == [
+        [_scalar_color(float(v)) for v in row] for row in grid]
+
+
+_RECT = re.compile(r'<rect x="([^"]*)" y="([^"]*)" width="([^"]*)" '
+                   r'height="([^"]*)" fill="([^"]*)"/>')
+
+
+def _heatmap_frame(zeros, delta, title):
+    """The header, title, circles and closing tag of a heatmap, by the
+    formulas of the one-rect-per-cell writer."""
+    scale = SIZE / TWO_PI
+    radius = delta * scale
+    circles = [
+        f'<circle cx="{zx * scale + ox:.2f}" cy="{zy * scale + oy:.2f}" '
+        f'r="{radius:.2f}" fill="none" stroke="#ff5050" stroke-width="2"/>'
+        for (zx, zy) in zeros for ox in (-SIZE, 0, SIZE) for oy in (-SIZE, 0, SIZE)
+        if -radius <= zx * scale + ox <= SIZE + radius
+        and -radius <= zy * scale + oy <= SIZE + radius]
+    return ([f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+             f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
+             f"<title>{title}</title>"] + circles + ["</svg>"])
+
+
+def _heatmap_densities(n):
+    x = np.arange(n) * (TWO_PI / n)
+    return {
+        "random": np.random.default_rng(n).random((n, n)),
+        "smooth": np.exp(8 * (np.cos(x)[:, None] - np.cos(x)[None, :])),
+        "zero": np.zeros((n, n)),
+        "constant": np.full((n, n), 0.37),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 48, 64, 256])
+def test_heatmap_paints_every_cell_its_color(tmp_path, n):
+    # Cells are drawn column-major, y inner, each overhanging its right and
+    # lower neighbours by 0.5 px, which the neighbour drawn later covers.  A
+    # rect per vertical run of one colour, as tall as the run plus 0.5 px,
+    # covers the same area and leaves the same overhangs: the picture is the
+    # one-rect-per-cell picture, cell for cell.
+    cell = SIZE / n
+    coords = [f"{i * cell:.2f}" for i in range(n)]
+    index = {c: i for i, c in enumerate(coords)}
+    zeros, delta = [(0.0, math.pi), (math.pi, 0.0), (0.1, 6.2)], 0.5
+    for name, density in _heatmap_densities(n).items():
+        path = tmp_path / f"{name}.svg"
+        write_heatmap_svg(path, density, zeros, delta, title=f"{name} {n}")
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert [ln for ln in lines if not ln.startswith("<rect ")] == \
+            _heatmap_frame(zeros, delta, f"{name} {n}")
+        rects = [_RECT.fullmatch(ln) for ln in lines if ln.startswith("<rect ")]
+        assert all(rects)
+        runs = [(index[m[1]], index[m[2]], m[3], m[4], m[5]) for m in rects]
+        t = np.sqrt(density / (float(density.max()) or 1.0))
+        cells = []
+        for j, (ix, iy, width, height, fill) in enumerate(runs):
+            nxt = runs[j + 1] if j + 1 < len(runs) else None
+            end = nxt[1] if nxt is not None and nxt[0] == ix else n
+            assert width == f"{cell + 0.5:.2f}"
+            assert height == f"{(end - iy) * cell + 0.5:.2f}"
+            assert {_scalar_color(float(v)) for v in t[ix, iy:end]} == {fill}
+            if end < n:  # the run is maximal
+                assert nxt[4] != fill
+            cells.extend((ix, y) for y in range(iy, end))
+        assert cells == [(ix, iy) for ix in range(n) for iy in range(n)]
+        if name in ("zero", "constant"):
+            assert len(runs) == n
+
+
+def test_heatmap_write_holds_no_per_cell_strings(tmp_path):
+    # the one-rect-per-cell writer peaked at 22 MB traced on this input
+    density = np.random.default_rng(11).random((256, 256))
+    tracemalloc.start()
+    try:
+        write_heatmap_svg(tmp_path / "m.svg", density, [(0.0, math.pi)], 0.5,
+                          title="memory")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_fit_loglog():

@@ -53,7 +53,6 @@ from .perturbation import (
     apply_A,
     apply_A_adjoint,
     concentrating_defect,
-    example_phi,
     matched_class,
     opposite_class,
     random_phi,
@@ -93,7 +92,6 @@ __all__ = [
     "contract",
     "epsilon",
     "epsilon_shift_identity",
-    "example_phi",
     "inner",
     "matched_class",
     "monomial",

@@ -115,11 +115,13 @@ def _cmd_condition(args) -> int:
 
 
 def _resolve_config(path: str):
+    """The config file at ``path``; a bare name with no directory part that
+    names no file falls back to the bundled preset of that name."""
     from .torus.config import preset_path
     if os.path.exists(path):
         return path
-    bundled = preset_path(os.path.basename(path))
-    if bundled.is_file():
+    bundled = preset_path(path)
+    if os.path.basename(path) == path and bundled.is_file():
         return bundled
     raise UsageError(f"config file not found: {path}")
 

@@ -310,12 +310,23 @@ def phi_field(config: SimConfig, side: int | None = None) -> np.ndarray:
     return (c * np.exp(1j * np.outer(x, mx))) @ np.exp(1j * np.outer(my, x))
 
 
+def torus_distance_sq(x, y, zx, zy):
+    """Squared distance on the torus [0, 2pi)^2 from (x, y) to (zx, zy)."""
+    dx = np.abs(x - zx)
+    dx = np.minimum(dx, TWO_PI - dx)
+    dy = np.abs(y - zy)
+    dy = np.minimum(dy, TWO_PI - dy)
+    return dx * dx + dy * dy
+
+
 def zero_locations(config: SimConfig):
-    """Zeros of w as (x, y) pairs.
+    """Zeros of w as (x, y) pairs, each coordinate in [0, 2pi).
 
     Presets with exact zeros report them exactly; the custom preset brackets
-    sign changes of Re w and Im w across grid plaquettes and reports cell
-    centers, which is adequate for delta well above the spacing."""
+    sign changes of Re w and Im w across grid plaquettes and reports the
+    circular mean of each connected group of cell centres, adequate for
+    delta well above the spacing.  A group with a cell farther than delta
+    from its mean (a zero line, say) is a ConfigError."""
     kind = config.preset_kind
     if kind == "sin_zeros":
         pi = math.pi
@@ -351,11 +362,16 @@ def zero_locations(config: SimConfig):
                     if nb in remaining:
                         remaining.discard(nb)
                         stack.append(nb)
-
-        def _circular_mean(vals):
-            ang = np.array(vals) * h + 0.5 * h
-            mean = math.atan2(np.mean(np.sin(ang)), np.mean(np.cos(ang)))
-            return mean % TWO_PI
-        zeros.append((_circular_mean([c[0] for c in component]),
-                      _circular_mean([c[1] for c in component])))
+        centres = (np.array(component) * h + 0.5 * h).T  # x row, y row
+        zero = []
+        for ang in centres:
+            mean = math.atan2(np.mean(np.sin(ang)), np.mean(np.cos(ang))) % TWO_PI
+            # a mean just below 0 rounds up to 2pi, which is 0 on the torus
+            zero.append(0.0 if mean == TWO_PI else mean)
+        if np.any(torus_distance_sq(*centres, *zero) > config.delta ** 2):
+            raise ConfigError(
+                f"the zeros of w are not isolated points: bracketed cells reach "
+                f"farther than delta = {config.delta:g} from their mean "
+                f"({zero[0]:.4f}, {zero[1]:.4f}), which delta-disks do not cover")
+        zeros.append(tuple(zero))
     return sorted(zeros)

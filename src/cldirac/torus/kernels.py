@@ -9,7 +9,7 @@ scaled so that
 
 This module is the one place that knows where mode m lives: at index m of
 ``band_modes``, and at index m mod L of an (L, L) array (``embed`` and its
-inverse ``restrict``).  ``to_grid`` reads a band out on the (N, N) grid,
+inverse ``restrict``).  ``to_grid`` reads bands out on the (N, N) grid,
 and ``d0_multiplier`` is D_0 = d/dx + i d/dy on the band, the multiplier
 i mx - my.  The solver applies D_s as a sparse matrix
 (``operators.ds_matrix``); the FFT pair
@@ -94,6 +94,6 @@ def dst_apply(c, w, s, h):
 
 
 def to_grid(c: np.ndarray, N: int) -> np.ndarray:
-    """The field of the band c on the (N, N) grid, axis 0 = x; its
-    h^2-weighted norm, h = 2pi/N, is ||c||_2 (Parseval)."""
+    """The fields of the bands c (last two axes) on the (N, N) grid, axis
+    0 = x; each h^2-weighted norm, h = 2pi/N, is its ||c||_2 (Parseval)."""
     return np.fft.ifft2(embed(c, N)) * (N * N / (2.0 * math.pi))

@@ -8,8 +8,8 @@ trivially-connected trivial line bundle sends a function u to
 and the conjugate-linear perturbation with coefficient field w adds
 -s*conj(w*u).  A field is its band of Fourier coefficients, a
 (2M+1, 2M+1) complex array with M at most N // 3 (``SimConfig.band_limit``)
-and ||u||_L2 = ||c||_2 (``kernels``).  Fields are read out on the (N, N)
-grid.
+and ||u||_L2 = ||c||_2 (``kernels``).  The operator holds only its band;
+``sweep`` reads fields out on the (N, N) display grid.
 
 Conjugation is not complex-linear, so the eigenproblem runs over the real
 vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
@@ -17,9 +17,10 @@ inner product of the fields.  Flat vectors interleave the parts
 coefficient by coefficient, [Re c0, Im c0, Re c1, Im c1, ...], which is
 the memory layout of a C-ordered complex128 array, so the two forms are
 views of one buffer.  This module is the one torus module that knows that
-layout: ``TorusOperator.per_real`` spreads a function of the modes over
-the reals, ``TorusOperator.field`` reads a vector out on the grid, and
-``prolong`` reads a block's band from its row count.
+layout: ``flat_to_complex`` and ``complex_to_flat`` turn a vector into its
+band and back, and an (nreal, k) block into a (k, K, K) stack of bands
+and back; ``TorusOperator.per_real`` spreads a function of the modes over
+the reals, and ``prolong`` reads a block's band from its row count.
 
 Every preset's w is a trigonometric polynomial, w = sum_k w_k e^{i k.x}
 (``SimConfig.w_modes``), so on the band the potential is a sparse matrix:
@@ -52,17 +53,20 @@ from .config import SimConfig
 
 
 def flat_to_complex(x: np.ndarray, side: int) -> np.ndarray:
-    """(side, side) complex view of a flat real vector.  It copies only when
-    ``x`` is not a contiguous float64 array; ``TorusOperator.field`` hands
-    it a column of the Ritz block, which is strided, so there it copies."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    return x.reshape(-1).view(np.complex128).reshape(side, side)
+    """The (side, side) band of a flat real vector, or the (k, side, side)
+    bands of the columns of an (nreal, k) block.  A view when each
+    column's reals are contiguous, as in a contiguous float64 vector or
+    the block of ``complex_to_flat``; else one copy."""
+    x = np.ascontiguousarray(np.transpose(x), dtype=np.float64)
+    return x.view(np.complex128).reshape(x.shape[:-1] + (side, side))
 
 
 def complex_to_flat(u: np.ndarray) -> np.ndarray:
-    """Flat real view of a complex array (a copy only if ``u`` is not a
-    contiguous complex128 array)."""
-    return np.ascontiguousarray(u, dtype=np.complex128).reshape(-1).view(np.float64)
+    """The flat real vector of a (side, side) band, or the (nreal, k) block
+    whose columns are the bands of a (k, side, side) stack: a view, which
+    copies only when ``u`` is not a contiguous complex128 array."""
+    u = np.ascontiguousarray(u, dtype=np.complex128)
+    return u.reshape(u.shape[:-2] + (-1,)).view(np.float64).T
 
 
 def prolong(block: np.ndarray, K_to: int) -> np.ndarray:
@@ -70,11 +74,8 @@ def prolong(block: np.ndarray, K_to: int) -> np.ndarray:
     for the block's band side K) as flat vectors of the larger side
     ``K_to``: ``kernels.embed``, an isometric embedding of the smaller
     band."""
-    k = block.shape[1]
-    c = np.ascontiguousarray(block.T).view(np.complex128)
-    K_from = math.isqrt(c.shape[1])
-    c = kernels.embed(c.reshape(k, K_from, K_from), K_to)
-    return c.reshape(k, -1).view(np.float64).T
+    K_from = math.isqrt(block.shape[0] // 2)
+    return complex_to_flat(kernels.embed(flat_to_complex(block, K_from), K_to))
 
 
 def _part(src: np.ndarray, a=0.0, b=0.0) -> csr_array:
@@ -123,7 +124,6 @@ class TorusOperator:
 
     def __init__(self, config: SimConfig, s: float, band_limit: int | None = None):
         self.config = config
-        self.N = config.N
         self.M = config.band_limit if band_limit is None else band_limit
         self.K = 2 * self.M + 1
         self.s = float(s)
@@ -145,11 +145,6 @@ class TorusOperator:
         """Symmetric positive-semidefinite D_s^T D_s on a flat band vector or
         on each column of an (nreal, k) block."""
         return self.DT @ (self.D @ x)
-
-    def field(self, x: np.ndarray) -> np.ndarray:
-        """The flat band vector x as a field on the (N, N) grid; its
-        h^2-weighted norm is ||x||_2."""
-        return kernels.to_grid(flat_to_complex(x, self.K), self.N)
 
     def sigma_max_bound(self) -> float:
         """max |i mx - my| + s max|w| <= sqrt2 M + s ``config.w_bound``, an

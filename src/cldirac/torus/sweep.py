@@ -1,19 +1,21 @@
 """Deformation sweep: eigenmodes, localization mass, and report assembly.
 
-For each deformation strength s the sweep solves for the low eigenpairs of
-D_s^T D_s on a Fourier band (``kernels``) of its own, with D_s one sparse
-matrix built from the Fourier modes of w (``operators``).  It measures the
-lowest eigenspace, not one vector of it: the mean density |u|^2 over the
-lowest cluster, sampled on the (N, N) grid, does not depend on the basis
-the solver returns inside a degenerate cluster (sin_zeros has an exact
-2-dimensional kernel).  Its unit h^2-weighted sum gives the fraction of
-mass outside the delta-neighborhood of the singular set, and the sweep
-records the smallest singular value sigma_min = sqrt(lambda_min) and the
+For each deformation strength s the sweep solves for the low eigenpairs
+of D_s^T D_s on a Fourier band (``kernels``) of its own, with D_s one
+sparse matrix built from the Fourier modes of w (``operators``).  It
+measures the lowest eigenspace, not one vector of it: the mean density
+|u|^2 over the lowest cluster, sampled on the (N, N) grid, does not
+depend on the basis the solver returns inside a degenerate cluster
+(sin_zeros has an exact 2-dimensional kernel).  The band operator holds
+no display grid: ``lowest_density`` reads the cluster out on the grid
+of side ``config.N`` as one (k, N, N) stack, and ``outside_mass`` is the
+share of its unit h^2-weighted sum outside ``_inside``, the delta-disks
+around the zeros as one mask.  The sweep also records the smallest singular value sigma_min = sqrt(lambda_min) and the
 cluster's mass on the band's outer ring, ``band_tail``, which a mode the
 band resolves keeps near zero.  Concentration shows up as outside-mass
 decreasing in s with s * mass bounded; for presets with empty singular
-set the interesting column is sigma_min instead (and outside-mass is 1 by
-definition).  A w with zeros needs at least two s values: its
+set the interesting column is sigma_min instead (and outside-mass is 1
+by definition).  A w with zeros needs at least two s values: its
 concentration checks compare rows, so ``run_sweep`` refuses a single s
 before any solve.
 
@@ -51,44 +53,35 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import TWO_PI, ConfigError, SimConfig, _lobpcg_fits, zero_locations
+from . import kernels
+from .config import ConfigError, SimConfig, _lobpcg_fits, torus_distance_sq, zero_locations
 from .eigensolve import EigenResult, normal_eigenpairs
-from .operators import TorusOperator, prolong
+from .operators import TorusOperator, flat_to_complex, prolong
 
 
-def torus_distance_sq(x, y, zx, zy):
-    dx = np.abs(x - zx)
-    dx = np.minimum(dx, TWO_PI - dx)
-    dy = np.abs(y - zy)
-    dy = np.minimum(dy, TWO_PI - dy)
-    return dx * dx + dy * dy
+def _inside(config: SimConfig, zeros) -> np.ndarray:
+    """(N, N) bool mask of the grid sites within delta (torus distance) of
+    one of ``zeros``: the union of the delta-disks."""
+    x = np.arange(config.N) * config.spacing
+    inside = np.zeros((config.N, config.N), dtype=bool)
+    for (zx, zy) in zeros:
+        inside |= torus_distance_sq(x[:, None], x[None, :], zx, zy) <= config.delta ** 2
+    return inside
 
 
-def outside_mass(density: np.ndarray, config: SimConfig, zeros=None) -> float:
+def outside_mass(density: np.ndarray, config: SimConfig, zeros) -> float:
     """Fraction of the (N, N) real density outside the union of delta-disks
-    around the zeros of the perturbation field; 1.0 when the singular set
-    is empty.
+    around ``zeros`` (``_inside``); 1.0 when there is none.
 
     The density must have unit sum with cell weight (2pi/N)^2, to within
     1e-6 in its square root (the L2 norm of a field of that density)."""
-    N = density.shape[0]
-    h = TWO_PI / N
     total = float(np.sum(density))
-    nrm = h * math.sqrt(total)
+    nrm = config.spacing * math.sqrt(total)
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"field norm {nrm} is not 1 (tolerance 1e-6)")
-    if zeros is None:
-        zeros = zero_locations(config)
     if not zeros:
         return 1.0
-    ax = np.arange(N) * h
-    x = ax[:, None]
-    y = ax[None, :]
-    inside = np.zeros((N, N), dtype=bool)
-    dsq = config.delta ** 2
-    for (zx, zy) in zeros:
-        inside |= torus_distance_sq(x, y, zx, zy) <= dsq
-    return float(np.sum(density[~inside]) / total)
+    return float(np.sum(density[~_inside(config, zeros)]) / total)
 
 
 def fit_loglog(s_values, masses):
@@ -232,13 +225,10 @@ def lowest_cluster(op: TorusOperator, result: EigenResult) -> int:
 
 def lowest_density(op: TorusOperator, result: EigenResult, size: int) -> np.ndarray:
     """Mean of |u_j|^2 over the fields u_j of the lowest cluster, its first
-    ``size`` vectors (``lowest_cluster``), as a real (N, N) array whose
-    h^2-weighted sum is 1."""
-    density = np.zeros((op.N, op.N))
-    for j in range(size):
-        u = op.field(result.vectors[:, j])
-        density += u.real ** 2 + u.imag ** 2
-    return density / size
+    ``size`` vectors (``lowest_cluster``), read out as one stack: a real
+    (N, N) array whose h^2-weighted sum is 1."""
+    u = kernels.to_grid(flat_to_complex(result.vectors[:, :size], op.K), op.config.N)
+    return np.sum(u.real ** 2 + u.imag ** 2, axis=0) / size
 
 
 def band_tail(op: TorusOperator, result: EigenResult, size: int) -> float:
@@ -271,10 +261,7 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         raise ConfigError("a w with zeros needs at least two s values: its "
                           "concentration checks compare rows, so one row "
                           "would pass on convergence alone")
-    # a uniform unit density has outside mass 0 exactly when every site is
-    # inside a disk
-    if zeros and outside_mass(np.full((config.N, config.N), TWO_PI ** -2),
-                              config, zeros) == 0:
+    if zeros and _inside(config, zeros).all():
         raise ConfigError(f"delta = {config.delta:g} covers every grid site: "
                           f"no site lies outside the delta-disks around the "
                           f"zeros, so the outside mass is 0 at every s and "

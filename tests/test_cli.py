@@ -53,6 +53,24 @@ def test_simulate_missing_config(tmp_path):
     assert main(["simulate", "definitely_missing.cfg", "--out", str(tmp_path)]) == 2
 
 
+def test_a_missing_path_does_not_run_the_bundled_preset(tmp_path, capsys):
+    # only a bare name falls back to a bundled preset
+    missing = tmp_path / "nonexistent" / "constant.cfg"
+    out = tmp_path / "out"
+    assert main(["simulate", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["sin_zeros.cfg", "constant.cfg"])
+def test_a_bare_preset_name_runs_the_bundled_preset(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", name, "--out", "out"]) == 0
+    report = json.loads((tmp_path / "out" / "simulate.json").read_text())
+    assert report["manifest"]["params"] == {"config": name}
+    assert report["manifest"]["counts"]["fail"] == 0
+
+
 def test_simulate_bad_config(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("N = 20\n")
@@ -159,6 +177,9 @@ _BAD_CONFIGS = {
     # every site lies within pi/sqrt2 of a zero of sin_zeros: no site is
     # outside the disks, so the outside mass is 0 at every s
     "delta-covers-every-site": {"delta": "2.5"},
+    # w = sin x vanishes on two lines, not at points: no delta-disks cover them
+    "fourier-zero-lines": {"phi_preset": "custom",
+                           "fourier_coeffs": "1,0,0,-0.5; -1,0,0,0.5"},
     "config-is-directory": None,
 }
 
@@ -222,6 +243,24 @@ def test_out_naming_a_file_exits_2_before_any_work(command, tmp_path,
     assert capsys.readouterr().err.startswith("error:")
     assert out.read_text() == "keep\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+_JSON_CASES = {
+    "verify": ["verify", "--n-max", "1", "--trials", "1"],
+    "condition": ["condition", "--n-list", "1", "--r-list", "1", "--trials", "1",
+                  "--wrong-trials", "1"],
+    "simulate": ["simulate", "small.cfg"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JSON_CASES))
+def test_json_prints_the_written_report(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.cfg").write_text(_CONFIG)
+    assert main(_JSON_CASES[command] + ["--out", "out", "--json"]) == 0
+    printed, _end = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    written = json.loads((tmp_path / "out" / f"{command}.json").read_text())
+    assert printed == written and printed["manifest"]["command"] == command
 
 
 def test_report_write_failure_exits_2(tmp_path, capsys):

@@ -21,7 +21,6 @@ from cldirac import (
     apply_A,
     apply_A_adjoint,
     concentrating_defect,
-    example_phi,
     matched_class,
     monomial,
     opposite_class,
@@ -36,6 +35,8 @@ from cldirac import (
 from cldirac.fiber import random_nonzero_covector
 from cldirac.perturbation import _defect_norms_sq, random_nonzero_phi
 from cldirac.scalars import ExactComplex, is_zero, real_part, real_to_float
+
+from _reference import example_phi
 
 
 def test_phimap_symmetry_validation():

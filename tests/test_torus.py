@@ -183,6 +183,27 @@ def test_custom_zero_bracketing():
         assert dist < 3 * cfg.spacing
 
 
+def test_a_zero_line_is_not_reported_as_points():
+    # w = sin x vanishes on the lines x = 0 and x = pi: each group of
+    # bracketed cells is a whole line, whose circular mean is no zero, and
+    # delta-disks around such means would not cover the lines
+    cfg = SimConfig(N=32, s_values=(4.0, 8.0), phi_preset="custom",
+                    fourier_coeffs=((1, 0, -0.5j), (-1, 0, 0.5j)))
+    with pytest.raises(ConfigError, match="not isolated points"):
+        zero_locations(cfg)
+
+
+@pytest.mark.parametrize("N", [16, 32, 64, 128])
+def test_a_custom_zero_at_the_seam_reads_zero(N):
+    # the cells around x = 0 have centres -h/2 and h/2, whose circular mean
+    # is a rounding below 0: it reads 0.0, not 2pi
+    cfg = SimConfig(N=N, phi_preset="custom", fourier_coeffs=(
+        (1, 0, -0.5j), (-1, 0, 0.5j), (0, 1, 0.5 + 0j), (0, -1, -0.5 + 0j)))
+    coords = [c for zero in zero_locations(cfg) for c in zero]
+    assert all(0.0 <= c < TWO_PI for c in coords)
+    assert coords.count(0.0) == 4
+
+
 # -- operator oracles ---------------------------------------------------------
 
 def _config(N=32, preset="sin_zeros", s=(4.0,), **kw):
@@ -235,6 +256,19 @@ def test_flat_views_share_memory():
     assert x[0] == u[0, 0].real and x[1] == u[0, 0].imag
     back = flat_to_complex(x, 16)
     assert np.shares_memory(back, u) and np.array_equal(back, u)
+    # a (k, side, side) stack is the (nreal, k) block of its bands' vectors,
+    # as a view, and back; a C-ordered block, as the solver returns, comes
+    # back as one copy
+    stack = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal((3, 16, 16))
+    block = complex_to_flat(stack)
+    assert block.shape == (512, 3) and np.shares_memory(block, stack)
+    for j in range(3):
+        assert np.array_equal(block[:, j], complex_to_flat(stack[j]))
+    back = flat_to_complex(block, 16)
+    assert np.shares_memory(back, stack) and np.array_equal(back, stack)
+    solver = np.ascontiguousarray(block)
+    back = flat_to_complex(solver, 16)
+    assert not np.shares_memory(back, solver) and np.array_equal(back, stack)
 
 
 def test_constant_field_action():
@@ -468,7 +502,7 @@ def test_field_on_the_grid():
     op = TorusOperator(cfg, 4.0)
     x = rng.standard_normal(op.nreal)
     x /= np.linalg.norm(x)
-    u = op.field(x)
+    u = kernels.to_grid(flat_to_complex(x, op.K), 32)
     assert u.shape == (32, 32)
     h = cfg.spacing
     assert abs(h * np.linalg.norm(u) - 1.0) < 1e-12
@@ -747,6 +781,19 @@ def test_only_operators_knows_how_a_band_sits_in_the_reals():
     assert not names & {"phi_field", "kernels"}
 
 
+def test_the_band_operator_holds_no_display_grid():
+    # the band operator and its solve read neither the grid side N nor its
+    # spacing: the display grid is the sweep's
+    torus = Path(eigensolve.__file__).parent
+    for name in ("operators.py", "eigensolve.py"):
+        tree = ast.parse((torus / name).read_text(encoding="utf-8"))
+        grid = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("N", "spacing")}
+        assert grid == set(), name
+    assert not hasattr(TorusOperator(_config(N=16), 4.0), "N")
+    assert not hasattr(TorusOperator, "field")
+
+
 # -- outside mass --------------------------------------------------------------
 
 def _unit_density(u):
@@ -757,7 +804,8 @@ def _unit_density(u):
 
 def test_outside_mass_uniform_field():
     cfg = _config(N=64)
-    mass = outside_mass(_unit_density(np.full((64, 64), 1.0 + 0j)), cfg)
+    mass = outside_mass(_unit_density(np.full((64, 64), 1.0 + 0j)), cfg,
+                        zero_locations(cfg))
     assert abs(mass - (1.0 - cfg.delta ** 2 / math.pi)) < 0.01
 
 
@@ -765,19 +813,19 @@ def test_outside_mass_supported_inside_disk():
     cfg = _config(N=64)
     u = np.zeros((64, 64), complex)
     u[0:2, 0:2] = 1.0  # inside the delta-disk at the origin
-    assert outside_mass(_unit_density(u), cfg) == 0.0
+    assert outside_mass(_unit_density(u), cfg, zero_locations(cfg)) == 0.0
 
 
 def test_outside_mass_empty_singular_set():
     cfg = _config(N=32, preset="constant(1)")
     u = np.random.default_rng(0).standard_normal((32, 32)) + 0j
-    assert outside_mass(_unit_density(u), cfg) == 1.0
+    assert outside_mass(_unit_density(u), cfg, zero_locations(cfg)) == 1.0
 
 
 def test_outside_mass_requires_normalization():
     cfg = _config(N=32)
     with pytest.raises(ValueError, match="norm"):
-        outside_mass(np.ones((32, 32)), cfg)
+        outside_mass(np.ones((32, 32)), cfg, zero_locations(cfg))
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -1066,7 +1114,7 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
     size = lowest_cluster(op, result)
     assert size == 2
     density = lowest_density(op, result, size)
-    mass = outside_mass(density, cfg)
+    mass = outside_mass(density, cfg, zero_locations(cfg))
     angle = np.random.default_rng(11).uniform(0.0, TWO_PI)
     rotation = np.array([[math.cos(angle), -math.sin(angle)],
                          [math.sin(angle), math.cos(angle)]])
@@ -1077,11 +1125,47 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
     assert np.max(np.abs(rotated - density)) <= 1e-12 * np.max(density)
     tail = band_tail(op, result, size)
     assert abs(band_tail(op, rotated_result, size) - tail) <= 1e-12 * tail
-    assert abs(outside_mass(rotated, cfg) - mass) <= 1e-12 * mass
+    assert abs(outside_mass(rotated, cfg, zero_locations(cfg)) - mass) <= 1e-12 * mass
     # the first vector alone, which a single-field measurement would read,
     # does not agree with its rotated copy
-    single = [np.abs(op.field(v[:, 0])) ** 2 for v in (result.vectors, vectors)]
+    single = [np.abs(kernels.to_grid(flat_to_complex(v[:, 0], op.K), cfg.N)) ** 2
+              for v in (result.vectors, vectors)]
     assert np.max(np.abs(single[0] - single[1])) > 1e-3 * np.max(density)
+
+
+@pytest.mark.parametrize("N,M", [(32, 10), (256, 16)])
+def test_lowest_density_is_the_loop_over_the_cluster_bitwise(N, M):
+    # one batched read-out of the cluster's (k, N, N) stack gives the bits
+    # of reading out one field at a time and summing
+    cfg = SimConfig(N=N, s_values=(8.0, 16.0), phi_preset="sin_zeros",
+                    delta=0.5, eig_count=3, eig_tol=1e-8, seed=3)
+    op = TorusOperator(cfg, 8.0, M)
+    result = normal_eigenpairs(op, cfg)
+    for size in (1, 2, 3):
+        loop = np.zeros((N, N))
+        for j in range(size):
+            u = kernels.to_grid(flat_to_complex(result.vectors[:, j], op.K), N)
+            loop += u.real ** 2 + u.imag ** 2
+        assert np.array_equal(lowest_density(op, result, size), loop / size)
+
+
+def test_run_sweep_locates_the_zeros_once(monkeypatch):
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return zero_locations(config)
+    monkeypatch.setattr("cldirac.torus.sweep.zero_locations", counting)
+    for preset in ("sin_zeros", "constant(1)"):
+        cfg = SimConfig(N=16, s_values=(4.0, 8.0), phi_preset=preset,
+                        delta=0.5, eig_count=2, eig_tol=1e-7, seed=5)
+        calls.clear()
+        run_sweep(cfg)
+        assert calls == [cfg]
+    cfg = _custom_config(16, s_values=(4.0, 8.0), eig_count=2, eig_tol=1e-7)
+    calls.clear()
+    run_sweep(cfg)
+    assert calls == [cfg]
 
 
 def test_sweep_fields_do_not_keep_the_solver_block():

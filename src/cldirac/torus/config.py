@@ -89,7 +89,8 @@ class SimConfig:
     # their Fourier coefficients with |mx|, |my| <= M, M chosen per s up to
     # N // 3
     N: int = 64
-    # comma-separated deformation strengths, strictly increasing
+    # comma-separated deformation strengths, strictly increasing, no two
+    # alike as printed with :g
     s_values: tuple = field(default=(8.0, 16.0, 32.0, 64.0),
                             metadata={"read": _read_s_values})
     # exactly sin_zeros, custom or constant(<complex>)
@@ -125,6 +126,11 @@ class SimConfig:
             raise ConfigError("s values must be positive and finite")
         if any(b <= a for a, b in zip(self.s_values, self.s_values[1:])):
             raise ConfigError("s values must be strictly increasing")
+        # a row's printed line, notes and heatmap file are keyed by f"{s:g}"
+        for a, b in zip(self.s_values, self.s_values[1:]):
+            if f"{a:g}" == f"{b:g}":
+                raise ConfigError(f"s values {a!r} and {b!r} both print as "
+                                  f"s = {a:g}: their rows would share one heatmap")
         if not math.isfinite(self.delta):
             raise ConfigError(f"delta must be finite, got {self.delta}")
         if self.delta <= self.spacing:
@@ -191,7 +197,7 @@ class SimConfig:
                     f"entries per real row, 12 B each, up to "
                     f"{12 * (2 + 2 * MAX_MODES) * nreal / 1e6:.0f} MB for "
                     f"{MAX_MODES} modes at N = {MAX_N}")
-        sigma = math.sqrt(2.0) * self.band_limit + self.s_values[-1] * self.w_bound
+        sigma = self.sigma_max_bound(self.band_limit, self.s_values[-1])
         if not sigma < MAX_SIGMA:
             raise ConfigError(
                 f"sqrt2 M + s_max * max|w| = {sigma:.3g} must be below "
@@ -221,6 +227,13 @@ class SimConfig:
         for mx, my, c in self.fourier_coeffs:
             merged[(mx, my)] = merged.get((mx, my), 0) + c
         return tuple((mx, my, complex(c)) for (mx, my), c in merged.items())
+
+    def sigma_max_bound(self, M: int, s: float) -> float:
+        """sqrt2 M + s ``w_bound``, an upper bound for the largest singular
+        value of D_s on the band M: max |i mx - my| + s max|w|, by the
+        triangle inequality and ||A|| <= max|w|, A being a projection of
+        conj(w u)."""
+        return math.sqrt(2.0) * M + s * self.w_bound
 
     @property
     def w_bound(self) -> float:

@@ -9,23 +9,26 @@ scaled so that
 
 This module is the one place that knows where mode m lives: at index m of
 ``band_modes``, and at index m mod L of an (L, L) array (``embed`` and its
-inverse ``restrict``).  ``to_grid`` reads bands out on the (N, N) grid,
-and ``d0_multiplier`` is D_0 = d/dx + i d/dy on the band, the multiplier
-i mx - my.  The solver applies D_s as a sparse matrix
-(``operators.ds_matrix``); the FFT pair
+inverse ``restrict``).  ``to_grid`` reads bands out on the (N, N) grid.
+
+The solver applies D_s as a sparse matrix (``operators.ds_matrix``) whose
+D_0 and A come from the exact fiber layer.  The rest of this module is
+the hand-written FFT reference that it is tested against, independent of
+that layer: ``d0_multiplier`` is D_0 = d/dx + i d/dy on the band, the
+multiplier i mx - my, and the FFT pair
 
     forward    D_s c   = (i mx - my) c - s A c
     transpose  D_s^T c = (-i mx - my) c - s A c,
     A c = restrict(fft2(conj(w * ifft2(embed(c, L)))), K),
 
-is the reference it is tested against, with w sampled on an (L, L) grid
-whose side the kernels read from ``w.shape``.  The scales cancel: A c =
-conj(c) at m = 0 for w = 1.  As a real-linear operator A is its own
-transpose, since <A c, d> = L^2 Re sum_j w_j u_j v_j is symmetric in the
-grid fields u, v of c, d.  A c is the exact projection of conj(w u) onto
-the band while no product mode folds onto it: L > 2M + b, with
-b = max(|mx|, |my|) over the modes of w (the 2/3 rule of Orszag,
-J. Atmos. Sci. 28, 1971, sized for b = M, is the case L = N).
+has w sampled on an (L, L) grid whose side the kernels read from
+``w.shape``.  The scales cancel: A c = conj(c) at m = 0 for w = 1.  As a
+real-linear operator A is its own transpose, since <A c, d> = L^2 Re
+sum_j w_j u_j v_j is symmetric in the grid fields u, v of c, d.  A c is
+the exact projection of conj(w u) onto the band while no product mode
+folds onto it: L > 2M + b, with b = max(|mx|, |my|) over the modes of w
+(the 2/3 rule of Orszag, J. Atmos. Sci. 28, 1971, sized for b = M, is
+the case L = N).
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ def band_modes(K: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def d0_multiplier(K: int) -> np.ndarray:
-    """Read-only (K, K) array i mx - my: D_0 on a band of side K."""
+    """Read-only (K, K) array i mx - my: D_0 on a band of side K, as the
+    FFT reference writes it by hand; the solver's D_0 is
+    ``operators.ds_matrix``'s, from the exact layer."""
     m = band_modes(K)
     d = 1j * m[:, None] - m[None, :]
     d.setflags(write=False)

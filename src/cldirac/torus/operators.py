@@ -3,13 +3,18 @@
 With the unitary coframe th1 = dz/sqrt2 the twisted Dirac operator on the
 trivially-connected trivial line bundle sends a function u to
 
-    D u = (du/dx + i du/dy) u * thb1 = 2 d_zbar(u) * thb1,
+    D u = (du/dx + i du/dy) * thb1 = 2 d_zbar(u) * thb1,
 
 and the conjugate-linear perturbation with coefficient field w adds
--s*conj(w*u).  A field is its band of Fourier coefficients, a
-(2M+1, 2M+1) complex array with M at most N // 3 (``SimConfig.band_limit``)
-and ||u||_L2 = ||c||_2 (``kernels``).  The operator holds only its band;
-``sweep`` reads fields out on the (N, N) display grid.
+-s*conj(w*u).  These are the exact layer's maps at n = r = 1, and
+``ds_matrix`` takes their coefficients from it (``fiber_maps``): the
+symbols c(dx), c(dy) of ``clifford.symbol`` and the map of
+``perturbation.apply_A`` with phi = (1), each on the unit spinor 1.
+
+A field is its band of Fourier coefficients, a (2M+1, 2M+1) complex array
+with M at most N // 3 (``SimConfig.band_limit``) and ||u||_L2 = ||c||_2
+(``kernels``).  The operator holds only its band; ``sweep`` reads fields
+out on the (N, N) display grid.
 
 Conjugation is not complex-linear, so the eigenproblem runs over the real
 vector space of 2 (2M+1)^2 reals, whose Euclidean inner product is the L2
@@ -30,8 +35,9 @@ the exact projection of conj(w u) is
 
 one 2x2 real block per in-band source in each row pair.  ``ds_matrix``
 builds D_s = D_0 - s A once per band and s as a real CSR matrix that
-stores no zero; the FFT kernels of ``kernels`` are the reference it is
-tested against.  Where mode m lives in a band is ``kernels.band_modes``.
+stores no zero; the hand-written FFT kernels of ``kernels`` are the
+independent reference it is tested against.  Where mode m lives in a
+band is ``kernels.band_modes``.
 
 Bands are nested: a smaller band M_c < M is a subspace of the band M,
 and A is the exact projection on both, so the operator on M_c is the
@@ -43,11 +49,15 @@ prolonged (``sweep``).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.sparse import csr_array
 
+from ..clifford import Spinor, symbol
+from ..fiber import Covector, FiberContext, scalar_form
+from ..perturbation import PhiMap, apply_A
 from . import kernels
 from .config import SimConfig
 
@@ -94,25 +104,42 @@ def _part(src: np.ndarray, a=0.0, b=0.0) -> csr_array:
     return csr_array((data[keep], cols.reshape(-1)[keep], indptr), shape=(n, n))
 
 
+@functools.cache
+def fiber_maps() -> tuple:
+    """(c_dx, c_dy, a): the thb1 coefficients of c(dx) 1, c(dy) 1 and
+    apply_A(phi, 1) for phi = (1) on the fiber C^1, as complex numbers, so
+    that D_s u = (c_dx du/dx + c_dy du/dy + s a conj(w u)) thb1.  They are
+    exactly (1, i, -1), made once per process."""
+    ctx = FiberContext(1)
+    one = Spinor(ctx, [scalar_form(ctx, 1)])  # the unit of S+
+    root = ctx.sqrt2 * ctx.rational(1, 2)  # dx^{0,1} = thb1/sqrt2, dy^{0,1} = i thb1/sqrt2
+    images = [symbol(Covector(ctx, (c,)), 1, "D")(one) for c in (root, root * ctx.i)]
+    images.append(apply_A(PhiMap(ctx, 1, ((1,),)), one))
+    return tuple(dict(z.parts[0].items())[((), (1,))].to_complex() for z in images)
+
+
 def ds_matrix(K: int, modes, s: float) -> csr_array:
     """D_s = D_0 - s A on the band of side K as a real (2K^2, 2K^2) CSR
     matrix on flat band vectors, for w given by ``modes``, (mx, my, w_k)
-    triples (``SimConfig.w_modes``).
+    triples (``SimConfig.w_modes``), with the maps of ``fiber_maps``.
 
-    Complex row n holds (i mx - my) c_n and, for each mode k whose source
-    -n-k is in the band, -s conj(w_k) conj(c_{-n-k}).  D_0 and each mode
-    are one ``_part``.  The sum adds the entries that land on the same
+    Complex row n holds i (c_dx mx + c_dy my) c_n = (i mx - my) c_n and,
+    for each mode k whose source -n-k is in the band, s a conj(w_k)
+    conj(c_{-n-k}) = -s conj(w_k) conj(c_{-n-k}).  D_0 and each mode are
+    one ``_part``.  The sum adds the entries that land on the same
     (row, column), so a real row stores at most 2 + 2 len(modes) entries;
     summing the parts one at a time, not as one list of every entry, keeps
     the build's peak memory near twice the matrix's.  D_s^T is ``D.T``, a
     view of the same arrays.
     """
+    c_dx, c_dy, a = fiber_maps()
     m = kernels.band_modes(K)
-    D = _part(np.arange(K * K), a=kernels.d0_multiplier(K).reshape(-1))
+    mx, my = m[:, None], m[None, :]
+    D = _part(np.arange(K * K), a=(1j * c_dx * mx + 1j * c_dy * my).reshape(-1))
     for kx, ky, wk in modes:
-        jx, jy = -m[:, None] - kx, -m[None, :] - ky
+        jx, jy = -mx - kx, -my - ky
         inside = (np.abs(jx) <= K // 2) & (np.abs(jy) <= K // 2)
-        b = np.where(inside, -s * np.conj(wk), 0)
+        b = np.where(inside, s * a * np.conj(wk), 0)
         D = D + _part(((jx % K) * K + jy % K).reshape(-1), b=b.reshape(-1))
     return D
 
@@ -147,7 +174,6 @@ class TorusOperator:
         return self.DT @ (self.D @ x)
 
     def sigma_max_bound(self) -> float:
-        """max |i mx - my| + s max|w| <= sqrt2 M + s ``config.w_bound``, an
-        upper bound for the largest singular value (triangle inequality,
-        and ||A|| <= max|w| since A is a projection of conj(w u))."""
-        return float(math.sqrt(2.0) * self.M + self.s * self.config.w_bound)
+        """``config.sigma_max_bound`` on this band and s: an upper bound for
+        the largest singular value of D."""
+        return float(self.config.sigma_max_bound(self.M, self.s))

@@ -180,6 +180,9 @@ _BAD_CONFIGS = {
     # w = sin x vanishes on two lines, not at points: no delta-disks cover them
     "fourier-zero-lines": {"phi_preset": "custom",
                            "fourier_coeffs": "1,0,0,-0.5; -1,0,0,0.5"},
+    # rows are keyed by f"{s:g}": these two would share heatmap_s8.svg
+    "s_values-same-text": {"phi_preset": "constant(1)", "s_values": "8, 8.0000001"},
+    "config-not-utf8": b"N = 64\n\xff\xfe\n",
     "config-is-directory": None,
 }
 
@@ -207,10 +210,14 @@ def test_bad_input_exits_2_with_message(case, tmp_path, capsys):
     else:
         bad = _BAD_CONFIGS[case]
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(bad if isinstance(bad, str) else _config_with(**bad))
+        if isinstance(bad, bytes):
+            cfg.write_bytes(bad)
+        else:
+            cfg.write_text(bad if isinstance(bad, str) else _config_with(**bad))
         argv = ["simulate", str(cfg)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

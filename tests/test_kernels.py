@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cldirac import (
@@ -35,6 +36,8 @@ from cldirac.fiber import _indices, _swaps
 from cldirac.hodge import epsilon_exponent
 from cldirac.scalars import EC_I, EC_ONE, EC_SQRT2, EC_ZERO, ExactComplex
 from cldirac.suites import verify_suite
+from cldirac.torus import SimConfig, TorusOperator, complex_to_flat, flat_to_complex, phi_field
+from cldirac.torus import kernels, operators
 
 
 # -- references ---------------------------------------------------------------
@@ -281,7 +284,26 @@ def test_a_flipped_wedge_sign_fails_the_suites(monkeypatch):
     assert "wedge_anticommute" in _failing(verify_suite(2, 5, 1))
 
 
+def _torus_defect(cfg):
+    """max |D x - ds_apply(x)| / max |ds_apply(x)| for a random x: the
+    torus operator, built from the fiber maps, against the hand-written
+    FFT reference."""
+    op = TorusOperator(cfg, 4.0)
+    x = np.random.default_rng(0).standard_normal(op.nreal)
+    want = complex_to_flat(kernels.ds_apply(
+        flat_to_complex(x, op.K), phi_field(cfg), op.s, cfg.spacing))
+    return np.max(np.abs(op.D @ x - want)) / np.max(np.abs(want))
+
+
 def test_a_flipped_star_phase_fails_star_defining(monkeypatch):
+    cfg = SimConfig(N=16)
+    assert _torus_defect(cfg) <= 4e-15
     monkeypatch.setitem(fiber._COMPLEMENT_PARITY, 0b01,
                         1 - fiber._COMPLEMENT_PARITY[0b01])
     assert _failing(verify_suite(2, 5, 1), "star_defining") != []
+    # A reaches the torus operator through apply_A's tau, so the flip does too
+    operators.fiber_maps.cache_clear()
+    try:
+        assert _torus_defect(cfg) > 0.1
+    finally:
+        operators.fiber_maps.cache_clear()

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import inspect
 import math
 import re
 import tracemalloc
@@ -32,7 +33,7 @@ from cldirac.torus import eigensolve, kernels
 from cldirac.torus.config import MAX_MODES, ConfigError, _lobpcg_fits, load_config
 from cldirac.torus.eigensolve import residual_norms
 from cldirac.torus.heatmap import SIZE, _STOPS, _color_codes
-from cldirac.torus.operators import prolong
+from cldirac.torus.operators import ds_matrix, fiber_maps, prolong
 from cldirac.torus.sweep import (
     a_priori_band,
     band_tail,
@@ -408,6 +409,17 @@ def test_w_modes_merge_a_repeated_mode():
     assert cfg.w_modes() == ((0, 0, 1 + 0j), (1, -1, 0.25 + 0.5j), (0, 1, -0.3 + 0j))
     assert SimConfig(N=16, phi_preset="constant(2j)").w_modes() == ((0, 0, 2j),)
     assert len(SimConfig(N=16).w_modes()) == 4
+
+
+def test_the_operator_takes_its_maps_from_the_fiber_code():
+    # c(dx) 1 = thb1, c(dy) 1 = i thb1 and A 1 = -thb1 at n = r = 1, exactly;
+    # ds_matrix places these and spells neither D_0 nor A's sign itself
+    maps = fiber_maps()
+    assert maps == (1 + 0j, 1j, -1 + 0j)
+    assert all(type(c) is complex for c in maps)
+    source = ast.unparse(ast.parse(inspect.getsource(ds_matrix)).body[0].body[1:])
+    assert "fiber_maps()" in source
+    assert "d0_multiplier" not in source and "-s" not in source
 
 
 @pytest.mark.parametrize("N", [16, 32, 64])

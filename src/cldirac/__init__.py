@@ -53,6 +53,7 @@ from .perturbation import (
     apply_A,
     apply_A_adjoint,
     concentrating_defect,
+    defect_vanishes,
     matched_class,
     opposite_class,
     random_phi,
@@ -90,6 +91,7 @@ __all__ = [
     "clifford",
     "concentrating_defect",
     "contract",
+    "defect_vanishes",
     "epsilon",
     "epsilon_shift_identity",
     "inner",

@@ -82,7 +82,16 @@ def _finish(args, report, name: str, params: dict, seed, t0: float) -> int:
     return 1 if failed else 0
 
 
+def _reject_long_with(args, flag: str, value):
+    """--long picks the dimensions itself, so an explicit one beside it is
+    a usage error rather than a silent override."""
+    if args.long and value is not None:
+        raise UsageError(f"--long sets the dimensions; give --long or {flag}, "
+                         "not both")
+
+
 def _cmd_verify(args) -> int:
+    _reject_long_with(args, "--n-max", args.n_max)
     n_max = args.n_max if args.n_max is not None else (7 if args.long else 4)
     t0 = time.monotonic()
     report = VerifyReport(verify_suite(n_max=n_max, trials=args.trials,
@@ -100,6 +109,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def _cmd_condition(args) -> int:
+    _reject_long_with(args, "--n-list", args.n_list)
     if args.n_list is not None:
         n_list = _parse_int_list(args.n_list, "--n-list")
     else:

@@ -21,13 +21,18 @@ holds exactly for symmetric phi when n = 1 mod 4 and antisymmetric phi when
 n = 3 mod 4.  `concentrating_defect` measures the worst basis-vector norm of
 that sum, in closed form: two form images and three inner products per
 monomial of S+, whatever the rank; whether it is zero is decided exactly.
+`defect_vanishes` decides only that, from the same per-monomial values,
+and stops at the first nonzero one: a wrong-class draw usually ends at the
+first monomial.  Its answer is `concentrating_defect(...) == 0.0`, since
+a nonzero squared norm is a positive real that `real_to_float` never
+rounds to 0.0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford import EVEN, ODD, Spinor, _flip, chirality_subsets, clifford
+from .clifford import EVEN, ODD, Spinor, _flip, clifford
 from .fiber import (
     ChiralityError,
     Covector,
@@ -37,15 +42,24 @@ from .fiber import (
     _rng,
     _same_ctx,
     _strip_top,
+    _subset_keys,
     inner,
-    monomial,
     random_scalar,
     random_unit_scalar,
     wedge,
     zero_form,
 )
 from .hodge import tau_graded
-from .scalars import ExactComplex, _dot_conj, conj, is_zero, real_to_float
+from .scalars import (
+    EC_ONE,
+    EC_ZERO,
+    ExactComplex,
+    _finish,
+    _mul_into,
+    conj,
+    is_zero,
+    real_to_float,
+)
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -89,8 +103,7 @@ class PhiMap:
 
     def eta(self) -> Form:
         """The framed top (n, 0) form."""
-        top = tuple(range(1, self.ctx.n + 1))
-        return monomial(self.ctx, top, (), self.eta_scalar)
+        return Form._exact(self.ctx, {((1 << self.ctx.n) - 1, 0): self.eta_scalar})
 
 
 @dataclass(frozen=True)
@@ -156,9 +169,15 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
 
 
-def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
-    """Exact squared norm of the image of each basis spinor of S+ (x) E, in
-    spinor_basis(ctx, r, EVEN) order; see concentrating_defect.
+def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
+    """Generator of the exact squared norm of the image of each basis spinor
+    of S+ (x) E, in spinor_basis(ctx, r, EVEN) order; see
+    concentrating_defect.  The dimension and the contexts are checked here,
+    before the generator is made, so a bad call raises at once.
+
+    Per basis monomial e_J it builds F_J and G_J and takes three inner
+    products; the r values of that monomial follow from them, so a consumer
+    that stops early builds no later image.
 
     |F_J|^2 and |G_J|^2 are computed, not taken as |gamma|^2, although a
     correct tau and Clifford action make both equal to it.  With that
@@ -168,22 +187,48 @@ def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
     where the true defect is col_j |v|^2."""
     _require_odd(phi.ctx)
     _same_ctx(phi.ctx, g.ctx)
-    ctx, r, e = phi.ctx, phi.r, phi.entries
+    ctx, r, n = phi.ctx, phi.r, phi.ctx.n
+    # col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2 and
+    # mix_j = sum_i conj(phi_ij) phi_ji, in one accumulator
+    t = [[x._t for x in row] for row in phi.entries]
+    tbar = [[(a, -b, c, -d, q) for a, b, c, d, q in row] for row in t]
+    acc = {}
+    for j in range(r):
+        for i in range(r):
+            _mul_into(acc, (0, j), t[i][j], tbar[i][j])
+            _mul_into(acc, (1, j), t[j][i], tbar[j][i])
+            _mul_into(acc, (2, j), t[j][i], tbar[i][j])
+    sums = _finish(acc)
+    weights = []
+    for j in range(r):
+        col, row, mix = (sums.get((k, j), EC_ZERO) for k in range(3))
+        weights.append((col._t, row._t, mix._t, conj(mix)._t))
     eta = phi.eta()
     ubar = _adjoint_unit(phi)
-    col = [_dot_conj((e[i][j], e[i][j]) for i in range(r)) for j in range(r)]
-    row = [_dot_conj((x, x) for x in e[j]) for j in range(r)]
-    mix = [_dot_conj((e[j][i], e[i][j]) for i in range(r)) for j in range(r)]
-    out = []
-    for tj in chirality_subsets(ctx.n, EVEN):
-        mono = monomial(ctx, (), tj)
-        f = clifford(g, _A_slot(eta, mono))
-        h = _A_adjoint_slot(ubar, clifford(g, mono))
-        ff, hh, fh = inner(f, f), inner(h, h), inner(f, h)
-        for j in range(r):
-            x = mix[j] * fh
-            out.append(col[j] * ff + row[j] * hh + x + conj(x))
-    return out
+
+    def norms_sq():
+        for q in range(0, n + 1, 2):
+            for tj in _subset_keys(n, q):
+                mono = Form._exact(ctx, {(0, tj): EC_ONE})
+                f = clifford(g, _A_slot(eta, mono))
+                h = _A_adjoint_slot(ubar, clifford(g, mono))
+                ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)
+                fh, fhbar = fh._t, conj(fh)._t
+                for col, row, mix, mixbar in weights:
+                    # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>)
+                    acc = {}
+                    _mul_into(acc, 0, col, ff)
+                    _mul_into(acc, 0, row, hh)
+                    _mul_into(acc, 0, mix, fh)
+                    _mul_into(acc, 0, mixbar, fhbar)
+                    yield _finish(acc).get(0, EC_ZERO)
+
+    return norms_sq()
+
+
+def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
+    """Every value of _defect_norms_sq_iter, as a list."""
+    return list(_defect_norms_sq_iter(phi, g))
 
 
 def concentrating_defect(phi: PhiMap, g: Covector) -> float:
@@ -212,11 +257,25 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     antisymmetric one mix_j = -col_j and col_j |F_J - G_J|^2, so a class
     cancels for every phi exactly when F_J = -+ G_J for all J and gamma.
     The zero test is exact, and real_to_float has no cancellation, so a
-    nonzero defect never returns 0.0."""
+    nonzero defect never returns 0.0.  This evaluates every basis image;
+    defect_vanishes stops at the first nonzero one."""
     nsqs = _defect_norms_sq(phi, g)
-    if all(is_zero(x) for x in nsqs):
+    if not any(nsqs):
         return 0.0
     return max(map(real_to_float, nsqs)) ** 0.5
+
+
+def defect_vanishes(phi: PhiMap, g: Covector) -> bool:
+    """Whether symbol_D_star(gamma) A + A* symbol_D(gamma) is exactly zero
+    on S+ (x) E: the same exact values as concentrating_defect, in the same
+    order, stopping at the first nonzero one, so a wrong-class draw
+    usually builds only the images of the first basis monomial.
+
+    It equals concentrating_defect(phi, g) == 0.0: each value is a squared
+    norm, so a nonzero one is a positive real, and real_to_float has no
+    cancellation, so the float defect is > 0.0 exactly when some value is
+    nonzero."""
+    return not any(_defect_norms_sq_iter(phi, g))
 
 
 def _exact_det(rows):

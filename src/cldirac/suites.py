@@ -45,6 +45,7 @@ from .hodge import (
 )
 from .perturbation import (
     concentrating_defect,
+    defect_vanishes,
     matched_class,
     opposite_class,
     random_nonzero_phi,
@@ -458,6 +459,11 @@ def condition_suite(n_list, r_list, trials: int, seed: int,
                  "complex dimension (real dimension 2 or 6 mod 8), and exact "
                  "suites run for 1 <= n <= 7")
     _require(all(r >= 1 for r in r_list), f"every r must be >= 1, got {list(r_list)}")
+    # rows are keyed by (n, r) and seeded from it, so a repeat would print
+    # and count the same rows twice
+    for name, values in (("n", n_list), ("r", r_list)):
+        _require(len(set(values)) == len(values),
+                 f"every {name} must be listed once, got {list(values)}")
     _require(trials >= 1, f"trials must be >= 1, got {trials}")
     _require(wrong_trials >= 1, f"wrong_trials must be >= 1, got {wrong_trials}")
     correct, wrong, odd_rank = [], [], []
@@ -489,7 +495,7 @@ def condition_suite(n_list, r_list, trials: int, seed: int,
                 r = usable_r[t % len(usable_r)]
                 phi = random_nonzero_phi(ctx, r, ocls, rng)
                 g = random_nonzero_covector(ctx, rng)
-                if concentrating_defect(phi, g) > 0.0:
+                if not defect_vanishes(phi, g):
                     nonzero += 1
             wrong.append({"n": n, "phi_class": ocls, "r_values": usable_r,
                           "trials": wrong_trials,

@@ -1,9 +1,14 @@
 """CLI contracts: exit codes, report schemas, artifact files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cldirac
 from cldirac.cli import main
 from cldirac.suites import ConditionReport, IdentityRecord
 from cldirac.torus.config import load_config
@@ -43,6 +48,19 @@ def test_condition_small_run(tmp_path):
     # odd-rank antisymmetric rows always report det = 0
     odd = [row for row in report["odd_rank_det"] if row["r"] % 2 == 1]
     assert odd and all(row["all_singular"] for row in odd)
+
+
+def test_python_m_cldirac_runs_the_command_line(tmp_path):
+    src = Path(cldirac.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "cldirac", "condition", "--n-list", "1",
+         "--r-list", "1", "--trials", "1", "--wrong-trials", "1",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "condition.json").read_text())["passed"] is True
 
 
 def test_condition_rejects_even_dimension(tmp_path):
@@ -198,6 +216,10 @@ _BAD_ARGS = {
     "condition-n-empty": ["condition", "--n-list", ","],
     "condition-r-zero": ["condition", "--n-list", "1", "--r-list", "1,0"],
     "condition-r-not-integer": ["condition", "--n-list", "1", "--r-list", "a"],
+    "condition-n-repeated": ["condition", "--n-list", "1,1"],
+    "condition-r-repeated": ["condition", "--n-list", "1", "--r-list", "2,2"],
+    "verify-long-with-n-max": ["verify", "--long", "--n-max", "1"],
+    "condition-long-with-n-list": ["condition", "--long", "--n-list", "1"],
 }
 
 

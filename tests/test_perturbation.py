@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cldirac import perturbation
 from cldirac import (
     ANTISYMMETRIC,
     ChiralityError,
@@ -21,6 +22,7 @@ from cldirac import (
     apply_A,
     apply_A_adjoint,
     concentrating_defect,
+    defect_vanishes,
     matched_class,
     monomial,
     opposite_class,
@@ -32,8 +34,12 @@ from cldirac import (
     spinor_basis,
     symbol,
 )
-from cldirac.fiber import random_nonzero_covector
-from cldirac.perturbation import _defect_norms_sq, random_nonzero_phi
+from cldirac.fiber import ContextMismatchError, random_nonzero_covector
+from cldirac.perturbation import (
+    _defect_norms_sq,
+    _defect_norms_sq_iter,
+    random_nonzero_phi,
+)
 from cldirac.scalars import ExactComplex, is_zero, real_part, real_to_float
 
 from _reference import example_phi
@@ -205,6 +211,68 @@ def test_defect_equals_spinor_map_reference(n):
                          (GENERAL, ((0, tiny), (tiny, tiny)))):
         phi = PhiMap(ctx, 2, entries, declared_class=cls)
         _assert_defect_matches_reference(phi, random_nonzero_covector(ctx, rng))
+
+
+def test_defect_vanishes_is_the_float_defect_at_zero():
+    rng = random.Random(89)
+    tiny = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
+    seen = set()
+    for n in (1, 3, 5):
+        ctx = FiberContext(n)
+        cases = [random_phi(ctx, r, cls, rng)
+                 for cls in (SYMMETRIC, ANTISYMMETRIC, GENERAL)
+                 for r in (1, 2, 3, 4) for _ in range(2 if n == 5 else 3)]
+        cases += [PhiMap(ctx, 2, entries, declared_class=cls) for cls, entries in (
+            (ANTISYMMETRIC, ((0, tiny), (-tiny, 0))),
+            (SYMMETRIC, ((tiny, 1), (1, 0))),
+            (GENERAL, ((0, tiny), (tiny, tiny))))]
+        # a zero last row and column: that slot's values are 0 and the
+        # others are not in the wrong class, so stopping at the first zero
+        # (all in place of any) would call a nonzero defect vanishing
+        cases += [PhiMap(ctx, 3, ((0, c, 0), (d, 0, 0), (0, 0, 0)),
+                         declared_class=cls)
+                  for cls, c, d in ((SYMMETRIC, tiny, tiny),
+                                    (ANTISYMMETRIC, tiny, -tiny))]
+        for phi in cases:
+            g = random_nonzero_covector(ctx, rng)
+            vanishes = concentrating_defect(phi, g) == 0.0
+            assert defect_vanishes(phi, g) == vanishes
+            seen.add(vanishes)
+    assert seen == {True, False}
+
+
+def test_defect_vanishes_stops_at_the_first_nonzero_image(monkeypatch):
+    # n = 3 has four even monomials, two Clifford images each
+    ctx = FiberContext(3)
+    rng = random.Random(97)
+    phi = random_nonzero_phi(ctx, 2, opposite_class(3), rng)
+    g = random_nonzero_covector(ctx, rng)
+    assert _defect_norms_sq(phi, g)[0]
+    calls = []
+    inner_clifford = perturbation.clifford
+
+    def counting(*args):
+        calls.append(args)
+        return inner_clifford(*args)
+
+    monkeypatch.setattr(perturbation, "clifford", counting)
+    assert not defect_vanishes(phi, g)
+    assert len(calls) == 2
+    calls.clear()
+    assert concentrating_defect(phi, g) > 0.0
+    assert len(calls) == 8
+
+
+def test_defect_checks_raise_before_any_image():
+    even = FiberContext(2)
+    phi = PhiMap(even, 1, ((ExactComplex(1),),))
+    with pytest.raises(DegreeError):
+        _defect_norms_sq_iter(phi, random_covector(even, 1))
+    with pytest.raises(DegreeError):
+        defect_vanishes(phi, random_covector(even, 1))
+    phi = PhiMap(FiberContext(1), 1, ((ExactComplex(1),),))
+    with pytest.raises(ContextMismatchError):
+        _defect_norms_sq_iter(phi, random_covector(FiberContext(3), 1))
 
 
 def test_real_to_float_has_no_cancellation():

@@ -3,14 +3,17 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import cldirac
-from cldirac import FiberContext, monomial
+from cldirac import FiberContext, concentrating_defect, monomial, opposite_class
+from cldirac.fiber import random_nonzero_covector
+from cldirac.perturbation import random_nonzero_phi
 from cldirac.scalars import ExactComplex
-from cldirac.suites import _run, verify_suite
+from cldirac.suites import _run, condition_suite, stable_seed, verify_suite
 
 # nonzero in Q(i, sqrt2), but -1.4142135623730951 + sqrt2 rounds to 0.0
 TINY = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
@@ -106,3 +109,22 @@ def test_suite_inputs_do_not_depend_on_hash_seed():
     assert first
     assert first == _draws(2)
 
+
+
+def test_wrong_class_rates_are_the_float_defect_rates():
+    # the wrong-class rows stop each draw at its first nonzero image; the
+    # same draws, each defect evaluated in full, give the same rates
+    for seed in (1, 2, 3):
+        report = condition_suite([1, 3], [1, 2, 3, 4], trials=1, seed=seed)
+        expected = []
+        for n in (1, 3):
+            ctx, cls = FiberContext(n), opposite_class(n)
+            usable_r = [1, 2, 3, 4] if cls == "symmetric" else [2, 3, 4]
+            rng = random.Random(stable_seed(seed, "wrong", n))
+            nonzero = 0
+            for t in range(200):
+                phi = random_nonzero_phi(ctx, usable_r[t % len(usable_r)], cls, rng)
+                g = random_nonzero_covector(ctx, rng)
+                nonzero += concentrating_defect(phi, g) > 0.0
+            expected.append(nonzero / 200)
+        assert [row["nonzero_rate"] for row in report.wrong] == expected

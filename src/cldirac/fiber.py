@@ -9,22 +9,27 @@ A real covector gamma is stored through the coefficients a_i of its (0,1)
 part gamma^{0,1} = sum a_i thb^i; the (1,0) part sum conj(a_i) th^i is forced
 by conjugation and never stored.
 
-A key (I, J) is stored as a pair of ints with bit i-1 set for index i, so
-the overlap test of a wedge is an and, the merge an or, and the reordering
-sign a popcount.  Only this module and hodge.py build, unpack or measure a
-key; the public boundary (Form(ctx, terms), monomial, coeff, items, text)
-speaks in increasing index tuples, and items() keeps graded-lex tuple order.
+A monomial is stored as one int key, the word of its 2n letters
+th^1 < .. < th^n < thb^1 < .. < thb^n: bit i-1 is th^i and bit n+j-1 is
+thb^j, so the key of th^I ^ thb^J is I | (J << n) for the half-keys I and J
+(bit i-1 set for index i).  With the th letters before the thb letters,
+every reordering sign is the parity of sorting one word after another:
+the sign of a wedge is one popcount against _ODD_BELOW, the complement
+of a key is full ^ key with sign _COMPLEMENT_PARITY[key] (which fixes the
+Hodge star), the total degree is key.bit_count(), and removing thb^j
+passes the letters below it.  The two parity tables are indexed by a key,
+filled on first use and the same for every n.  Only this module and
+hodge.py build, unpack or measure a key; the public boundary
+(Form(ctx, terms), monomial, items, text) speaks in increasing index
+tuples, and items() keeps graded-lex tuple order.
 
-Reordering signs come from two parity tables indexed by one half-key (the
-I or the J of a key), filled on first use and the same for every n:
-_ODD_BELOW turns the sign of a wedge into two popcounts, and
-_COMPLEMENT_PARITY gives the sign of a monomial against its complement,
-which fixes the Hodge star.
-
-Every coefficient is an ExactComplex, the one scalar tower (scalars.py), so
-identities hold with exactly zero defect.  wedge, contract, inner and
-clifford (the c(gamma) of clifford.py) sum raw products of the scalar
-tuples in a private accumulator and canonicalise once per output
+Each stored coefficient is the canonical nonzero int tuple of the one
+scalar tower (scalars.py), so identities hold with exactly zero defect and
+two Forms are equal exactly when their term dicts are.  An ExactComplex is
+made only at the public boundary: Form(ctx, terms) takes scalars in,
+items() and inner() hand them out, and text() prints them.  wedge,
+contract and clifford (the c(gamma) of clifford.py) sum raw products of
+the tuples in a private accumulator and canonicalise once per output
 coefficient; scaling by a power of i is a phase and takes no gcd.
 Everything here is an immutable value and every operation is a pure
 function, so trial sweeps can share objects freely across threads.
@@ -43,13 +48,20 @@ from .scalars import (
     EC_ONE,
     EC_SQRT2,
     EC_ZERO,
+    _ONE,
+    _ZERO,
     ExactComplex,
+    _add,
     _coerce,
     _dot_conj,
     _finish,
+    _make,
+    _mul,
     _mul_into,
-    _phased,
+    _neg,
+    _phase,
     _signed,
+    _sub,
     _unit_exponent,
     conj,
     is_zero,
@@ -118,19 +130,20 @@ def _mask(t, n) -> int:
 
 
 def _indices(m: int) -> tuple:
-    """Increasing index tuple of a key."""
+    """Increasing index tuple of a half-key."""
     return tuple(i for i in range(1, m.bit_length() + 1) if m >> (i - 1) & 1)
 
 
 @functools.cache
 def _subset_keys(n: int, k: int) -> tuple:
-    """Keys of the k-subsets of 1..n, in the order of subsets_increasing."""
+    """Half-keys of the k-subsets of 1..n, in the order of
+    subsets_increasing."""
     return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
 
 
 def _swaps(a: int, b: int) -> int:
     """Pairs (i in a, j in b) with i > j: the transpositions that sort the
-    indices of a followed by those of b."""
+    letters of a followed by those of b."""
     count = 0
     while b:
         low = b & -b
@@ -139,8 +152,8 @@ def _swaps(a: int, b: int) -> int:
     return count
 
 
-class _HalfKeyTable(dict):
-    """A parity table over half-keys, each entry computed on first use."""
+class _KeyTable(dict):
+    """A parity table over keys, each entry computed on first use."""
 
     def __init__(self, entry):
         super().__init__()
@@ -152,8 +165,9 @@ class _HalfKeyTable(dict):
 
 
 def _odd_below(b: int) -> int:
-    """The mask of the indices i with an odd number of indices of b below
-    i; negative when b has odd size, since every i above b then counts."""
+    """The mask of the letters with an odd number of letters of b below
+    them; negative when b has odd size, since every letter above b then
+    counts."""
     mask = 0
     while b:
         low = b & -b
@@ -163,11 +177,21 @@ def _odd_below(b: int) -> int:
 
 
 # _swaps(a, b) % 2 == (a & _ODD_BELOW[b]).bit_count() % 2
-_ODD_BELOW = _HalfKeyTable(_odd_below)
-# _COMPLEMENT_PARITY[b] == _swaps(b, full ^ b) % 2 for every full >= b: an
-# index above all of b contributes no transposition
-_COMPLEMENT_PARITY = _HalfKeyTable(
+_ODD_BELOW = _KeyTable(_odd_below)
+# _COMPLEMENT_PARITY[b] == _swaps(b, full ^ b) % 2 for every full >= b: a
+# letter above all of b contributes no transposition
+_COMPLEMENT_PARITY = _KeyTable(
     lambda b: _swaps(b, ((1 << b.bit_length()) - 1) ^ b) % 2)
+
+
+def _key(ti: int, tj: int, n: int) -> int:
+    """The key of th^I ^ thb^J from the half-keys I and J."""
+    return ti | tj << n
+
+
+def _halves(key: int, n: int) -> tuple:
+    """The half-keys (I, J) of a key."""
+    return key & ((1 << n) - 1), key >> n
 
 
 def _term_sort_key(key):
@@ -185,27 +209,19 @@ class Form:
         if terms:
             n = ctx.n
             for (ti, tj), c in terms.items():
-                key = (_mask(ti, n), _mask(tj, n))
-                c = ctx.coerce(c)
-                if not is_zero(c):
+                key = _key(_mask(ti, n), _mask(tj, n), n)
+                c = ctx.coerce(c)._t
+                if c != _ZERO:
                     canon[key] = c
         self.ctx = ctx
         self._terms = canon
 
     @classmethod
-    def _of(cls, ctx: FiberContext, terms: dict) -> "Form":
-        """Form built by an internal operation, whose keys are masks and
-        whose values are ExactComplex by construction: only the zero
-        coefficients are dropped, nothing is re-checked.
-        The new Form takes ownership of the terms dict."""
-        return cls._exact(ctx, terms if all(terms.values()) else {
-            key: c for key, c in terms.items() if c})
-
-    @classmethod
     def _exact(cls, ctx: FiberContext, terms: dict) -> "Form":
-        """Form of an internal operation whose terms are nonzero by
-        construction (a kernel's finished accumulator, say); nothing is
-        checked.  The new Form takes ownership of the terms dict."""
+        """Form of an internal operation whose terms are int keys and
+        canonical nonzero tuples by construction (a kernel's finished
+        accumulator, say); nothing is checked.  The new Form takes
+        ownership of the terms dict."""
         f = object.__new__(cls)
         f.ctx = ctx
         f._terms = terms
@@ -216,8 +232,9 @@ class Form:
     def items(self):
         """(key, coefficient) pairs, keys as index tuples in graded-lex
         order."""
-        return sorted((((_indices(ti), _indices(tj)), c)
-                       for (ti, tj), c in self._terms.items()),
+        n = self.ctx.n
+        return sorted(((tuple(map(_indices, _halves(key, n))), _make(c))
+                       for key, c in self._terms.items()),
                       key=lambda kv: _term_sort_key(kv[0]))
 
     def is_zero(self) -> bool:
@@ -225,52 +242,64 @@ class Form:
 
     def bidegrees(self) -> set:
         """The bidegrees (p, q) of the terms."""
-        return {(ti.bit_count(), tj.bit_count()) for ti, tj in self._terms}
+        n = self.ctx.n
+        return {(ti.bit_count(), tj.bit_count())
+                for ti, tj in (_halves(key, n) for key in self._terms)}
 
     def is_pure(self) -> bool:
         return len(self.bidegrees()) <= 1
 
     def total_degree(self) -> int:
-        degs = {p + q for p, q in self.bidegrees()}
+        degs = {key.bit_count() for key in self._terms}
         if len(degs) != 1:
             raise DegreeError("form is zero or of mixed total degree")
         return degs.pop()
 
     # -- linear structure ---------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
+    def _combine(self, other, op, single):
+        """The terms of self op other: op on a shared key, single on a key
+        of other alone (tuple, which returns its tuple argument itself,
+        for a sum); a coefficient that cancels is dropped."""
         _same_ctx(self.ctx, other.ctx)
         terms = dict(self._terms)
         for key, c in other._terms.items():
             acc = terms.get(key)
-            terms[key] = c if acc is None else acc + c
-        return Form._of(self.ctx, terms)
+            if acc is None:
+                terms[key] = single(c)
+            else:
+                c = op(acc, c)
+                if c == _ZERO:
+                    del terms[key]
+                else:
+                    terms[key] = c
+        return Form._exact(self.ctx, terms)
+
+    def __add__(self, other):
+        if not isinstance(other, Form):
+            return NotImplemented
+        return self._combine(other, _add, tuple)
 
     def __sub__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        _same_ctx(self.ctx, other.ctx)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = terms.get(key)
-            terms[key] = -c if acc is None else acc - c
-        return Form._of(self.ctx, terms)
+        return self._combine(other, _sub, _neg)
 
     def __neg__(self):
-        return Form._exact(self.ctx, {k: -c for k, c in self._terms.items()})
+        return Form._exact(self.ctx, {k: _neg(c) for k, c in self._terms.items()})
 
     def scale(self, c):
-        c = self.ctx.coerce(c)
-        e = _unit_exponent(c)
+        t = self.ctx.coerce(c)._t
+        e = _unit_exponent(t)
+        if e == 0:
+            return self
         if e is not None:
-            return Form._exact(self.ctx, {k: _phased(v, e)
+            return Form._exact(self.ctx, {k: _phase(v, e)
                                           for k, v in self._terms.items()})
-        if not c:
+        if t == _ZERO:
             return Form._exact(self.ctx, {})
         # a product of nonzero field elements is nonzero
-        return Form._exact(self.ctx, {k: v * c for k, v in self._terms.items()})
+        return Form._exact(self.ctx, {k: _mul(v, t) for k, v in self._terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, Form):
@@ -279,17 +308,19 @@ class Form:
 
     def conjugate(self):
         """Structural conjugation th <-> thb with conjugated coefficients."""
+        n = self.ctx.n
         terms = {}
-        for (ti, tj), c in self._terms.items():
-            sign = ti.bit_count() * tj.bit_count() % 2
-            val = conj(c)
-            terms[(tj, ti)] = -val if sign else val
+        for key, c in self._terms.items():
+            ti, tj = _halves(key, n)
+            terms[_key(tj, ti, n)] = _phase(c, 2 * (ti.bit_count() * tj.bit_count()),
+                                            True)
         return Form._exact(self.ctx, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self.ctx == other.ctx and self._terms == other._terms
+        return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                and self._terms == other._terms)
 
     __hash__ = None
 
@@ -311,6 +342,12 @@ class Form:
         return f"Form({self.text()})"
 
 
+def _monomial(ctx: FiberContext, ti: int, tj: int, t=_ONE) -> Form:
+    """t th^I ^ thb^J for the half-keys I and J and a canonical nonzero
+    tuple t; nothing is checked."""
+    return Form._exact(ctx, {_key(ti, tj, ctx.n): t})
+
+
 def zero_form(ctx: FiberContext) -> Form:
     return Form._exact(ctx, {})
 
@@ -330,9 +367,8 @@ def subsets_increasing(n: int, k: int):
 def basis_forms(ctx: FiberContext, p: int, q: int):
     """All basis monomials of bidegree (p, q), in index order."""
     _check_bidegree(ctx, p, q)
-    return [monomial(ctx, ti, tj, 1)
-            for ti in subsets_increasing(ctx.n, p)
-            for tj in subsets_increasing(ctx.n, q)]
+    tjs = _subset_keys(ctx.n, q)
+    return [_monomial(ctx, ti, tj) for ti in _subset_keys(ctx.n, p) for tj in tjs]
 
 
 def _check_bidegree(ctx, p, q):
@@ -352,8 +388,18 @@ class Covector:
             raise ValueError(f"need {self.ctx.n} coefficients, got {len(self.a)}")
         object.__setattr__(self, "a", tuple(self.ctx.coerce(x) for x in self.a))
 
+    @classmethod
+    def _exact(cls, ctx: FiberContext, a: tuple) -> "Covector":
+        """Covector of n ExactComplex coefficients; nothing is checked."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "ctx", ctx)
+        object.__setattr__(g, "a", a)
+        return g
+
     def part01(self) -> Form:
-        return Form._of(self.ctx, {(0, 1 << k): c for k, c in enumerate(self.a)})
+        n = self.ctx.n
+        return Form._exact(self.ctx, {1 << (n + k): c._t
+                                      for k, c in enumerate(self.a) if c})
 
     def norm_sq(self):
         """|gamma|^2 = 2 sum |a_i|^2 for the real covector."""
@@ -370,38 +416,39 @@ class Covector:
         """(bit of thb^j, the bits below it, tuples of +-a_j, tuples of
         -+conj(a_j)) for each j with a_j != 0: the factors of the Clifford
         kernel, made once per covector."""
-        return [(1 << j, (1 << j) - 1, _signed(a), _signed(a, True)[::-1])
+        n = self.ctx.n
+        return [(1 << (n + j), (1 << (n + j)) - 1, _signed(a._t),
+                 _signed(a._t, True)[::-1])
                 for j, a in enumerate(self.a) if a]
 
     def __add__(self, other):
         if not isinstance(other, Covector):
             return NotImplemented
         _same_ctx(self.ctx, other.ctx)
-        return Covector(self.ctx, tuple(x + y for x, y in zip(self.a, other.a)))
+        return Covector._exact(self.ctx, tuple(x + y for x, y in zip(self.a, other.a)))
 
     def scale_real(self, t):
         """Scaling by a real number keeps the covector real."""
         t = self.ctx.coerce(t)
-        return Covector(self.ctx, tuple(x * t for x in self.a))
+        return Covector._exact(self.ctx, tuple(x * t for x in self.a))
 
 
 def wedge(x: Form, y: Form) -> Form:
     """Exterior product; bilinear, graded-anticommutative, associative.
 
-    The sign of th^I thb^J ^ th^K thb^L is (-1)^(|J||K|) times the parities
-    of sorting I then K and J then L."""
+    The product of the words kx and ky is the word kx | ky, up to the sign
+    of sorting the letters of kx followed by those of ky."""
     _same_ctx(x.ctx, y.ctx)
     odd_below = _ODD_BELOW
-    xs = [(ti, tj, tj.bit_count() & 1, c._t) for (ti, tj), c in x._terms.items()]
+    xs = list(x._terms.items())
     acc = {}
-    for (tk, tl), d in y._terms.items():
-        ok, ol, pk = odd_below[tk], odd_below[tl], tk.bit_count() & 1
-        d = _signed(d)
-        for ti, tj, qx, c in xs:
-            if ti & tk or tj & tl:
+    for ky, d in y._terms.items():
+        ob = odd_below[ky]
+        d = (d, _neg(d))
+        for kx, c in xs:
+            if kx & ky:
                 continue
-            sign = (ti & ok).bit_count() + (tj & ol).bit_count() + (qx & pk)
-            _mul_into(acc, (ti | tk, tj | tl), c, d[sign & 1])
+            _mul_into(acc, kx | ky, c, d[(kx & ob).bit_count() & 1])
     return Form._exact(x.ctx, _finish(acc))
 
 
@@ -409,22 +456,23 @@ def contract(g: Covector, x: Form) -> Form:
     """Contraction by the metric dual of gamma^{1,0}.
 
     Conjugate-linear in g, complex-linear in x; an antiderivation that
-    removes thb indices only (q drops by 1, p is unchanged).  Removing thb^j
-    passes the |I| th factors and the thb factors of J below j.
+    removes thb letters only (q drops by 1, p is unchanged).  Removing thb^j
+    passes the letters of the word below it: every th letter and the thb
+    letters of J below j.
     """
     _same_ctx(g.ctx, x.ctx)
-    abar = [_signed(c, True) if c else None for c in g.a]
+    n = x.ctx.n
+    abar = [_signed(c._t, True) if c else None for c in g.a]
     acc = {}
-    for (ti, tj), c in x._terms.items():
-        s = c._t
-        rest, k = tj, ti.bit_count()
+    for key, s in x._terms.items():
+        rest = key >> n
         while rest:
             low = rest & -rest
             rest ^= low
             aj = abar[low.bit_length() - 1]
             if aj is not None:
-                _mul_into(acc, (ti, tj ^ low), s, aj[k & 1])
-            k += 1
+                bit = low << n
+                _mul_into(acc, key ^ bit, s, aj[(key & (bit - 1)).bit_count() & 1])
     return Form._exact(x.ctx, _finish(acc))
 
 
@@ -435,15 +483,15 @@ def clifford(g: Covector, x: Form) -> Form:
     with the sign of the thb factors of J below j in both cases; sqrt2 is
     applied once per output coefficient."""
     _same_ctx(g.ctx, x.ctx)
+    th_bits = (1 << x.ctx.n) - 1
     steps = g._clifford_steps
     acc = {}
-    for (ti, tj), c in x._terms.items():
-        if ti:
+    for key, s in x._terms.items():
+        if key & th_bits:
             raise DegreeError("Clifford action needs a (0, q) input")
-        s = c._t
-        for low, below, join, leave in steps:
-            coef = leave if tj & low else join
-            _mul_into(acc, (0, tj ^ low), s, coef[(tj & below).bit_count() & 1])
+        for bit, below, join, leave in steps:
+            coef = leave if key & bit else join
+            _mul_into(acc, key ^ bit, s, coef[(key & below).bit_count() & 1])
     return Form._exact(x.ctx, _finish(acc, sqrt2=True))
 
 
@@ -453,30 +501,25 @@ def inner(x: Form, y: Form):
     _same_ctx(x.ctx, y.ctx)
     xt, yt = x._terms, y._terms
     if len(yt) < len(xt):
-        return _dot_conj((xt[key], d) for key, d in yt.items() if key in xt)
-    return _dot_conj((c, yt[key]) for key, c in xt.items() if key in yt)
+        return _make(_dot_conj((xt[key], d) for key, d in yt.items() if key in xt))
+    return _make(_dot_conj((c, yt[key]) for key, c in xt.items() if key in yt))
 
 
-def _complement(key, n: int):
-    """Key of the complementary monomial th^Ic ^ thb^Jc of the key (I, J),
+def _complement(key: int, n: int):
+    """Key of the complementary monomial th^Ic ^ thb^Jc of th^I ^ thb^J,
     and the parity of (th^I thb^J) ^ (th^Ic thb^Jc) = (-1)^parity
     th^top thb^top."""
-    ti, tj = key
-    full = (1 << n) - 1
-    tic = full ^ ti
-    parity = (tj.bit_count() * tic.bit_count()
-              + _COMPLEMENT_PARITY[ti] + _COMPLEMENT_PARITY[tj]) % 2
-    return (tic, full ^ tj), parity
+    return ((1 << 2 * n) - 1) ^ key, _COMPLEMENT_PARITY[key]
 
 
 def _strip_top(f: Form) -> Form:
     """Divide a (n, q)-supported form by th^1^..^th^n on the left."""
     top = (1 << f.ctx.n) - 1
     out = {}
-    for (ti, tj), c in f._terms.items():
-        if ti != top:
+    for key, c in f._terms.items():
+        if key & top != top:
             raise DegreeError("expected a form divisible by the top (n,0) frame")
-        out[(0, tj)] = c
+        out[key ^ top] = c
     return Form._exact(f.ctx, out)
 
 
@@ -515,8 +558,13 @@ _UNIT_SCALARS = tuple(
     for a in range(-3, 4) for b in range(-3, 4))
 
 
-def _draw_scalar(bits) -> ExactComplex:
-    """random_scalar on the getrandbits of a Random."""
+# the stored tuple of each, None at zero
+_RANDOM_TERMS = tuple(z._t if z else None for z in _RANDOM_SCALARS)
+
+
+def _draw_index(bits) -> int:
+    """The index in _RANDOM_SCALARS of random_scalar, on the getrandbits of
+    a Random."""
     ra = bits(3)
     while ra == 7:
         ra = bits(3)
@@ -529,12 +577,12 @@ def _draw_scalar(bits) -> ExactComplex:
     qb = bits(2)
     while qb == 3:
         qb = bits(2)
-    return _RANDOM_SCALARS[((ra * 3 + qa) * 7 + rb) * 3 + qb]
+    return ((ra * 3 + qa) * 7 + rb) * 3 + qb
 
 
 def random_scalar(ctx: FiberContext, rng: random.Random) -> ExactComplex:
     """random_rational(rng) + random_rational(rng) * i, with the same draws."""
-    return _draw_scalar(rng.getrandbits)
+    return _RANDOM_SCALARS[_draw_index(rng.getrandbits)]
 
 
 def random_unit_scalar(ctx: FiberContext, seed) -> ExactComplex:
@@ -559,19 +607,22 @@ def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
     dropped, so the term count is at most C(n,p)*C(n,q)."""
     _check_bidegree(ctx, p, q)
     bits = _rng(seed).getrandbits
-    tjs = _subset_keys(ctx.n, q)
+    drawn = _RANDOM_TERMS
+    tjs = [_key(0, tj, ctx.n) for tj in _subset_keys(ctx.n, q)]
     terms = {}
     for ti in _subset_keys(ctx.n, p):
         for tj in tjs:
-            z = _draw_scalar(bits)
-            if z:
-                terms[(ti, tj)] = z
+            t = drawn[_draw_index(bits)]
+            if t is not None:
+                terms[ti | tj] = t
     return Form._exact(ctx, terms)
 
 
 def random_covector(ctx: FiberContext, seed) -> Covector:
-    rng = _rng(seed)
-    return Covector(ctx, tuple(random_scalar(ctx, rng) for _ in range(ctx.n)))
+    """n draws of random_scalar, taken as they are drawn."""
+    bits = _rng(seed).getrandbits
+    return Covector._exact(ctx, tuple(_RANDOM_SCALARS[_draw_index(bits)]
+                                      for _ in range(ctx.n)))
 
 
 def random_nonzero_covector(ctx: FiberContext, rng) -> Covector:

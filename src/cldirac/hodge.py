@@ -7,8 +7,12 @@ against the orthonormal monomial basis, with the volume form
 
 the volume of the underlying real orthonormal coframe.  On a monomial basis
 element the star is computed by solving the defining equation for the single
-complementary coefficient, whose sign comes from the complement parity
-table of fiber.py (computed from the reordering count, not hand-maintained).
+complementary coefficient.  In the int-key layout of fiber.py (the key of
+th^I ^ thb^J is the word I | (J << n)) the complement of a key is
+full ^ key, with the sign _COMPLEMENT_PARITY[key] of sorting the word
+followed by its complement (`fiber._complement`, computed from the
+reordering count, not hand-maintained), and the total degree is
+key.bit_count().
 
 tau = eps_k * star on total degree k, with eps_k = i^(k(k-1)+n); tau is an
 isometry, squares to (-1)^n, and is self-adjoint up to (-1)^n for the real
@@ -16,8 +20,9 @@ part of the hermitian metric.
 
 So star, tau and tau_graded are phase maps: each sends a monomial to its
 complement times a power of i, after conjugating the coefficient.  That
-permutes and negates the slots of the coefficient's exact tuple, so one pass
-over the terms gives canonical coefficients with no gcd and no sums.
+permutes and negates the slots of the stored canonical tuple
+(`scalars._phase`), so one pass over the terms gives canonical
+coefficients with no gcd, no sums and no ExactComplex.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import functools
 
 from .fiber import DegreeError, FiberContext, Form, _complement, _same_ctx, inner
-from .scalars import _phased, real_part
+from .scalars import _phase, real_part
 
 
 def volume_form(ctx: FiberContext) -> Form:
@@ -52,8 +57,7 @@ def _star_terms(x: Form, exponents: tuple) -> Form:
         # a monomial wedged with its complement is (-1)^parity th^top thb^top,
         # and dv = i^(n^2) th^top thb^top, so the coefficient is
         # i^(n^2) (-1)^parity.
-        k = key[0].bit_count() + key[1].bit_count()
-        out[ckey] = _phased(c, exponents[k] + 2 * parity, True)
+        out[ckey] = _phase(c, exponents[key.bit_count()] + 2 * parity, True)
     return Form._exact(x.ctx, out)
 
 

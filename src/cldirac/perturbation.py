@@ -39,6 +39,7 @@ from .fiber import (
     DegreeError,
     FiberContext,
     Form,
+    _monomial,
     _rng,
     _same_ctx,
     _strip_top,
@@ -51,10 +52,11 @@ from .fiber import (
 )
 from .hodge import tau_graded
 from .scalars import (
-    EC_ONE,
-    EC_ZERO,
+    _ZERO,
     ExactComplex,
+    _conj,
     _finish,
+    _make,
     _mul_into,
     conj,
     is_zero,
@@ -103,7 +105,7 @@ class PhiMap:
 
     def eta(self) -> Form:
         """The framed top (n, 0) form."""
-        return Form._exact(self.ctx, {((1 << self.ctx.n) - 1, 0): self.eta_scalar})
+        return _monomial(self.ctx, (1 << self.ctx.n) - 1, 0, self.eta_scalar._t)
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
     # col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2 and
     # mix_j = sum_i conj(phi_ij) phi_ji, in one accumulator
     t = [[x._t for x in row] for row in phi.entries]
-    tbar = [[(a, -b, c, -d, q) for a, b, c, d, q in row] for row in t]
+    tbar = [[_conj(x) for x in row] for row in t]
     acc = {}
     for j in range(r):
         for i in range(r):
@@ -201,19 +203,19 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
     sums = _finish(acc)
     weights = []
     for j in range(r):
-        col, row, mix = (sums.get((k, j), EC_ZERO) for k in range(3))
-        weights.append((col._t, row._t, mix._t, conj(mix)._t))
+        col, row, mix = (sums.get((k, j), _ZERO) for k in range(3))
+        weights.append((col, row, mix, _conj(mix)))
     eta = phi.eta()
     ubar = _adjoint_unit(phi)
 
     def norms_sq():
         for q in range(0, n + 1, 2):
             for tj in _subset_keys(n, q):
-                mono = Form._exact(ctx, {(0, tj): EC_ONE})
+                mono = _monomial(ctx, 0, tj)
                 f = clifford(g, _A_slot(eta, mono))
                 h = _A_adjoint_slot(ubar, clifford(g, mono))
-                ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)
-                fh, fhbar = fh._t, conj(fh)._t
+                ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)._t
+                fhbar = _conj(fh)
                 for col, row, mix, mixbar in weights:
                     # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>)
                     acc = {}
@@ -221,7 +223,7 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
                     _mul_into(acc, 0, row, hh)
                     _mul_into(acc, 0, mix, fh)
                     _mul_into(acc, 0, mixbar, fhbar)
-                    yield _finish(acc).get(0, EC_ZERO)
+                    yield _make(_finish(acc).get(0, _ZERO))
 
     return norms_sq()
 

@@ -1,25 +1,30 @@
 """The one scalar tower of the fiber calculus: the field Q(i, sqrt2).
 
 A value is ((a + b*i) + (c + d*i)*sqrt2) / q, held as five Python ints
-(a, b, c, d, q) over one shared denominator.  Every ExactComplex holds the
-canonical form q > 0, gcd(a, b, c, d, q) == 1, so equality is a tuple
-compare on the ints, and a rational value hashes like the int or Fraction
-it equals.  The formal sqrt2 slot (multiplied out via sqrt2*sqrt2 = 2)
-keeps Clifford factors exact, so identity defects are provably zero rather
-than merely small.  Fractions appear only at the edges (the constructor,
-the ``ar``/``ai``/``br``/``bi`` views, ``text`` and the hash of a rational
+(a, b, c, d, q) over one shared denominator.  A tuple is canonical when
+q > 0 and gcd(a, b, c, d, q) == 1; zero is (0, 0, 0, 0, 1).  Canonical
+tuples of equal values are equal, so equality is a tuple compare on the
+ints, and a rational value hashes like the int or Fraction it equals.  The
+formal sqrt2 slot (multiplied out via sqrt2*sqrt2 = 2) keeps Clifford
+factors exact, so identity defects are provably zero rather than merely
+small.  Fractions appear only at the edges (the constructor, the
+``ar``/``ai``/``br``/``bi`` views, ``text`` and the hash of a rational
 value), and floats only in ``to_complex`` and ``real_to_float``, for
 display.
 
-The exact kernels of fiber.py, hodge.py and clifford.py go below the
-ExactComplex operators, through the helpers at the end of this module,
-which alone unpack the tuples.  A kernel sums raw products in a private
-accumulator (``_mul_into``), whose tuples are unnormalised: q is any
-positive common denominator and no common factor is removed.  ``_finish``
-canonicalises each entry once and drops the zeros, so nothing unnormalised
-is ever stored in a Form.  A phase (``_phased``: a power of i, after an
-optional conjugation) permutes the slots of a tuple and flips their signs,
-so it keeps a canonical tuple canonical without a gcd.
+The arithmetic is written once, on tuples: ``_add``, ``_sub``, ``_mul``,
+``_neg``, ``_conj``, ``_inv`` and ``_phase`` take canonical tuples and
+return one.  ExactComplex is a one-slot wrapper of a canonical tuple whose
+operators call those helpers.  The Forms of fiber.py store the tuples
+themselves, so the exact kernels of fiber.py, hodge.py, clifford.py and
+perturbation.py make an ExactComplex only where a value leaves them.  A
+kernel sums raw products in a private accumulator (``_mul_into``), whose
+tuples are unnormalised: q is any positive common denominator and no
+common factor is removed.  ``_finish`` canonicalises each entry once and
+drops the zeros, so nothing unnormalised is ever stored in a Form.  A
+phase (``_phase``: a power of i, after an optional conjugation) permutes
+the slots of a tuple and flips their signs, so it keeps a canonical tuple
+canonical without a gcd.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ SQRT2_FLOAT = math.sqrt(2.0)
 
 _gcd = math.gcd
 _ZERO = (0, 0, 0, 0, 1)     # the canonical tuple of 0
+_ONE = (1, 0, 0, 0, 1)      # the canonical tuple of 1
 
 
 def _parts(x):
@@ -42,25 +48,93 @@ def _parts(x):
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+# -- arithmetic on canonical tuples ------------------------------------------
+
+def _reduce(a, b, c, d, q) -> tuple:
+    """The canonical tuple of ((a + b i) + (c + d i) sqrt2) / q, q > 0."""
+    if q != 1:
+        g = _gcd(a, b, c, d, q)
+        if g != 1:
+            return (a // g, b // g, c // g, d // g, q // g)
+    return (a, b, c, d, q)
+
+
+def _add(s, t) -> tuple:
+    a, b, c, d, q = s
+    e, f, g, h, r = t
+    if q == r:
+        return _reduce(a + e, b + f, c + g, d + h, q)
+    return _reduce(a * r + e * q, b * r + f * q, c * r + g * q, d * r + h * q,
+                   q * r)
+
+
+def _sub(s, t) -> tuple:
+    a, b, c, d, q = s
+    e, f, g, h, r = t
+    if q == r:
+        return _reduce(a - e, b - f, c - g, d - h, q)
+    return _reduce(a * r - e * q, b * r - f * q, c * r - g * q, d * r - h * q,
+                   q * r)
+
+
+def _mul(s, t) -> tuple:
+    a, b, c, d, q = s
+    e, f, g, h, r = t
+    # (A + C s2)(E + G s2) = (AE + 2CG) + (AG + CE) s2
+    if not (c or d or g or h):            # common case: plain Q(i)
+        return _reduce(a * e - b * f, a * f + b * e, 0, 0, q * r)
+    return _reduce(a * e - b * f + 2 * (c * g - d * h),
+                   a * f + b * e + 2 * (c * h + d * g),
+                   a * g - b * h + c * e - d * f,
+                   a * h + b * g + c * f + d * e,
+                   q * r)
+
+
+def _neg(s) -> tuple:
+    a, b, c, d, q = s
+    return (-a, -b, -c, -d, q)
+
+
+def _conj(s) -> tuple:
+    a, b, c, d, q = s
+    return (a, -b, c, -d, q)
+
+
+def _inv(s) -> tuple:
+    """Field inverse q (A - C s2) conj(D) / |D|^2 of (A + C s2) / q, with
+    D = A^2 - 2 C^2; sqrt2 is irrational over Q(i), so D vanishes only at
+    zero."""
+    a, b, c, d, q = s
+    dr = a * a - b * b - 2 * (c * c - d * d)
+    di = 2 * a * b - 4 * c * d
+    dd = dr * dr + di * di
+    if dd == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return _reduce(q * (a * dr + b * di), q * (b * dr - a * di),
+                   -q * (c * dr + d * di), -q * (d * dr - c * di), dd)
+
+
+def _phase(s, e: int, conjugate: bool = False) -> tuple:
+    """i**e * s, or i**e * conj(s); canonical without a gcd."""
+    a, b, c, d, q = s
+    if conjugate:
+        b, d = -b, -d
+    e &= 3
+    if e == 1:
+        return (-b, a, -d, c, q)
+    if e == 2:
+        return (-a, -b, -c, -d, q)
+    if e == 3:
+        return (b, -a, d, -c, q)
+    return (a, b, c, d, q)
+
+
+# -- the value type -----------------------------------------------------------
+
 def _make(t):
     """An ExactComplex holding the tuple t, which must be canonical."""
     z = object.__new__(ExactComplex)
     z._t = t
-    return z
-
-
-def _canon(a, b, c, d, q):
-    """The canonical ExactComplex of ((a + b i) + (c + d i) sqrt2) / q, q > 0."""
-    if q != 1:
-        g = _gcd(a, b, c, d, q)
-        if g != 1:
-            a //= g
-            b //= g
-            c //= g
-            d //= g
-            q //= g
-    z = object.__new__(ExactComplex)
-    z._t = (a, b, c, d, q)
     return z
 
 
@@ -88,8 +162,8 @@ class ExactComplex:
         (a, qa), (b, qb), (c, qc), (d, qd) = (_parts(ar), _parts(ai),
                                               _parts(br), _parts(bi))
         q = math.lcm(qa, qb, qc, qd)
-        self._t = _canon(a * (q // qa), b * (q // qb), c * (q // qc),
-                         d * (q // qd), q)._t
+        self._t = _reduce(a * (q // qa), b * (q // qb), c * (q // qc),
+                          d * (q // qd), q)
 
     # -- exact parts as Fractions -------------------------------------------
 
@@ -116,12 +190,7 @@ class ExactComplex:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d, q = self._t
-        e, f, g, h, r = other._t
-        if q == r:
-            return _canon(a + e, b + f, c + g, d + h, q)
-        return _canon(a * r + e * q, b * r + f * q, c * r + g * q, d * r + h * q,
-                      q * r)
+        return _make(_add(self._t, other._t))
 
     __radd__ = __add__
 
@@ -130,69 +199,44 @@ class ExactComplex:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d, q = self._t
-        e, f, g, h, r = other._t
-        if q == r:
-            return _canon(a - e, b - f, c - g, d - h, q)
-        return _canon(a * r - e * q, b * r - f * q, c * r - g * q, d * r - h * q,
-                      q * r)
+        return _make(_sub(self._t, other._t))
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _make(_sub(o._t, self._t))
 
     def __neg__(self):
-        a, b, c, d, q = self._t
-        return _make((-a, -b, -c, -d, q))
+        return _make(_neg(self._t))
 
     def __mul__(self, other):
         if other.__class__ is not ExactComplex:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
-        a, b, c, d, q = self._t
-        e, f, g, h, r = other._t
-        # (A + C s2)(E + G s2) = (AE + 2CG) + (AG + CE) s2
-        if not (c or d or g or h):            # common case: plain Q(i)
-            return _canon(a * e - b * f, a * f + b * e, 0, 0, q * r)
-        return _canon(a * e - b * f + 2 * (c * g - d * h),
-                      a * f + b * e + 2 * (c * h + d * g),
-                      a * g - b * h + c * e - d * f,
-                      a * h + b * g + c * f + d * e,
-                      q * r)
+        return _make(_mul(self._t, other._t))
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        a, b, c, d, q = self._t
-        return _make((a, -b, c, -d, q))
+        return _make(_conj(self._t))
 
     def inverse(self):
-        """Field inverse q (A - C s2) conj(D) / |D|^2 of (A + C s2) / q,
-        with D = A^2 - 2 C^2; sqrt2 is irrational over Q(i), so D vanishes
-        only at zero."""
-        a, b, c, d, q = self._t
-        dr = a * a - b * b - 2 * (c * c - d * d)
-        di = 2 * a * b - 4 * c * d
-        dd = dr * dr + di * di
-        if dd == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _canon(q * (a * dr + b * di), q * (b * dr - a * di),
-                      -q * (c * dr + d * di), -q * (d * dr - c * di), dd)
+        """Field inverse; ZeroDivisionError at zero."""
+        return _make(_inv(self._t))
 
     def __truediv__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _make(_mul(self._t, _inv(o._t)))
 
     def __rtruediv__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _make(_mul(o._t, _inv(self._t)))
 
     # -- predicates ---------------------------------------------------------
 
@@ -264,7 +308,7 @@ def is_zero(z) -> bool:
 def real_part(z):
     """Real part, still exact."""
     a, _b, c, _d, q = z._t
-    return _canon(a, 0, c, 0, q)
+    return _make(_reduce(a, 0, c, 0, q))
 
 
 def real_to_float(z) -> float:
@@ -310,45 +354,29 @@ def _mul_into(acc, key, s, t):
 
 
 def _finish(acc, sqrt2=False) -> dict:
-    """The canonical ExactComplex of each nonzero entry of an accumulator,
-    times sqrt2 when asked: (A + C sqrt2) sqrt2 = 2C + A sqrt2."""
+    """The canonical tuple of each nonzero entry of an accumulator, times
+    sqrt2 when asked: (A + C sqrt2) sqrt2 = 2C + A sqrt2."""
     out = {}
     for key, (a, b, c, d, q) in acc.items():
         if sqrt2:
             a, b, c, d = 2 * c, 2 * d, a, b
         if a or b or c or d:
-            out[key] = _canon(a, b, c, d, q)
+            out[key] = _reduce(a, b, c, d, q)
     return out
 
 
-def _dot_conj(pairs):
-    """sum of x * conj(y) over the (x, y) pairs, canonicalised once."""
+def _dot_conj(pairs) -> tuple:
+    """sum of s * conj(t) over the (s, t) tuple pairs, canonicalised once."""
     acc = {}
-    for x, y in pairs:
-        a, b, c, d, q = y._t
-        _mul_into(acc, 0, x._t, (a, -b, c, -d, q))
-    return _finish(acc).get(0, EC_ZERO)
+    for s, (a, b, c, d, q) in pairs:
+        _mul_into(acc, 0, s, (a, -b, c, -d, q))
+    return _finish(acc).get(0, _ZERO)
 
 
-def _phased(z, e: int, conjugate: bool = False):
-    """i**e * z, or i**e * conj(z); canonical without a gcd."""
-    a, b, c, d, q = z._t
-    if conjugate:
-        b, d = -b, -d
-    e &= 3
-    if e == 1:
-        a, b, c, d = -b, a, -d, c
-    elif e == 2:
-        a, b, c, d = -a, -b, -c, -d
-    elif e == 3:
-        a, b, c, d = b, -a, d, -c
-    return _make((a, b, c, d, q))
-
-
-def _signed(z, conjugate: bool = False) -> tuple:
-    """The tuples of z and -z (of conj(z) and -conj(z) when asked), so that
-    a kernel picks a factor's sign by indexing with a parity."""
-    a, b, c, d, q = z._t
+def _signed(s, conjugate: bool = False) -> tuple:
+    """The tuples s and -s (conj(s) and -conj(s) when asked), so that a
+    kernel picks a factor's sign by indexing with a parity."""
+    a, b, c, d, q = s
     if conjugate:
         b, d = -b, -d
     return (a, b, c, d, q), (-a, -b, -c, -d, q)
@@ -358,6 +386,6 @@ _UNIT_EXPONENTS = {(1, 0, 0, 0, 1): 0, (0, 1, 0, 0, 1): 1,
                    (-1, 0, 0, 0, 1): 2, (0, -1, 0, 0, 1): 3}
 
 
-def _unit_exponent(z):
-    """e with z == i**e, or None when z is not a power of i."""
-    return _UNIT_EXPONENTS.get(z._t)
+def _unit_exponent(s):
+    """e with the tuple s == i**e, or None when s is not a power of i."""
+    return _UNIT_EXPONENTS.get(s)

@@ -52,7 +52,7 @@ from .perturbation import (
     random_phi,
     singular_verdict,
 )
-from .scalars import ExactComplex, is_zero
+from .scalars import EC_ZERO, ExactComplex
 
 
 @dataclass
@@ -108,39 +108,39 @@ def _require(ok: bool, message: str):
         raise UsageError(message)
 
 
-def _failure_size(defect) -> float | None:
-    """The pass/fail rule of every identity check: None when the exact
-    defect (a Form or an ExactComplex) is zero, else its norm as a float.
-    The float only ranks failures for max_defect; it can round to 0.0."""
+def _defect_size(defect) -> float:
+    """The norm of a nonzero exact defect (a Form or an ExactComplex) as a
+    float.  The float only ranks failures for max_defect; it can round to
+    0.0."""
     if isinstance(defect, Form):
-        if defect.is_zero():
-            return None
         return math.sqrt(sum(abs(c.to_complex()) ** 2 for _key, c in defect.items()))
-    if is_zero(defect):
-        return None
     return abs(defect.to_complex())
 
 
 def _tally(cases) -> tuple[int, int, float, str | None]:
-    """(count, failures, worst, example) over (exact defect, describe)
-    pairs: a case fails when its defect is not exactly zero, and the first
-    of the largest failures is the example, whose text describe() builds
-    only then."""
+    """(count, failures, worst, example) over (lhs, rhs, describe) triples,
+    the two exact sides of an identity (two Forms or two ExactComplex
+    values) and its inputs' text: the pass/fail rule of every identity
+    check.  A case passes when lhs == rhs, which is exact, since both sides
+    hold canonical scalars and no zero term.  Only a failure builds
+    lhs - rhs, whose norm ranks it, and the first of the largest failures
+    is the example, whose text describe() builds only then."""
     count = failures = 0
     worst, example = 0.0, None
-    for defect, describe in cases:
+    for lhs, rhs, describe in cases:
         count += 1
-        size = _failure_size(defect)
-        if size is not None:
-            failures += 1
-            if example is None or size > worst:
-                worst, example = size, describe()
+        if lhs == rhs:
+            continue
+        failures += 1
+        size = _defect_size(lhs - rhs)
+        if example is None or size > worst:
+            worst, example = size, describe()
     return count, failures, worst, example
 
 
 def _run(identity, n, p, trials, seed, check) -> IdentityRecord:
-    """The record of trials draws of check(rng), each an (exact defect,
-    describe) pair."""
+    """The record of trials draws of check(rng), each an (lhs, rhs,
+    describe) triple."""
     rng = random.Random(stable_seed(seed, identity, n, p))
     return IdentityRecord(identity, n, p, *_tally(check(rng) for _ in range(trials)))
 
@@ -157,8 +157,8 @@ def _describe(**kwargs) -> str:
 
 # -- individual identity families -------------------------------------------
 #
-# Each family check takes (ctx, p, rng) and returns (exact defect, describe):
-# the defect is a Form or an ExactComplex that is zero exactly when the
+# Each family check takes (ctx, p, rng) and returns (lhs, rhs, describe):
+# two Forms or two ExactComplex values that are equal exactly when the
 # identity holds on the drawn inputs, and describe() serializes those inputs
 # (a partial of _describe, so passing trials build no text).
 
@@ -168,14 +168,15 @@ def _wedge_anticommute(ctx, p, rng):
     x = random_form(ctx, p, qx, rng)
     y = random_form(ctx, py, qy, rng)
     sign = -1 if ((p + qx) * (py + qy)) % 2 else 1
-    return wedge(x, y) - wedge(y, x).scale(sign), functools.partial(_describe, x=x, y=y)
+    return (wedge(x, y), wedge(y, x).scale(sign),
+            functools.partial(_describe, x=x, y=y))
 
 
 def _wedge_associative(ctx, p, rng):
     x = random_form(ctx, rng.randint(0, 1), p, rng)
     y = random_form(ctx, 0, rng.randint(0, ctx.n), rng)
     z = random_form(ctx, rng.randint(0, 1), rng.randint(0, ctx.n), rng)
-    return (wedge(wedge(x, y), z) - wedge(x, wedge(y, z)),
+    return (wedge(wedge(x, y), z), wedge(x, wedge(y, z)),
             functools.partial(_describe, x=x, y=y, z=z))
 
 
@@ -183,7 +184,7 @@ def _adjunction(ctx, p, rng):
     a = random_form(ctx, 0, p, rng)
     b = random_form(ctx, 0, p + 1, rng) if p < ctx.n else zero_form(ctx)
     g = random_covector(ctx, rng)
-    return (inner(wedge(g.part01(), a), b) - inner(a, contract(g, b)),
+    return (inner(wedge(g.part01(), a), b), inner(a, contract(g, b)),
             functools.partial(_describe, alpha=a, beta=b, gamma=g.part01()))
 
 
@@ -193,15 +194,15 @@ def _contract_antiderivation(ctx, p, rng):
     y = random_form(ctx, rng.randint(0, ctx.n), rng.randint(0, ctx.n), rng)
     g = random_covector(ctx, rng)
     sign = -1 if (px + p) % 2 else 1
-    diff = (contract(g, wedge(x, y)) - wedge(contract(g, x), y)
-            - wedge(x, contract(g, y)).scale(sign))
-    return diff, functools.partial(_describe, x=x, y=y, gamma=g.part01())
+    return (contract(g, wedge(x, y)),
+            wedge(contract(g, x), y) + wedge(x, contract(g, y)).scale(sign),
+            functools.partial(_describe, x=x, y=y, gamma=g.part01()))
 
 
 def _contract_twice(ctx, p, rng):
     x = random_form(ctx, rng.randint(0, ctx.n), p, rng)
     g = random_covector(ctx, rng)
-    return (contract(g, contract(g, x)),
+    return (contract(g, contract(g, x)), zero_form(ctx),
             functools.partial(_describe, x=x, gamma=g.part01()))
 
 
@@ -216,7 +217,7 @@ def _star_defining_exhaustive(ctx, p) -> tuple[int, int, float, str | None]:
             stars = [bar_star(b) for b in basis]
             for a in basis:
                 for b, sb in zip(basis, stars):
-                    yield (wedge(a, sb) - dv.scale(inner(a, b)),
+                    yield (wedge(a, sb), dv.scale(inner(a, b)),
                            functools.partial(_describe, alpha=a, beta=b))
     return _tally(cases())
 
@@ -225,20 +226,21 @@ def _star_square(ctx, p, rng):
     q = rng.randint(0, ctx.n)
     x = random_form(ctx, p, q, rng)
     sign = -1 if (p + q) % 2 else 1
-    return bar_star(bar_star(x)) - x.scale(sign), functools.partial(_describe, x=x)
+    return bar_star(bar_star(x)), x.scale(sign), functools.partial(_describe, x=x)
 
 
 def _tau_square(ctx, p, rng):
     q = rng.randint(0, ctx.n)
     x = random_form(ctx, p, q, rng)
     sign = -1 if ctx.n % 2 else 1
-    return tau(tau(x)) - x.scale(sign), functools.partial(_describe, x=x)
+    return tau(tau(x)), x.scale(sign), functools.partial(_describe, x=x)
 
 
 def _tau_isometry(ctx, p, rng):
     q = rng.randint(0, ctx.n)
     x = random_form(ctx, p, q, rng)
-    return inner(tau(x), tau(x)) - inner(x, x), functools.partial(_describe, x=x)
+    tx = tau(x)
+    return inner(tx, tx), inner(x, x), functools.partial(_describe, x=x)
 
 
 def _star_wedge_shift(ctx, p, rng):
@@ -250,7 +252,7 @@ def _star_wedge_shift(ctx, p, rng):
     lhs = bar_star(wedge(g.part01(), beta))
     rhs = wedge(eta, contract(g, bar_star(wedge(eta, beta))))
     sign = -1 if (n * (p + 1) + p) % 2 else 1
-    return (lhs - rhs.scale(sign),
+    return (lhs, rhs.scale(sign),
             functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
 
 
@@ -263,7 +265,7 @@ def _star_contract_shift(ctx, p, rng):
     lhs = bar_star(contract(g, beta))
     rhs = wedge(eta, wedge(g.part01(), bar_star(wedge(eta, beta))))
     sign = -1 if ((n + 1) * (p - 1)) % 2 else 1
-    return (lhs - rhs.scale(sign),
+    return (lhs, rhs.scale(sign),
             functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
 
 
@@ -277,7 +279,7 @@ def _star_clifford_commutation(ctx, p, rng):
     lhs = tau_graded(clifford(g, beta))
     rhs = wedge(eta, clifford(g, tau(wedge(eta, beta))))
     sign = -1 if (n * (n + 1) // 2 + 1) % 2 else 1
-    return (lhs - rhs.scale(sign),
+    return (lhs, rhs.scale(sign),
             functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
 
 
@@ -288,13 +290,13 @@ def _tau_real_adjoint(ctx, k, rng):
     k2 = 2 * n - k
     p2 = rng.randint(max(0, k2 - n), min(n, k2))
     y = random_form(ctx, p2, k2 - p2, rng)
-    return tau_adjoint_defect(x, y), functools.partial(_describe, x=x, y=y)
+    return tau_adjoint_defect(x, y), ctx.zero, functools.partial(_describe, x=x, y=y)
 
 
 def _clifford_square(ctx, p, rng):
     x = random_form(ctx, 0, p, rng)
     g = random_covector(ctx, rng)
-    return (clifford(g, clifford(g, x)) + x.scale(g.norm_sq()),
+    return (clifford(g, clifford(g, x)), x.scale(-g.norm_sq()),
             functools.partial(_describe, x=x, gamma=g.part01()))
 
 
@@ -306,7 +308,7 @@ def _clifford_skew(ctx, p, rng):
     if p - 1 >= 0:
         b = b + random_form(ctx, 0, p - 1, rng)
     g = random_covector(ctx, rng)
-    return (inner(clifford(g, a), b) + inner(a, clifford(g, b)),
+    return (inner(clifford(g, a), b), -inner(a, clifford(g, b)),
             functools.partial(_describe, alpha=a, beta=b, gamma=g.part01()))
 
 
@@ -317,18 +319,20 @@ def _clifford_parity(ctx, p, rng):
     image = clifford(g, x)
     wrong = Form(ctx, {key: c for key, c in image.items()
                        if len(key[1]) % 2 == p % 2})
-    return wrong, functools.partial(_describe, x=x, gamma=g.part01())
+    return wrong, zero_form(ctx), functools.partial(_describe, x=x, gamma=g.part01())
 
 
 def _clifford_real_linear(ctx, p, rng):
+    # additivity, and when it holds, homogeneity under a real scalar
     x = random_form(ctx, 0, p, rng)
     g1 = random_covector(ctx, rng)
     g2 = random_covector(ctx, rng)
     t = random_rational(rng)
-    additive = clifford(g1 + g2, x) - clifford(g1, x) - clifford(g2, x)
-    homogeneous = clifford(g1.scale_real(t), x) - clifford(g1, x).scale(ctx.rational(t))
-    return (additive if not additive.is_zero() else homogeneous,
-            functools.partial(_describe, x=x, g1=g1.part01(), g2=g2.part01()))
+    c1 = clifford(g1, x)
+    sides = clifford(g1 + g2, x), c1 + clifford(g2, x)
+    if sides[0] == sides[1]:
+        sides = clifford(g1.scale_real(t), x), c1.scale(ctx.rational(t))
+    return (*sides, functools.partial(_describe, x=x, g1=g1.part01(), g2=g2.part01()))
 
 
 def _symbol_clifford_relation(ctx, r, rng):
@@ -337,10 +341,11 @@ def _symbol_clifford_relation(ctx, r, rng):
     # so the sum is zero exactly when every image is
     g = random_covector(ctx, rng)
     comp = symbol(g, r, "D_star").compose(symbol(g, r, "D"))
+    norm_sq = g.norm_sq()
     total = ctx.zero
     for z in spinor_basis(ctx, r, EVEN):
-        total = total + (comp(z) + z.scale(g.norm_sq())).norm_sq()
-    return total, functools.partial(_describe, gamma=g.part01(), r=r)
+        total = total + (comp(z) + z.scale(norm_sq)).norm_sq()
+    return total, ctx.zero, functools.partial(_describe, gamma=g.part01(), r=r)
 
 
 class Family(NamedTuple):
@@ -401,7 +406,7 @@ def verify_suite(n_max: int, trials: int, seed: int) -> list[IdentityRecord]:
         for p in range(n + 1):
             defect = ExactComplex(0 if epsilon_shift_identity(n, p) else 1)
             records.append(IdentityRecord("epsilon_shift", n, p, *_tally(
-                [(defect, lambda: f"n={n}, p={p}")])))
+                [(defect, EC_ZERO, lambda: f"n={n}, p={p}")])))
     return records
 
 
@@ -448,6 +453,11 @@ class ConditionReport:
                 "odd_rank_det": self.odd_rank, "passed": all(self.verdicts())}
 
 
+# the largest twisting rank condition_suite takes:
+# condition_suite([1, 3], [64], 5, 1, 5) runs in about a quarter second
+MAX_RANK = 64
+
+
 def condition_suite(n_list, r_list, trials: int, seed: int,
                     wrong_trials: int = 200) -> ConditionReport:
     """Zero-defect matrix for matched classes, nonzero-rate statistics for
@@ -458,7 +468,9 @@ def condition_suite(n_list, r_list, trials: int, seed: int,
                  f"n = {n}: the perturbation exchanges chirality only in odd "
                  "complex dimension (real dimension 2 or 6 mod 8), and exact "
                  "suites run for 1 <= n <= 7")
-    _require(all(r >= 1 for r in r_list), f"every r must be >= 1, got {list(r_list)}")
+    # each trial builds r x r exact matrices, so a large r runs for hours
+    _require(all(1 <= r <= MAX_RANK for r in r_list),
+             f"every r must be in 1..{MAX_RANK}, got {list(r_list)}")
     # rows are keyed by (n, r) and seeded from it, so a repeat would print
     # and count the same rows twice
     for name, values in (("n", n_list), ("r", r_list)):

@@ -2,7 +2,8 @@
 
 ``example_phi`` builds the standard nondegenerate pairings of the fiber
 calculus as ``PhiMap``s; the commands never call it, so it lives beside the
-tests that check it.
+tests that check it.  ``split_key`` reads the private key layout of a
+``Form``'s stored terms, for the tests that check the kernels term by term.
 """
 
 from cldirac import ANTISYMMETRIC, SYMMETRIC, FiberContext, PhiMap
@@ -60,3 +61,9 @@ def example_phi(ctx: FiberContext, kind: str, w: int | None = None) -> PhiMap:
         return PhiMap(ctx, r, tuple(tuple(row) for row in entries),
                       declared_class=ANTISYMMETRIC)
     raise ValueError(f"unknown example kind {kind!r}")
+
+
+def split_key(key: int, n: int) -> tuple:
+    """The half-keys (I, J) of the stored key of th^I ^ thb^J on the fiber
+    C^n: the key is one int, bit i-1 for th^i and bit n+j-1 for thb^j."""
+    return key & ((1 << n) - 1), key >> n

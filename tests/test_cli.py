@@ -10,7 +10,7 @@ import pytest
 
 import cldirac
 from cldirac.cli import main
-from cldirac.suites import ConditionReport, IdentityRecord
+from cldirac.suites import MAX_RANK, ConditionReport, IdentityRecord
 from cldirac.torus.config import load_config
 from cldirac.torus.sweep import SpectralReport, SweepRow
 
@@ -216,6 +216,10 @@ _BAD_ARGS = {
     "condition-n-empty": ["condition", "--n-list", ","],
     "condition-r-zero": ["condition", "--n-list", "1", "--r-list", "1,0"],
     "condition-r-not-integer": ["condition", "--n-list", "1", "--r-list", "a"],
+    # one trial each, so even a missing check would not run long
+    "condition-r-too-large": ["condition", "--n-list", "1", "--r-list",
+                              f"1,{MAX_RANK + 1}", "--trials", "1",
+                              "--wrong-trials", "1"],
     "condition-n-repeated": ["condition", "--n-list", "1,1"],
     "condition-r-repeated": ["condition", "--n-list", "1", "--r-list", "2,2"],
     "verify-long-with-n-max": ["verify", "--long", "--n-max", "1"],
@@ -241,6 +245,18 @@ def test_bad_input_exits_2_with_message(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_condition_rank_cap_exits_2_before_any_draw(tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("condition drew a phi before checking --r-list")
+    monkeypatch.setattr("cldirac.suites.random_phi", no_work)
+    monkeypatch.setattr("cldirac.suites.random_nonzero_phi", no_work)
+    argv = ["condition", "--n-list", "1", "--r-list", f"2,{MAX_RANK + 1}",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    # the cap the README states
+    assert "every r must be in 1..64" in capsys.readouterr().err
 
 
 def test_simulate_constant_at_large_s_stays_inside_the_bound(tmp_path):

@@ -26,6 +26,7 @@ from cldirac import (
 )
 from cldirac.fiber import _complement, _indices, _mask, random_unit_scalar
 from cldirac.scalars import ExactComplex, is_zero
+from _reference import split_key
 
 
 @pytest.fixture
@@ -262,8 +263,10 @@ def test_complement_key_and_parity_match_tuple_formula(n):
         tjc = tuple(j for j in range(1, n + 1) if j not in tj)
         parity = (len(tj) * len(tic) + _merge_reference(ti, tic)[0]
                   + _merge_reference(tj, tjc)[0]) % 2
-        ckey, got = _complement((_mask(ti, n), _mask(tj, n)), n)
-        assert (_indices(ckey[0]), _indices(ckey[1]), got) == (tic, tjc, parity)
+        (key,) = monomial(ctx, ti, tj)._terms
+        assert split_key(key, n) == (_mask(ti, n), _mask(tj, n))
+        ckey, got = _complement(key, n)
+        assert (*map(_indices, split_key(ckey, n)), got) == (tic, tjc, parity)
         star = bar_star(monomial(ctx, ti, tj))
         assert star.items() == [((tic, tjc), ctx.ipow(n * n + 2 * parity))]
 

@@ -5,6 +5,8 @@ the raw scalar tuples and canonicalise once per output coefficient (or apply
 a phase, which needs no gcd).  The references below rebuild each map from
 ExactComplex operators and ``fiber._swaps``, one product and one sum at a
 time, on inputs whose coefficients carry sqrt2 parts and mixed denominators.
+They split each stored int key of a Form into its half-keys (I, J) with
+``_reference.split_key``.
 The draw tests pin the random stream to the randint/choice formulation, and
 the mutation tests show that the sign tables are live and that the suites
 catch one wrong sign.
@@ -36,6 +38,7 @@ from cldirac.fiber import _indices, _swaps
 from cldirac.hodge import epsilon_exponent
 from cldirac.scalars import EC_I, EC_ONE, EC_SQRT2, EC_ZERO, ExactComplex
 from cldirac.suites import verify_suite
+from _reference import split_key
 from cldirac.torus import SimConfig, TorusOperator, complex_to_flat, flat_to_complex, phi_field
 from cldirac.torus import kernels, operators
 
@@ -43,9 +46,16 @@ from cldirac.torus import kernels, operators
 # -- references ---------------------------------------------------------------
 
 def _public(ctx, masked: dict) -> Form:
-    """A Form through the checked constructor, from mask keys."""
+    """A Form through the checked constructor, from (I, J) half-key pairs."""
     return Form(ctx, {(_indices(ti), _indices(tj)): c
                       for (ti, tj), c in masked.items()})
+
+
+def _masked(x: Form) -> list:
+    """The stored terms of x as ((I, J), ExactComplex) pairs."""
+    n = x.ctx.n
+    return [(split_key(key, n), ExactComplex(*(Fraction(v, t[4]) for v in t[:4])))
+            for key, t in x._terms.items()]
 
 
 def _add_to(out, key, val):
@@ -61,8 +71,8 @@ def _ipow(e):
 
 def ref_wedge(x, y):
     out = {}
-    for (ti, tj), c in x._terms.items():
-        for (tk, tl), d in y._terms.items():
+    for (ti, tj), c in _masked(x):
+        for (tk, tl), d in _masked(y):
             if ti & tk or tj & tl:
                 continue
             sign = tj.bit_count() * tk.bit_count() + _swaps(ti, tk) + _swaps(tj, tl)
@@ -72,7 +82,7 @@ def ref_wedge(x, y):
 
 def ref_contract(g, x):
     out = {}
-    for (ti, tj), c in x._terms.items():
+    for (ti, tj), c in _masked(x):
         for j, a in enumerate(g.a):
             low = 1 << j
             if tj & low:
@@ -87,9 +97,9 @@ def ref_clifford(g, x):
     part01 = _public(g.ctx, {(0, 1 << j): a for j, a in enumerate(g.a)})
     w, k = ref_wedge(part01, x), ref_contract(g, x)
     out = {}
-    for key, c in w._terms.items():
+    for key, c in _masked(w):
         _add_to(out, key, c * EC_SQRT2)
-    for key, c in k._terms.items():
+    for key, c in _masked(k):
         _add_to(out, key, -(c * EC_SQRT2))
     return _public(g.ctx, out)
 
@@ -98,7 +108,7 @@ def ref_star(x, with_epsilon):
     n = x.ctx.n
     full = (1 << n) - 1
     out = {}
-    for (ti, tj), c in x._terms.items():
+    for (ti, tj), c in _masked(x):
         tic, tjc = full ^ ti, full ^ tj
         parity = tj.bit_count() * tic.bit_count() + _swaps(ti, tic) + _swaps(tj, tjc)
         e = n * n + 2 * parity
@@ -109,7 +119,7 @@ def ref_star(x, with_epsilon):
 
 
 def ref_scale(x, s):
-    return _public(x.ctx, {key: c * s for key, c in x._terms.items()})
+    return _public(x.ctx, {key: c * s for key, c in _masked(x)})
 
 
 # -- inputs -------------------------------------------------------------------
@@ -158,8 +168,11 @@ def _max_terms(n):
 
 
 def _assert_stored_canonical(f: Form):
-    for c in f._terms.values():
-        a, b, c2, d, q = c._t
+    n = f.ctx.n
+    for key, t in f._terms.items():
+        assert type(key) is int and 0 <= key and split_key(key, n)[1] >> n == 0
+        a, b, c2, d, q = t
+        assert type(t) is tuple and all(type(v) is int for v in t)
         assert q > 0 and math.gcd(a, b, c2, d, q) == 1
         assert (a, b, c2, d) != (0, 0, 0, 0)
 
@@ -279,7 +292,10 @@ def _failing(records, prefix=""):
 
 def test_a_flipped_wedge_sign_fails_the_suites(monkeypatch):
     assert _failing(verify_suite(2, 5, 1)) == []
-    # swaps(a, {1}) for every a that holds index 2
+    # key 0b01 is the word th^1 alone, and bit 0b10 is the letter th^2 for
+    # n >= 2 and thb^1 at n = 1: this flips the sign of x ^ th^1 for every
+    # basis word x that holds that letter (and not th^1); no other product
+    # changes
     monkeypatch.setitem(fiber._ODD_BELOW, 0b01, fiber._ODD_BELOW[0b01] ^ 0b10)
     assert "wedge_anticommute" in _failing(verify_suite(2, 5, 1))
 
@@ -298,6 +314,9 @@ def _torus_defect(cfg):
 def test_a_flipped_star_phase_fails_star_defining(monkeypatch):
     cfg = SimConfig(N=16)
     assert _torus_defect(cfg) <= 4e-15
+    # key 0b01 is the word th^1 alone: this flips the sign of its star and
+    # of no other, at every n; at n = 1 th^1 is the top (1, 0) frame, which
+    # A wedges onto the spinor 1 before tau
     monkeypatch.setitem(fiber._COMPLEMENT_PARITY, 0b01,
                         1 - fiber._COMPLEMENT_PARITY[0b01])
     assert _failing(verify_suite(2, 5, 1), "star_defining") != []

@@ -9,10 +9,10 @@ import sys
 from fractions import Fraction
 
 import cldirac
-from cldirac import FiberContext, concentrating_defect, monomial, opposite_class
+from cldirac import FiberContext, concentrating_defect, monomial, opposite_class, zero_form
 from cldirac.fiber import random_nonzero_covector
 from cldirac.perturbation import random_nonzero_phi
-from cldirac.scalars import ExactComplex
+from cldirac.scalars import EC_ZERO, ExactComplex
 from cldirac.suites import _run, condition_suite, stable_seed, verify_suite
 
 # nonzero in Q(i, sqrt2), but -1.4142135623730951 + sqrt2 rounds to 0.0
@@ -21,21 +21,41 @@ TINY = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
 
 def test_run_counts_exact_nonzero_defect_that_rounds_to_zero():
     assert TINY and TINY.to_complex() == 0j
-    record = _run("tiny", 1, 0, 1, 1, lambda rng: (TINY, lambda: "the tiny input"))
+    record = _run("tiny", 1, 0, 1, 1,
+                  lambda rng: (TINY, EC_ZERO, lambda: "the tiny input"))
     assert record.failures == 1 and not record.passed
     assert record.counterexample == "the tiny input"
     assert record.max_defect == 0.0
+
+
+def _never():
+    raise AssertionError("describe() was called for a passing trial")
 
 
 def test_run_form_defects():
     ctx = FiberContext(2)
     zero = monomial(ctx, (1,), (), 0)
     tiny = monomial(ctx, (1,), (2,), TINY)
-    outcomes = iter([(zero, lambda: "a"), (tiny, lambda: "b"),
-                     (monomial(ctx, (), (), 3), lambda: "c"), (zero, lambda: "d")])
+    outcomes = iter([(zero, zero_form(ctx), lambda: "a"),
+                     (tiny, zero_form(ctx), lambda: "b"),
+                     (monomial(ctx, (), (), 3), zero_form(ctx), lambda: "c"),
+                     (zero, zero_form(ctx), lambda: "d")])
     record = _run("forms", 2, 1, 4, 1, lambda rng: next(outcomes))
     assert record.failures == 2
     assert record.max_defect == 3.0 and record.counterexample == "c"
+    # equal sides pass without building their text, whatever the order in
+    # which their terms were made
+    u, v = monomial(ctx, (1,), (2,), ExactComplex(1, 2)), monomial(ctx, (2,), (), 5)
+    equal = iter([(u + v, v + u, _never), (u - u, zero_form(ctx), _never),
+                  (ExactComplex(0, 1), ctx.i, _never)])
+    record = _run("equal", 2, 1, 3, 1, lambda rng: next(equal))
+    assert (record.failures, record.max_defect, record.counterexample) == (0, 0.0, None)
+    # unequal sides: max_defect is |lhs - rhs| (here 4 th1 - 3 th2 and 3 + 4i)
+    thb2 = monomial(ctx, (), (2,), 1)
+    for lhs, rhs in [(monomial(ctx, (1,), (), 4) + thb2, thb2 + monomial(ctx, (2,), (), 3)),
+                     (ExactComplex(1, 2), ExactComplex(-2, -2))]:
+        record = _run("unequal", 2, 1, 1, 1, lambda rng: (lhs, rhs, lambda: "sides"))
+        assert (record.failures, record.max_defect, record.counterexample) == (1, 5.0, "sides")
 
 
 def test_failing_epsilon_shift_is_one_failed_trial(monkeypatch):

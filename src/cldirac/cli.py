@@ -102,8 +102,13 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated list; an empty entry (a doubled,
+    leading or trailing comma) is a usage error, not a value to drop."""
+    tokens = text.split(",")
+    if any(not tok.strip() for tok in tokens):
+        raise UsageError(f"{flag} has an empty entry: {text!r}")
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [int(tok) for tok in tokens]
     except ValueError as exc:
         raise UsageError(f"{flag} expects a comma-separated integer list") from exc
 

@@ -15,6 +15,14 @@ Spinors with values in a rank-r twisting bundle are vectors of r forms in a
 unitary frame.  Symbol operators wrap c(gamma) (x) Id as chirality-labelled
 real-linear maps; the symbols of the operator and of its adjoint share the
 same formula.
+
+The public Spinor(ctx, parts, chirality) checks its parts and infers or
+checks the chirality.  The constructions whose parity this module fixes
+itself trust it and check nothing: a basis spinor of spinor_basis, the
+image of a symbol (its target chirality, since c(gamma) flips the parity
+of a (0, q) form), Spinor.scale, and the sum of two EVEN or two ODD
+spinors.  A sum of two MIXED spinors can cancel to one parity, so it still
+goes through the check and raises as before.
 """
 
 from __future__ import annotations
@@ -84,6 +92,16 @@ class Spinor:
         self.parts = parts
         self.chirality = chirality
 
+    @classmethod
+    def _trusted(cls, ctx: FiberContext, parts: tuple, chirality: str) -> "Spinor":
+        """Spinor of a tuple of (0, q) Forms of ctx whose parity is
+        chirality by construction; nothing is checked."""
+        z = object.__new__(cls)
+        z.ctx = ctx
+        z.parts = parts
+        z.chirality = chirality
+        return z
+
     @property
     def rank(self) -> int:
         return len(self.parts)
@@ -97,10 +115,11 @@ class Spinor:
         _same_ctx(self.ctx, other.ctx)
         if self.rank != other.rank:
             raise ValueError("rank mismatch")
+        parts = tuple(a + b for a, b in zip(self.parts, other.parts))
+        if self.chirality == other.chirality != MIXED:
+            return Spinor._trusted(self.ctx, parts, self.chirality)
         chir = self.chirality if self.chirality == other.chirality else None
-        return Spinor(self.ctx,
-                      tuple(a + b for a, b in zip(self.parts, other.parts)),
-                      chirality=chir)
+        return Spinor(self.ctx, parts, chirality=chir)
 
     def __sub__(self, other):
         if not isinstance(other, Spinor):
@@ -108,8 +127,8 @@ class Spinor:
         return self + other.scale(-1)
 
     def scale(self, c):
-        return Spinor(self.ctx, tuple(f.scale(c) for f in self.parts),
-                      chirality=self.chirality)
+        return Spinor._trusted(self.ctx, tuple(f.scale(c) for f in self.parts),
+                               self.chirality)
 
     def inner(self, other: "Spinor"):
         _same_ctx(self.ctx, other.ctx)
@@ -159,7 +178,7 @@ def spinor_basis(ctx: FiberContext, r: int, chirality: str):
         for j in range(r):
             parts = [zero_form(ctx) for _ in range(r)]
             parts[j] = monomial(ctx, (), tj, 1)
-            basis.append(Spinor(ctx, parts, chirality=chirality))
+            basis.append(Spinor._trusted(ctx, tuple(parts), chirality))
     return basis
 
 
@@ -223,7 +242,10 @@ def symbol(g: Covector, r: int, which: str) -> SymbolOperator:
         raise ValueError("which must be 'D' or 'D_star'")
 
     def fn(z: Spinor) -> Spinor:
-        return Spinor(z.ctx, tuple(clifford(g, f) for f in z.parts),
-                      chirality=target)
+        parts = tuple(clifford(g, f) for f in z.parts)
+        if z.chirality == source:
+            return Spinor._trusted(z.ctx, parts, target)
+        # reached only by calling fn directly, past __call__'s check
+        return Spinor(z.ctx, parts, chirality=target)
 
     return SymbolOperator(g.ctx, r, source, target, fn, name=f"symbol_{which}")

@@ -27,10 +27,18 @@ Each stored coefficient is the canonical nonzero int tuple of the one
 scalar tower (scalars.py), so identities hold with exactly zero defect and
 two Forms are equal exactly when their term dicts are.  An ExactComplex is
 made only at the public boundary: Form(ctx, terms) takes scalars in,
-items() and inner() hand them out, and text() prints them.  wedge,
-contract and clifford (the c(gamma) of clifford.py) sum raw products of
-the tuples in a private accumulator and canonicalise once per output
-coefficient; scaling by a power of i is a phase and takes no gcd.
+items() and inner() hand them out, and text() prints them.
+
+Two kinds of kernel build a Form's terms.  A kernel whose products can
+land on one key sums raw products of the tuples in a private accumulator
+and canonicalises once per output coefficient: contract, clifford (the
+c(gamma) of clifford.py) and a wedge of two multi-term sides.  A kernel
+that sends each input term to its own output key writes each coefficient
+directly, already canonical: the star, tau and tau_graded of hodge.py,
+Form.scale, and a wedge with a one-term side, whose coefficient is a
+phase when the one term's coefficient is a power of i and one exact
+product otherwise.  A phase takes no gcd.  A covector makes its Clifford
+and contraction factors once, when it is made.
 Everything here is an immutable value and every operation is a pure
 function, so trial sweeps can share objects freely across threads.
 """
@@ -139,6 +147,13 @@ def _subset_keys(n: int, k: int) -> tuple:
     """Half-keys of the k-subsets of 1..n, in the order of
     subsets_increasing."""
     return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
+
+
+@functools.cache
+def _thb_keys(n: int, q: int) -> tuple:
+    """Keys of the thb^J for the q-subsets J of 1..n, in the order of
+    subsets_increasing."""
+    return tuple(_key(0, tj, n) for tj in _subset_keys(n, q))
 
 
 def _swaps(a: int, b: int) -> int:
@@ -289,6 +304,11 @@ class Form:
         return Form._exact(self.ctx, {k: _neg(c) for k, c in self._terms.items()})
 
     def scale(self, c):
+        if c.__class__ is int:
+            if c == 1:
+                return self
+            if c == -1:
+                return -self
         t = self.ctx.coerce(c)._t
         e = _unit_exponent(t)
         if e == 0:
@@ -387,6 +407,7 @@ class Covector:
         if len(self.a) != self.ctx.n:
             raise ValueError(f"need {self.ctx.n} coefficients, got {len(self.a)}")
         object.__setattr__(self, "a", tuple(self.ctx.coerce(x) for x in self.a))
+        self._set_factors()
 
     @classmethod
     def _exact(cls, ctx: FiberContext, a: tuple) -> "Covector":
@@ -394,7 +415,29 @@ class Covector:
         g = object.__new__(cls)
         object.__setattr__(g, "ctx", ctx)
         object.__setattr__(g, "a", a)
+        g._set_factors()
         return g
+
+    def _set_factors(self):
+        """The factors of the Clifford and contraction kernels, made once:
+        _factors[j] is None when a_j = 0, else (bit of thb^j, the bits
+        below it, tuples of +-a_j, tuples of -+conj(a_j)), and
+        _clifford_steps lists the entries that are not None."""
+        bit = 1 << self.ctx.n
+        factors, steps = [], []
+        for z in self.a:
+            t = z._t
+            if t == _ZERO:
+                factors.append(None)
+            else:
+                a, b, c, d, q = t
+                f = (bit, bit - 1, (t, (-a, -b, -c, -d, q)),
+                     ((-a, b, -c, d, q), (a, -b, c, -d, q)))
+                factors.append(f)
+                steps.append(f)
+            bit <<= 1
+        object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_clifford_steps", steps)
 
     def part01(self) -> Form:
         n = self.ctx.n
@@ -410,16 +453,6 @@ class Covector:
 
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.a)
-
-    @functools.cached_property
-    def _clifford_steps(self) -> list:
-        """(bit of thb^j, the bits below it, tuples of +-a_j, tuples of
-        -+conj(a_j)) for each j with a_j != 0: the factors of the Clifford
-        kernel, made once per covector."""
-        n = self.ctx.n
-        return [(1 << (n + j), (1 << (n + j)) - 1, _signed(a._t),
-                 _signed(a._t, True)[::-1])
-                for j, a in enumerate(self.a) if a]
 
     def __add__(self, other):
         if not isinstance(other, Covector):
@@ -439,6 +472,8 @@ def wedge(x: Form, y: Form) -> Form:
     The product of the words kx and ky is the word kx | ky, up to the sign
     of sorting the letters of kx followed by those of ky."""
     _same_ctx(x.ctx, y.ctx)
+    if len(x._terms) <= 1 or len(y._terms) <= 1:
+        return Form._exact(x.ctx, _wedge_one_term(x._terms, y._terms))
     odd_below = _ODD_BELOW
     xs = list(x._terms.items())
     acc = {}
@@ -452,6 +487,31 @@ def wedge(x: Form, y: Form) -> Form:
     return Form._exact(x.ctx, _finish(acc))
 
 
+def _wedge_one_term(xt: dict, yt: dict) -> dict:
+    """The terms of x ^ y when x or y has at most one term.  The products
+    of the other side's terms with the one term land on distinct keys, so
+    each is written directly: a phase of the other coefficient when the one
+    coefficient t is a power of i, else one product with +-t, either way
+    canonical, with the sign read from _ODD_BELOW as in wedge."""
+    if not xt or not yt:
+        return {}
+    odd_below = _ODD_BELOW
+    if len(yt) == 1:
+        ((ky, t),) = yt.items()
+        ob = odd_below[ky]
+        hits = [(kx | ky, c, (kx & ob).bit_count())
+                for kx, c in xt.items() if not kx & ky]
+    else:
+        ((kx, t),) = xt.items()
+        hits = [(kx | ky, c, (kx & odd_below[ky]).bit_count())
+                for ky, c in yt.items() if not kx & ky]
+    e = _unit_exponent(t)
+    if e is not None:
+        return {key: _phase(c, e + 2 * odd) for key, c, odd in hits}
+    t = _signed(t)
+    return {key: _mul(c, t[odd & 1]) for key, c, odd in hits}
+
+
 def contract(g: Covector, x: Form) -> Form:
     """Contraction by the metric dual of gamma^{1,0}.
 
@@ -462,17 +522,18 @@ def contract(g: Covector, x: Form) -> Form:
     """
     _same_ctx(g.ctx, x.ctx)
     n = x.ctx.n
-    abar = [_signed(c._t, True) if c else None for c in g.a]
+    factors = g._factors
     acc = {}
     for key, s in x._terms.items():
         rest = key >> n
         while rest:
             low = rest & -rest
             rest ^= low
-            aj = abar[low.bit_length() - 1]
-            if aj is not None:
-                bit = low << n
-                _mul_into(acc, key ^ bit, s, aj[(key & (bit - 1)).bit_count() & 1])
+            f = factors[low.bit_length() - 1]
+            if f is not None:
+                bit, below, _join, leave = f
+                # leave holds -conj(a_j) at even parity, conj(a_j) at odd
+                _mul_into(acc, key ^ bit, s, leave[((key & below).bit_count() & 1) ^ 1])
     return Form._exact(x.ctx, _finish(acc))
 
 
@@ -483,6 +544,8 @@ def clifford(g: Covector, x: Form) -> Form:
     with the sign of the thb factors of J below j in both cases; sqrt2 is
     applied once per output coefficient."""
     _same_ctx(g.ctx, x.ctx)
+    if not x._terms:
+        return x
     th_bits = (1 << x.ctx.n) - 1
     steps = g._clifford_steps
     acc = {}
@@ -510,6 +573,13 @@ def _complement(key: int, n: int):
     and the parity of (th^I thb^J) ^ (th^Ic thb^Jc) = (-1)^parity
     th^top thb^top."""
     return ((1 << 2 * n) - 1) ^ key, _COMPLEMENT_PARITY[key]
+
+
+def _thb_parity_part(f: Form, parity: int) -> Form:
+    """The terms of f whose thb degree has the given parity."""
+    n = f.ctx.n
+    return Form._exact(f.ctx, {key: c for key, c in f._terms.items()
+                               if (key >> n).bit_count() % 2 == parity})
 
 
 def _strip_top(f: Form) -> Form:
@@ -608,7 +678,7 @@ def random_form(ctx: FiberContext, p: int, q: int, seed) -> Form:
     _check_bidegree(ctx, p, q)
     bits = _rng(seed).getrandbits
     drawn = _RANDOM_TERMS
-    tjs = [_key(0, tj, ctx.n) for tj in _subset_keys(ctx.n, q)]
+    tjs = _thb_keys(ctx.n, q)
     terms = {}
     for ti in _subset_keys(ctx.n, p):
         for tj in tjs:

@@ -21,12 +21,14 @@ from typing import Callable, NamedTuple
 from .clifford import EVEN, clifford, spinor_basis, symbol
 from .errors import UsageError
 from .fiber import (
+    Covector,
     FiberContext,
     Form,
+    _monomial,
+    _thb_parity_part,
     basis_forms,
     contract,
     inner,
-    monomial,
     random_covector,
     random_form,
     random_nonzero_covector,
@@ -146,13 +148,16 @@ def _run(identity, n, p, trials, seed, check) -> IdentityRecord:
 
 
 def _eta(ctx, rng):
-    top = tuple(range(1, ctx.n + 1))
-    return monomial(ctx, top, (), random_unit_scalar(ctx, rng))
+    return _monomial(ctx, (1 << ctx.n) - 1, 0, random_unit_scalar(ctx, rng)._t)
 
 
 def _describe(**kwargs) -> str:
-    return "; ".join(f"{key}={val.text() if hasattr(val, 'text') else val}"
-                     for key, val in kwargs.items())
+    """The text of each input; a covector is printed as its (0,1) part."""
+    def text(val):
+        if isinstance(val, Covector):
+            val = val.part01()
+        return val.text() if hasattr(val, "text") else val
+    return "; ".join(f"{key}={text(val)}" for key, val in kwargs.items())
 
 
 # -- individual identity families -------------------------------------------
@@ -160,7 +165,8 @@ def _describe(**kwargs) -> str:
 # Each family check takes (ctx, p, rng) and returns (lhs, rhs, describe):
 # two Forms or two ExactComplex values that are equal exactly when the
 # identity holds on the drawn inputs, and describe() serializes those inputs
-# (a partial of _describe, so passing trials build no text).
+# (a partial of _describe that holds the inputs themselves, covectors
+# included, so passing trials build no text and no (0,1) part).
 
 def _wedge_anticommute(ctx, p, rng):
     qx = rng.randint(0, ctx.n)
@@ -185,7 +191,7 @@ def _adjunction(ctx, p, rng):
     b = random_form(ctx, 0, p + 1, rng) if p < ctx.n else zero_form(ctx)
     g = random_covector(ctx, rng)
     return (inner(wedge(g.part01(), a), b), inner(a, contract(g, b)),
-            functools.partial(_describe, alpha=a, beta=b, gamma=g.part01()))
+            functools.partial(_describe, alpha=a, beta=b, gamma=g))
 
 
 def _contract_antiderivation(ctx, p, rng):
@@ -196,14 +202,14 @@ def _contract_antiderivation(ctx, p, rng):
     sign = -1 if (px + p) % 2 else 1
     return (contract(g, wedge(x, y)),
             wedge(contract(g, x), y) + wedge(x, contract(g, y)).scale(sign),
-            functools.partial(_describe, x=x, y=y, gamma=g.part01()))
+            functools.partial(_describe, x=x, y=y, gamma=g))
 
 
 def _contract_twice(ctx, p, rng):
     x = random_form(ctx, rng.randint(0, ctx.n), p, rng)
     g = random_covector(ctx, rng)
     return (contract(g, contract(g, x)), zero_form(ctx),
-            functools.partial(_describe, x=x, gamma=g.part01()))
+            functools.partial(_describe, x=x, gamma=g))
 
 
 def _star_defining_exhaustive(ctx, p) -> tuple[int, int, float, str | None]:
@@ -253,7 +259,7 @@ def _star_wedge_shift(ctx, p, rng):
     rhs = wedge(eta, contract(g, bar_star(wedge(eta, beta))))
     sign = -1 if (n * (p + 1) + p) % 2 else 1
     return (lhs, rhs.scale(sign),
-            functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
+            functools.partial(_describe, beta=beta, gamma=g, eta=eta))
 
 
 def _star_contract_shift(ctx, p, rng):
@@ -266,7 +272,7 @@ def _star_contract_shift(ctx, p, rng):
     rhs = wedge(eta, wedge(g.part01(), bar_star(wedge(eta, beta))))
     sign = -1 if ((n + 1) * (p - 1)) % 2 else 1
     return (lhs, rhs.scale(sign),
-            functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
+            functools.partial(_describe, beta=beta, gamma=g, eta=eta))
 
 
 def _star_clifford_commutation(ctx, p, rng):
@@ -280,7 +286,7 @@ def _star_clifford_commutation(ctx, p, rng):
     rhs = wedge(eta, clifford(g, tau(wedge(eta, beta))))
     sign = -1 if (n * (n + 1) // 2 + 1) % 2 else 1
     return (lhs, rhs.scale(sign),
-            functools.partial(_describe, beta=beta, gamma=g.part01(), eta=eta))
+            functools.partial(_describe, beta=beta, gamma=g, eta=eta))
 
 
 def _tau_real_adjoint(ctx, k, rng):
@@ -297,7 +303,7 @@ def _clifford_square(ctx, p, rng):
     x = random_form(ctx, 0, p, rng)
     g = random_covector(ctx, rng)
     return (clifford(g, clifford(g, x)), x.scale(-g.norm_sq()),
-            functools.partial(_describe, x=x, gamma=g.part01()))
+            functools.partial(_describe, x=x, gamma=g))
 
 
 def _clifford_skew(ctx, p, rng):
@@ -309,17 +315,15 @@ def _clifford_skew(ctx, p, rng):
         b = b + random_form(ctx, 0, p - 1, rng)
     g = random_covector(ctx, rng)
     return (inner(clifford(g, a), b), -inner(a, clifford(g, b)),
-            functools.partial(_describe, alpha=a, beta=b, gamma=g.part01()))
+            functools.partial(_describe, alpha=a, beta=b, gamma=g))
 
 
 def _clifford_parity(ctx, p, rng):
     # the part of c(gamma) x in the antiholomorphic parity of x
     x = random_form(ctx, 0, p, rng)
     g = random_covector(ctx, rng)
-    image = clifford(g, x)
-    wrong = Form(ctx, {key: c for key, c in image.items()
-                       if len(key[1]) % 2 == p % 2})
-    return wrong, zero_form(ctx), functools.partial(_describe, x=x, gamma=g.part01())
+    wrong = _thb_parity_part(clifford(g, x), p % 2)
+    return wrong, zero_form(ctx), functools.partial(_describe, x=x, gamma=g)
 
 
 def _clifford_real_linear(ctx, p, rng):
@@ -332,7 +336,7 @@ def _clifford_real_linear(ctx, p, rng):
     sides = clifford(g1 + g2, x), c1 + clifford(g2, x)
     if sides[0] == sides[1]:
         sides = clifford(g1.scale_real(t), x), c1.scale(ctx.rational(t))
-    return (*sides, functools.partial(_describe, x=x, g1=g1.part01(), g2=g2.part01()))
+    return (*sides, functools.partial(_describe, x=x, g1=g1, g2=g2))
 
 
 def _symbol_clifford_relation(ctx, r, rng):
@@ -345,7 +349,7 @@ def _symbol_clifford_relation(ctx, r, rng):
     total = ctx.zero
     for z in spinor_basis(ctx, r, EVEN):
         total = total + (comp(z) + z.scale(norm_sq)).norm_sq()
-    return total, ctx.zero, functools.partial(_describe, gamma=g.part01(), r=r)
+    return total, ctx.zero, functools.partial(_describe, gamma=g, r=r)
 
 
 class Family(NamedTuple):

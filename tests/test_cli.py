@@ -215,6 +215,8 @@ _BAD_ARGS = {
     "condition-n-negative": ["condition", "--n-list", "-1"],
     "condition-n-empty": ["condition", "--n-list", ","],
     "condition-r-zero": ["condition", "--n-list", "1", "--r-list", "1,0"],
+    "condition-r-empty-entry": ["condition", "--n-list", "1", "--r-list", "1,,2"],
+    "condition-n-trailing-comma": ["condition", "--n-list", "1,3,"],
     "condition-r-not-integer": ["condition", "--n-list", "1", "--r-list", "a"],
     # one trial each, so even a missing check would not run long
     "condition-r-too-large": ["condition", "--n-list", "1", "--r-list",

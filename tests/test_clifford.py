@@ -188,3 +188,46 @@ def test_symbol_real_linearity():
         assert (s_sum - s_parts).is_zero()
         s_scaled = symbol(g1.scale_real(t), 2, "D")(z)
         assert (s_scaled - symbol(g1, 2, "D")(z).scale(ctx.rational(t))).is_zero()
+
+
+def test_trusted_spinor_chirality_is_the_inferred_one():
+    # symbol images, scales and same-chirality sums skip the chirality
+    # check; each label must be the one the checked constructor infers
+    rng = random.Random(61)
+
+    def assert_labelled(z, chirality):
+        assert z.chirality == chirality
+        if not z.is_zero():
+            assert Spinor(z.ctx, z.parts).chirality == chirality
+
+    for n in (1, 2, 3, 4):
+        ctx = FiberContext(n)
+        for r in (1, 2, 3):
+            for g in (random_covector(ctx, rng), Covector(ctx, (0,) * n)):
+                for which, source, target in (("D", EVEN, ODD), ("D_star", ODD, EVEN)):
+                    z = random_spinor(ctx, r, source, rng)
+                    image = symbol(g, r, which)(z)
+                    assert_labelled(image, target)
+                    assert_labelled(z.scale(EC_SQRT2), source)
+                    assert_labelled(z + z, source)
+                    assert_labelled(z - z, source)
+                    if not (image.is_zero() or z.is_zero()):
+                        assert (image + z).chirality == "mixed"
+
+
+def test_symbol_map_called_directly_checks_a_wrong_chirality():
+    # past the operator's source check, the map trusts only its source
+    ctx = FiberContext(1)
+    sig_d = symbol(Covector(ctx, (1,)), 1, "D")
+    with pytest.raises(ChiralityError):
+        sig_d.fn(Spinor(ctx, [monomial(ctx, (), (1,))]))
+
+
+def test_mixed_sum_that_cancels_to_one_parity_still_raises():
+    ctx = FiberContext(2)
+    one, thb1 = scalar_form(ctx, 1), monomial(ctx, (), (1,))
+    a = Spinor(ctx, [one + thb1])
+    b = Spinor(ctx, [thb1.scale(-1) + one])
+    assert a.chirality == b.chirality == "mixed"
+    with pytest.raises(ChiralityError):
+        a + b

@@ -198,6 +198,33 @@ def test_wedge_matches_reference(n):
     _check(wedge(mixed, mixed), ref_wedge(mixed, mixed))
 
 
+# the phase branch (powers of i), then the product branch: a non-unit Q(i)
+# value and a value with a sqrt2 part
+_ONE_TERM_COEFFS = (EC_ONE, EC_I, -EC_ONE, -EC_I,
+                    ExactComplex(Fraction(2, 3), -1), ExactComplex(1, 0, Fraction(-1, 2), 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_one_term_wedge_matches_reference(n):
+    ctx = FiberContext(n)
+    rng = random.Random(150 + n)
+    words = [((), ()), ((1,), ()), ((), (n,)), (tuple(range(1, n + 1)), ()),
+             ((n,), tuple(range(1, n + 1)))]
+    for bd in _bidegrees(n):
+        x = _form(ctx, [bd], rng, _max_terms(n))
+        for word, c in itertools.product(words, _ONE_TERM_COEFFS):
+            one = Form(ctx, {word: c})
+            _check(wedge(one, x), ref_wedge(one, x))
+            _check(wedge(x, one), ref_wedge(x, one))
+    # every product overlaps: the word holds a letter of each term
+    th1 = Form(ctx, {((1,), ()): EC_I})
+    x = Form(ctx, {((1,), tj): _coeff(rng) for tj in [(), (n,)]})
+    assert wedge(th1, x).is_zero() and wedge(x, th1).is_zero()
+    # an empty side
+    for y in (x, th1, Form(ctx)):
+        assert wedge(y, Form(ctx)) == Form(ctx) == wedge(Form(ctx), y)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_contract_and_clifford_match_reference(n):
     ctx = FiberContext(n)

@@ -9,11 +9,27 @@ import sys
 from fractions import Fraction
 
 import cldirac
-from cldirac import FiberContext, concentrating_defect, monomial, opposite_class, zero_form
+from cldirac import (
+    Covector,
+    FiberContext,
+    concentrating_defect,
+    monomial,
+    opposite_class,
+    random_covector,
+    random_form,
+    zero_form,
+)
 from cldirac.fiber import random_nonzero_covector
 from cldirac.perturbation import random_nonzero_phi
 from cldirac.scalars import EC_ZERO, ExactComplex
-from cldirac.suites import _run, condition_suite, stable_seed, verify_suite
+from cldirac.suites import (
+    _clifford_real_linear,
+    _describe,
+    _run,
+    condition_suite,
+    stable_seed,
+    verify_suite,
+)
 
 # nonzero in Q(i, sqrt2), but -1.4142135623730951 + sqrt2 rounds to 0.0
 TINY = ExactComplex(Fraction(-14142135623730951, 10 ** 16), 0, 1, 0)
@@ -56,6 +72,35 @@ def test_run_form_defects():
                      (ExactComplex(1, 2), ExactComplex(-2, -2))]:
         record = _run("unequal", 2, 1, 1, 1, lambda rng: (lhs, rhs, lambda: "sides"))
         assert (record.failures, record.max_defect, record.counterexample) == (1, 5.0, "sides")
+
+
+def test_describe_prints_a_covector_as_its_01_part():
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        ctx = FiberContext(n)
+        x = random_form(ctx, 0, 1, rng)
+        for g in (random_covector(ctx, rng), Covector(ctx, (0,) * n),
+                  Covector(ctx, (Fraction(1, 2),) + (0,) * (n - 1))):
+            assert _describe(x=x, gamma=g) == _describe(x=x, gamma=g.part01())
+            assert _describe(gamma=g) == f"gamma={g.part01().text()}"
+
+
+def test_forced_real_linear_failure_names_both_covectors(monkeypatch):
+    # c(g) applied twice is quadratic in g, so additivity fails
+    from cldirac.suites import clifford
+    monkeypatch.setattr("cldirac.suites.clifford",
+                        lambda g, x: clifford(g, clifford(g, x)))
+    ctx = FiberContext(2)
+    record = _run("clifford_real_linear", 2, 1, 1, 1,
+                  lambda rng: _clifford_real_linear(ctx, 1, rng))
+    assert record.failures == 1
+    # the inputs, drawn again in the order the check draws them
+    rng = random.Random(stable_seed(1, "clifford_real_linear", 2, 1))
+    x = random_form(ctx, 0, 1, rng)
+    g1, g2 = random_covector(ctx, rng), random_covector(ctx, rng)
+    assert record.counterexample == (f"x={x.text()}; g1={g1.part01().text()}; "
+                                     f"g2={g2.part01().text()}")
+    assert "thb" in g1.part01().text() + g2.part01().text()
 
 
 def test_failing_epsilon_shift_is_one_failed_trial(monkeypatch):

@@ -64,7 +64,7 @@ from .scalars import ExactComplex
 __version__ = "0.1.0"
 
 # layout version of every JSON report (verify, condition, simulate)
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 __all__ = [
     "ANTISYMMETRIC",

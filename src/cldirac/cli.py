@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cond = sub.add_parser("condition",
                             help="check the concentrating condition by class")
     p_cond.add_argument("--n-list", default=None,
-                        help="comma-separated odd dimensions (default 1,3; "
+                        help="comma-separated odd dimensions up to 11 (default 1,3; "
                              "1,3,5,7 with --long)")
     p_cond.add_argument("--r-list", default="1,2,3,4")
     p_cond.add_argument("--trials", type=int, default=50)

@@ -27,6 +27,7 @@ goes through the check and raises as before.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,13 +37,13 @@ from .fiber import (
     DegreeError,
     FiberContext,
     Form,
+    _monomial,
     _rng,
     _same_ctx,
+    _subset_keys,
     clifford,
     inner,
-    monomial,
     random_form,
-    subsets_increasing,
     zero_form,
 )
 
@@ -157,28 +158,29 @@ class Spinor:
         return f"Spinor[{self.chirality}]({self.text()})"
 
 
-def chirality_subsets(n: int, chirality: str):
-    """Antiholomorphic multi-indices of one parity in graded-lex order."""
+@functools.cache
+def _chirality_keys(n: int, chirality: str) -> tuple:
+    """Half-keys of the antiholomorphic multi-indices J of one parity, the
+    monomials thb^J of S+ (even) or S- (odd), in graded-lex order: by
+    |J|, then as ``fiber._subset_keys`` lists each degree."""
     rem = 0 if chirality == EVEN else 1
-    out = []
-    for q in range(rem, n + 1, 2):
-        out.extend(subsets_increasing(n, q))
-    return out
+    return tuple(tj for q in range(rem, n + 1, 2) for tj in _subset_keys(n, q))
 
 
 def spinor_basis(ctx: FiberContext, r: int, chirality: str):
-    """Orthonormal basis of S+/- (x) E; multi-indices graded-lex, the
-    E index fastest."""
+    """Orthonormal basis of S+/- (x) E; multi-indices graded-lex
+    (``_chirality_keys``), the E index fastest."""
     if r < 1:
         raise ValueError("rank must be >= 1")
     if chirality not in (EVEN, ODD):
         raise ChiralityError("basis needs chirality 'even' or 'odd'")
+    zero = zero_form(ctx)
     basis = []
-    for tj in chirality_subsets(ctx.n, chirality):
+    for tj in _chirality_keys(ctx.n, chirality):
+        mono = _monomial(ctx, 0, tj)
         for j in range(r):
-            parts = [zero_form(ctx) for _ in range(r)]
-            parts[j] = monomial(ctx, (), tj, 1)
-            basis.append(Spinor._trusted(ctx, tuple(parts), chirality))
+            parts = (zero,) * j + (mono,) + (zero,) * (r - 1 - j)
+            basis.append(Spinor._trusted(ctx, parts, chirality))
     return basis
 
 

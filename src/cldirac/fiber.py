@@ -144,15 +144,15 @@ def _indices(m: int) -> tuple:
 
 @functools.cache
 def _subset_keys(n: int, k: int) -> tuple:
-    """Half-keys of the k-subsets of 1..n, in the order of
-    subsets_increasing."""
+    """Half-keys of the k-subsets of 1..n, in lexicographic order of their
+    increasing index tuples."""
     return tuple(map(sum, itertools.combinations([1 << i for i in range(n)], k)))
 
 
 @functools.cache
 def _thb_keys(n: int, q: int) -> tuple:
     """Keys of the thb^J for the q-subsets J of 1..n, in the order of
-    subsets_increasing."""
+    _subset_keys."""
     return tuple(_key(0, tj, n) for tj in _subset_keys(n, q))
 
 
@@ -378,10 +378,6 @@ def monomial(ctx: FiberContext, ti, tj, coeff=1) -> Form:
 
 def scalar_form(ctx: FiberContext, c) -> Form:
     return Form(ctx, {((), ()): c})
-
-
-def subsets_increasing(n: int, k: int):
-    return itertools.combinations(range(1, n + 1), k)
 
 
 def basis_forms(ctx: FiberContext, p: int, q: int):

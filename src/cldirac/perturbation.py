@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clifford import EVEN, ODD, Spinor, _flip, clifford
+from .clifford import EVEN, ODD, Spinor, _chirality_keys, _flip, clifford
 from .fiber import (
     ChiralityError,
     Covector,
@@ -43,7 +43,6 @@ from .fiber import (
     _rng,
     _same_ctx,
     _strip_top,
-    _subset_keys,
     inner,
     random_scalar,
     random_unit_scalar,
@@ -173,7 +172,8 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
 
 def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
     """Generator of the exact squared norm of the image of each basis spinor
-    of S+ (x) E, in spinor_basis(ctx, r, EVEN) order; see
+    of S+ (x) E, in spinor_basis(ctx, r, EVEN) order (the monomials of
+    ``_chirality_keys``, the E index fastest); see
     concentrating_defect.  The dimension and the contexts are checked here,
     before the generator is made, so a bad call raises at once.
 
@@ -209,21 +209,20 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
     ubar = _adjoint_unit(phi)
 
     def norms_sq():
-        for q in range(0, n + 1, 2):
-            for tj in _subset_keys(n, q):
-                mono = _monomial(ctx, 0, tj)
-                f = clifford(g, _A_slot(eta, mono))
-                h = _A_adjoint_slot(ubar, clifford(g, mono))
-                ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)._t
-                fhbar = _conj(fh)
-                for col, row, mix, mixbar in weights:
-                    # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>)
-                    acc = {}
-                    _mul_into(acc, 0, col, ff)
-                    _mul_into(acc, 0, row, hh)
-                    _mul_into(acc, 0, mix, fh)
-                    _mul_into(acc, 0, mixbar, fhbar)
-                    yield _make(_finish(acc).get(0, _ZERO))
+        for tj in _chirality_keys(n, EVEN):
+            mono = _monomial(ctx, 0, tj)
+            f = clifford(g, _A_slot(eta, mono))
+            h = _A_adjoint_slot(ubar, clifford(g, mono))
+            ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)._t
+            fhbar = _conj(fh)
+            for col, row, mix, mixbar in weights:
+                # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>)
+                acc = {}
+                _mul_into(acc, 0, col, ff)
+                _mul_into(acc, 0, row, hh)
+                _mul_into(acc, 0, mix, fh)
+                _mul_into(acc, 0, mixbar, fhbar)
+                yield _make(_finish(acc).get(0, _ZERO))
 
     return norms_sq()
 

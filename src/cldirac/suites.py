@@ -460,6 +460,10 @@ class ConditionReport:
 # the largest twisting rank condition_suite takes:
 # condition_suite([1, 3], [64], 5, 1, 5) runs in about a quarter second
 MAX_RANK = 64
+# the largest complex dimension condition_suite takes: n = 9 and 11 are the
+# second Bott period of the odd n (real dimension 18 and 22), and a matched
+# draw costs about 0.1 s at n = 11
+MAX_CONDITION_N = 11
 
 
 def condition_suite(n_list, r_list, trials: int, seed: int,
@@ -468,10 +472,10 @@ def condition_suite(n_list, r_list, trials: int, seed: int,
     the opposite class, and odd-rank antisymmetric determinant checks."""
     _require(bool(n_list) and bool(r_list), "need at least one n and one r")
     for n in n_list:
-        _require(n % 2 == 1 and 1 <= n <= 7,
+        _require(n % 2 == 1 and 1 <= n <= MAX_CONDITION_N,
                  f"n = {n}: the perturbation exchanges chirality only in odd "
-                 "complex dimension (real dimension 2 or 6 mod 8), and exact "
-                 "suites run for 1 <= n <= 7")
+                 "complex dimension (real dimension 2 or 6 mod 8), and the "
+                 f"condition suite runs for odd 1 <= n <= {MAX_CONDITION_N}")
     # each trial builds r x r exact matrices, so a large r runs for hours
     _require(all(1 <= r <= MAX_RANK for r in r_list),
              f"every r must be in 1..{MAX_RANK}, got {list(r_list)}")

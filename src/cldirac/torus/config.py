@@ -5,10 +5,17 @@ are the fields of ``SimConfig``, in its order; the comment beside each
 field says what it holds, and ``parse_config_text`` reads each key by its
 field.
 
-The torus is [0, 2pi)^2 with spacing h = 2pi/N.  The sin_zeros preset is
-w = sin x + i sin y, whose zeros (0,0), (pi,0), (0,pi), (pi,pi) are exact
-and nondegenerate.  Fields, densities and zeros live on the (N, N) grid;
-every preset's w is its Fourier modes, ``SimConfig.w_modes``.
+The torus is [0, 2pi)^2, and its display grid has side N and spacing
+h = 2pi/N.  The sin_zeros preset is w = sin x + i sin y, whose zeros
+(0,0), (pi,0), (0,pi), (pi,pi) are exact and nondegenerate.  Every
+preset's w is its Fourier modes, ``SimConfig.w_modes``.  The heatmaps'
+densities and the custom preset's zeros, bracketed by sign changes, live
+on the (N, N) grid; the outside mass is an integral over the delta-disks
+around the zeros in mode space (``sweep.outside_mass``), which reads no
+grid.  So delta has one rule of its own, 0 < delta < pi (a disk of radius
+pi wraps onto itself), one rule beside the zeros, that no two disks
+overlap (``run_sweep``), and one rule of the custom preset, delta > h,
+because its zeros are only as good as the grid that brackets them.
 """
 
 from __future__ import annotations
@@ -101,7 +108,9 @@ class SimConfig:
     fourier_coeffs: tuple = field(default=(), metadata={
         "read": _read_fourier_coeffs,
         "echo": lambda coeffs: [[mx, my, c.real, c.imag] for mx, my, c in coeffs]})
-    # exclusion radius around the singular set (radians)
+    # exclusion radius around the singular set (radians), 0 < delta < pi;
+    # the custom preset also needs delta above the grid spacing, and a sweep
+    # refuses two zeros at most 2 delta apart (disks that overlap)
     delta: float = 0.5
     # number of low eigenpairs to compute
     eig_count: int = 6
@@ -133,10 +142,10 @@ class SimConfig:
                                   f"s = {a:g}: their rows would share one heatmap")
         if not math.isfinite(self.delta):
             raise ConfigError(f"delta must be finite, got {self.delta}")
-        if self.delta <= self.spacing:
-            raise ConfigError(
-                f"delta = {self.delta} must exceed the grid spacing "
-                f"{self.spacing:.4f}")
+        # a disk of radius pi or more wraps onto itself on the torus
+        if not 0.0 < self.delta < math.pi:
+            raise ConfigError(f"delta = {self.delta} must be positive and below "
+                              f"pi: the delta-disks must be embedded in the torus")
         if self.eig_count < 1:
             raise ConfigError("eig_count must be >= 1")
         if not _lobpcg_fits(self.eig_count, self.band_limit):
@@ -169,6 +178,12 @@ class SimConfig:
         if kind == "custom":
             if not self.fourier_coeffs:
                 raise ConfigError("custom preset needs fourier_coeffs")
+            # its zeros are bracketed on the grid (zero_locations)
+            if self.delta <= self.spacing:
+                raise ConfigError(
+                    f"custom preset: delta = {self.delta} must exceed the grid "
+                    f"spacing {self.spacing:.4f}, at which its zeros are "
+                    f"bracketed")
             if not all(np.isfinite(c) for _mx, _my, c in self.fourier_coeffs):
                 raise ConfigError("fourier_coeffs must be finite")
             # on the grid, exp(i(mx x + my y)) depends on (mx, my) mod N

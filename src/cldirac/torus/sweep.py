@@ -4,20 +4,24 @@ For each deformation strength s the sweep solves for the low eigenpairs
 of D_s^T D_s on a Fourier band (``kernels``) of its own, with D_s one
 sparse matrix built from the Fourier modes of w (``operators``).  It
 measures the lowest eigenspace, not one vector of it: the mean density
-|u|^2 over the lowest cluster, sampled on the (N, N) grid, does not
-depend on the basis the solver returns inside a degenerate cluster
-(sin_zeros has an exact 2-dimensional kernel).  The band operator holds
-no display grid: ``lowest_density`` reads the cluster out on the grid
-of side ``config.N`` as one (k, N, N) stack, and ``outside_mass`` is the
-share of its unit h^2-weighted sum outside ``_inside``, the delta-disks
-around the zeros as one mask.  The sweep also records the smallest singular value sigma_min = sqrt(lambda_min) and the
-cluster's mass on the band's outer ring, ``band_tail``, which a mode the
-band resolves keeps near zero.  Concentration shows up as outside-mass
-decreasing in s with s * mass bounded; for presets with empty singular
-set the interesting column is sigma_min instead (and outside-mass is 1
-by definition).  A w with zeros needs at least two s values: its
-concentration checks compare rows, so ``run_sweep`` refuses a single s
-before any solve.
+|u|^2 over the lowest cluster does not depend on the basis the solver
+returns inside a degenerate cluster (sin_zeros has an exact
+2-dimensional kernel).  ``outside_mass`` integrates that density over
+the delta-disks around the zeros exactly, as a finite sum in mode space
+over the cluster's (k, K, K) band stack, so a row's mass reads no grid;
+``lowest_density`` reads the same cluster out on the display grid of
+side ``config.N`` for the heatmaps.  The sum holds for disks that are
+embedded (delta < pi, ``SimConfig``) and disjoint: ``run_sweep`` refuses
+two zeros at most 2 delta apart before any solve.  A row whose mass lies
+below the rounding floor of 1 - (the mass inside the disks) gets a note,
+and no verdict changes.  The sweep also records the smallest singular
+value sigma_min = sqrt(lambda_min) and the cluster's mass on the band's
+outer ring, ``band_tail``, which a mode the band resolves keeps near
+zero.  Concentration shows up as outside-mass decreasing in s with
+s * mass bounded; for presets with empty singular set the interesting
+column is sigma_min instead (and outside-mass is 1 by definition).  A w
+with zeros needs at least two s values: its concentration checks compare
+rows, so ``run_sweep`` refuses a single s before any solve.
 
 Each s is solved on the band M(s) that resolves it, at most the cap
 M = N // 3 (``SimConfig.band_limit``).  Near a nondegenerate zero the low
@@ -47,6 +51,7 @@ verdict, then one per failed check; the CSV is a derived view.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -59,29 +64,80 @@ from .eigensolve import EigenResult, normal_eigenpairs
 from .operators import TorusOperator, flat_to_complex, prolong
 
 
-def _inside(config: SimConfig, zeros) -> np.ndarray:
-    """(N, N) bool mask of the grid sites within delta (torus distance) of
-    one of ``zeros``: the union of the delta-disks."""
-    x = np.arange(config.N) * config.spacing
-    inside = np.zeros((config.N, config.N), dtype=bool)
-    for (zx, zy) in zeros:
-        inside |= torus_distance_sq(x[:, None], x[None, :], zx, zy) <= config.delta ** 2
-    return inside
+def _bessel_j1(x: np.ndarray) -> np.ndarray:
+    """J_1 at the points x >= 0, by the P-point trapezoid rule on
+    J_1(x) = (1/2pi) int_0^2pi cos(t - x sin t) dt, P = 2 ceil(max x) + 48.
+    The rule is the mean over P equispaced t, and its error is
+    sum_{j != 0} J_{1 + jP}(x), whose largest term J_{P-1}(x) lies far
+    below rounding for P - 1 > 2x + 46.  The integrand is even about
+    t = pi, so the mean takes t in [0, pi] only: weight 1 at both ends and
+    2 between.  Points are taken in chunks of about 2^20 integrand
+    values."""
+    P = 2 * math.ceil(float(np.max(x, initial=0.0))) + 48
+    t = np.arange(P // 2 + 1) * (2.0 * math.pi / P)
+    sin_t = np.sin(t)
+    weights = np.full(t.size, 2.0 / P)
+    weights[[0, -1]] = 1.0 / P
+    out = np.empty(x.shape)
+    step = max(1, (1 << 20) // t.size)
+    for i in range(0, x.size, step):
+        chunk = x[i:i + step]
+        out[i:i + step] = np.cos(t - np.multiply.outer(chunk, sin_t)) @ weights
+    return out
 
 
-def outside_mass(density: np.ndarray, config: SimConfig, zeros) -> float:
-    """Fraction of the (N, N) real density outside the union of delta-disks
-    around ``zeros`` (``_inside``); 1.0 when there is none.
+@functools.lru_cache(maxsize=8)
+def disk_transform(L: int, delta: float) -> np.ndarray:
+    """Read-only (L, L) array of the Fourier transform of the delta-disk
+    on the modes k of an (L, L) grid (``kernels.band_modes``):
+    int_{|y| < delta} e^{i k.y} dy = 2pi delta J_1(delta |k|) / |k|, and
+    pi delta^2 at k = 0.  J_1 is evaluated once per distinct |k|^2."""
+    m = kernels.band_modes(L)
+    k2, index = np.unique((m[:, None] ** 2 + m[None, :] ** 2).ravel(),
+                          return_inverse=True)
+    r = np.sqrt(k2[1:])  # k2[0] = 0, the mode k = 0
+    d = np.concatenate(([math.pi * delta * delta],
+                        2.0 * math.pi * delta * _bessel_j1(delta * r) / r))
+    d = d[index].reshape(L, L)
+    d.setflags(write=False)
+    return d
 
-    The density must have unit sum with cell weight (2pi/N)^2, to within
-    1e-6 in its square root (the L2 norm of a field of that density)."""
-    total = float(np.sum(density))
-    nrm = config.spacing * math.sqrt(total)
+
+def outside_mass(bands: np.ndarray, config: SimConfig, zeros) -> tuple:
+    """(mass, floor): the fraction of the mean density of the (size, K, K)
+    band stack ``bands`` outside the delta-disks around ``zeros``, and the
+    rounding floor of that fraction; (1.0, 0.0) when there is no zero.
+
+    The mean density rho of the fields u_j of the stack is a trigonometric
+    polynomial of degree 2M, rho(x) = (1/4pi^2) sum_k rhohat_k e^{i k.x}
+    with rhohat_k the mean over j of sum_m c_jm conj(c_j(m-k)), so its
+    mass in the disk around z is the finite sum (1/4pi^2) sum_k rhohat_k
+    e^{i k.z} ``disk_transform``(k).  rhohat comes from one inverse and one forward
+    FFT on the (L, L) grid, L = 2K - 1, which holds every mode |k| <= 2M
+    without aliasing.  The sum is exact for disks that are embedded and
+    disjoint (``run_sweep`` refuses others); it reads neither the grid side
+    N nor its spacing.  The mass is 1 - (inside) / (total), which cancels:
+    floor = eps sum |terms| / total, the rounding of the inside sum, and a
+    mass below it is not resolved from 0.
+
+    Each field must have unit norm on average over the stack, to within
+    1e-6 in the square root of the mean squared norm."""
+    size, K = bands.shape[0], bands.shape[-1]
+    total = float(np.sum(bands.real ** 2 + bands.imag ** 2)) / size
+    nrm = math.sqrt(total)
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"field norm {nrm} is not 1 (tolerance 1e-6)")
     if not zeros:
-        return 1.0
-    return float(np.sum(density[~_inside(config, zeros)]) / total)
+        return 1.0, 0.0
+    L = 2 * K - 1
+    grid = np.fft.ifft2(kernels.embed(bands, L))
+    rhohat = np.fft.fft2(np.sum(grid.real ** 2 + grid.imag ** 2, axis=0)) * (L * L / size)
+    m = kernels.band_modes(L)
+    phases = sum(np.outer(np.exp(1j * m * zx), np.exp(1j * m * zy)) for zx, zy in zeros)
+    terms = rhohat * phases * disk_transform(L, config.delta)
+    inside = float(np.sum(terms.real)) / (4.0 * math.pi ** 2)
+    floor = float(np.sum(np.abs(terms))) / (4.0 * math.pi ** 2)
+    return 1.0 - inside / total, np.finfo(float).eps * floor / total
 
 
 def fit_loglog(s_values, masses):
@@ -193,7 +249,6 @@ class SpectralReport:
                             for mx, my, c in self.config.w_modes()],
                 "box": "2pi x 2pi periodic",
                 "spacing": self.config.spacing,
-                "cell_weight": self.config.spacing ** 2,
             },
             "zeros": [[zx, zy] for (zx, zy) in self.zeros],
             "results": [asdict(r) for r in self.rows],
@@ -261,11 +316,16 @@ def run_sweep(config: SimConfig) -> SpectralReport:
         raise ConfigError("a w with zeros needs at least two s values: its "
                           "concentration checks compare rows, so one row "
                           "would pass on convergence alone")
-    if zeros and _inside(config, zeros).all():
-        raise ConfigError(f"delta = {config.delta:g} covers every grid site: "
-                          f"no site lies outside the delta-disks around the "
-                          f"zeros, so the outside mass is 0 at every s and "
-                          f"cannot decrease")
+    for i, a in enumerate(zeros):
+        for b in zeros[i + 1:]:
+            gap = math.sqrt(torus_distance_sq(*a, *b))
+            if gap <= 2.0 * config.delta:
+                raise ConfigError(
+                    f"the delta-disks around the zeros ({a[0]:.4f}, {a[1]:.4f}) "
+                    f"and ({b[0]:.4f}, {b[1]:.4f}) overlap: they lie {gap:.4f} "
+                    f"apart, at most 2 delta = {2.0 * config.delta:g}; the "
+                    f"outside mass integrates each disk once, so delta must "
+                    f"be below half the distance between any two zeros")
     cap = config.band_limit
     # the smallest band on which LOBPCG runs; SimConfig checks the cap
     M = next(M for M in range(1, cap + 1) if _lobpcg_fits(config.eig_count, M))
@@ -295,10 +355,16 @@ def run_sweep(config: SimConfig) -> SpectralReport:
                          f"{cap}: the lowest modes reach its edge, so this row "
                          f"is not resolved; a larger N resolves it")
         density = lowest_density(op, result, cluster)
+        mass, floor = outside_mass(flat_to_complex(result.vectors[:, :cluster], op.K),
+                                   config, zeros)
+        if mass < floor:
+            notes.append(f"s = {s:g}: outside_mass = {mass:.2g} is below its "
+                         f"rounding floor {floor:.2g}: 1 - (the mass inside "
+                         f"the disks) does not resolve it from 0")
         rows.append(SweepRow(
             s=float(s),
             eigenvalues=[float(v) for v in result.values],
-            outside_mass=outside_mass(density, config, zeros),
+            outside_mass=mass,
             band_tail=tail,
             band_limit=M,
             cluster_dim=cluster,

@@ -20,7 +20,7 @@ def test_verify_small_run(tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     report = json.loads((tmp_path / "verify.json").read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["manifest"]["counts"]["fail"] == 0
     entries = report["entries"]
     # one entry per (identity, n, p)
@@ -110,7 +110,7 @@ def test_simulate_small_sweep(tmp_path):
     code = main(["simulate", str(cfg), "--out", str(out)])
     assert code == 0
     report = json.loads((out / "simulate.json").read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["assertions"]["passed"] is True
     assert len(report["results"]) == 2
     assert (out / "simulate.csv").exists()
@@ -192,9 +192,18 @@ _BAD_CONFIGS = {
     "key-repeated": _CONFIG + "N = 32\n",
     # the concentration checks compare rows: one row would have none
     "zeros-one-s": {"s_values": "1e60"},
-    # every site lies within pi/sqrt2 of a zero of sin_zeros: no site is
-    # outside the disks, so the outside mass is 0 at every s
+    # the zeros of sin_zeros lie pi apart, so delta >= pi/2 makes their
+    # disks overlap, and the outside mass integrates each disk once; at
+    # 2.5 >= pi/sqrt2 the disks cover every point, at 2 they do not
     "delta-covers-every-site": {"delta": "2.5"},
+    "delta-disks-overlap": {"delta": "2"},
+    "custom-disks-overlap": {"phi_preset": "custom", "delta": "1.6",
+                             "fourier_coeffs": "1,0,0,-0.5; -1,0,0,0.5; "
+                                               "0,1,0.5,0; 0,-1,-0.5,0"},
+    # a disk of radius pi wraps onto itself on the torus
+    "delta-pi": {"delta": "3.15"},
+    "delta-zero": {"delta": "0"},
+    "delta-negative": {"delta": "-0.5"},
     # w = sin x vanishes on two lines, not at points: no delta-disks cover them
     "fourier-zero-lines": {"phi_preset": "custom",
                            "fourier_coeffs": "1,0,0,-0.5; -1,0,0,0.5"},
@@ -211,7 +220,7 @@ _BAD_ARGS = {
     "condition-wrong-trials-zero": ["condition", "--n-list", "1",
                                     "--wrong-trials", "0"],
     "condition-n-even": ["condition", "--n-list", "1,2"],
-    "condition-n-too-large": ["condition", "--n-list", "9"],
+    "condition-n-too-large": ["condition", "--n-list", "13"],
     "condition-n-negative": ["condition", "--n-list", "-1"],
     "condition-n-empty": ["condition", "--n-list", ","],
     "condition-r-zero": ["condition", "--n-list", "1", "--r-list", "1,0"],

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import cldirac
 from cldirac import (
     Covector,
@@ -19,6 +21,7 @@ from cldirac import (
     random_form,
     zero_form,
 )
+from cldirac.errors import UsageError
 from cldirac.fiber import random_nonzero_covector
 from cldirac.perturbation import random_nonzero_phi
 from cldirac.scalars import EC_ZERO, ExactComplex
@@ -193,3 +196,20 @@ def test_wrong_class_rates_are_the_float_defect_rates():
                 nonzero += concentrating_defect(phi, g) > 0.0
             expected.append(nonzero / 200)
         assert [row["nonzero_rate"] for row in report.wrong] == expected
+
+
+def test_condition_runs_at_n_9():
+    # the second Bott period: n = 9 is the symmetric class; a few draws
+    # decide every row exactly, as at n <= 7
+    report = condition_suite([9], [1, 2, 3], trials=1, seed=2, wrong_trials=4)
+    assert report.verdicts() == [True] * 6
+    assert [(row["r"], row["phi_class"], row["failures"], row["max_defect"])
+            for row in report.correct] == [(r, "symmetric", 0, 0.0) for r in (1, 2, 3)]
+    assert [(row["phi_class"], row["r_values"], row["nonzero_rate"])
+            for row in report.wrong] == [("antisymmetric", [2, 3], 1.0)]
+    assert [row["all_singular"] for row in report.odd_rank] == [True, True]
+
+
+def test_condition_names_its_dimension_bound():
+    with pytest.raises(UsageError, match=r"odd 1 <= n <= 11"):
+        condition_suite([13], [1], trials=1, seed=2)

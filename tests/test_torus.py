@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import functools
 import inspect
+import itertools
 import math
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 from scipy.sparse.linalg import LinearOperator
 
 from cldirac.torus import (
@@ -29,7 +31,7 @@ from cldirac.torus import (
     write_heatmap_svg,
     zero_locations,
 )
-from cldirac.torus import eigensolve, kernels
+from cldirac.torus import eigensolve, kernels, sweep
 from cldirac.torus.config import MAX_MODES, ConfigError, _lobpcg_fits, load_config
 from cldirac.torus.eigensolve import residual_norms
 from cldirac.torus.heatmap import SIZE, _STOPS, _color_codes
@@ -40,7 +42,6 @@ from cldirac.torus.sweep import (
     fit_loglog,
     lowest_cluster,
     lowest_density,
-    torus_distance_sq,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -83,7 +84,11 @@ def test_parse_config_roundtrip():
     ("N = 8", ">= 16"),
     ("s_values = 4, 2", "strictly increasing"),
     ("s_values = -1, 2", "positive"),
-    ("delta = 0.01\nN = 32", "spacing"),
+    ("N = 32\ndelta = 0.1\nphi_preset = custom\nfourier_coeffs = 1,0,0,-0.5; -1,0,0,0.5",
+     "custom preset: delta = 0.1 must exceed the grid spacing"),
+    ("delta = 0", "positive and below pi"),
+    ("delta = -0.5", "positive and below pi"),
+    ("delta = 3.2", "positive and below pi"),
     ("phi_preset = constant(0)", "nonzero"),
     ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,1,0; 16,0,-1,0", "vanishes"),
     ("N = 16\nphi_preset = custom\nfourier_coeffs = 0,0,0.1,0; 0,0,0.2,0; 0,0,-0.3,0",
@@ -808,36 +813,115 @@ def test_the_band_operator_holds_no_display_grid():
 
 # -- outside mass --------------------------------------------------------------
 
-def _unit_density(u):
-    """|u|^2 scaled to unit h^2-weighted sum."""
-    density = np.abs(u) ** 2
-    return density / ((TWO_PI / u.shape[0]) ** 2 * np.sum(density))
+def _unit_band(c):
+    """The band c scaled to unit norm, as a stack of one."""
+    return (c / np.linalg.norm(c))[None]
 
 
 def test_outside_mass_uniform_field():
-    cfg = _config(N=64)
-    mass = outside_mass(_unit_density(np.full((64, 64), 1.0 + 0j)), cfg,
-                        zero_locations(cfg))
-    assert abs(mass - (1.0 - cfg.delta ** 2 / math.pi)) < 0.01
+    # a band holding only m = 0 is the uniform density 1/4pi^2: each of
+    # the Z disks holds pi delta^2 / 4pi^2 of it
+    for N, delta in ((64, 0.5), (32, 1.2), (16, 0.05)):
+        cfg = SimConfig(N=N, s_values=(4.0,), delta=delta)
+        zeros = zero_locations(cfg)
+        for K in (1, 3, 9):
+            c = np.zeros((K, K), complex)
+            c[0, 0] = 1.0
+            mass, floor = outside_mass(_unit_band(c), cfg, zeros)
+            want = 1.0 - len(zeros) * delta ** 2 / (4.0 * math.pi)
+            assert abs(mass - want) <= 4 * np.finfo(float).eps
+            assert 0.0 < floor <= 1e-15
 
 
 def test_outside_mass_supported_inside_disk():
+    # a Gaussian density |u|^2 of width sigma per axis, centred on the zero
+    # at the origin, keeps exp(-delta^2 / 2 sigma^2) outside its disk; its
+    # band c_m ~ exp(-sigma^2 |m|^2) is cut where that is exp(-36)
     cfg = _config(N=64)
-    u = np.zeros((64, 64), complex)
-    u[0:2, 0:2] = 1.0  # inside the delta-disk at the origin
-    assert outside_mass(_unit_density(u), cfg, zero_locations(cfg)) == 0.0
+    zeros = zero_locations(cfg)
+    for sigma, M in ((0.2, 30), (0.1, 60)):
+        m = kernels.band_modes(2 * M + 1)
+        c = np.exp(-sigma ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)) + 0j
+        mass, floor = outside_mass(_unit_band(c), cfg, zeros)
+        want = math.exp(-cfg.delta ** 2 / (2 * sigma ** 2))
+        assert abs(mass - want) <= 1e-9 * want
+        assert floor < 1e-6 * mass
+    # at sigma = 0.05 the true mass, 2e-22, is below the rounding of
+    # 1 - (inside): the mass is noise of the size of the floor
+    m = kernels.band_modes(2 * 100 + 1)
+    c = np.exp(-0.05 ** 2 * (m[:, None] ** 2 + m[None, :] ** 2)) + 0j
+    mass, floor = outside_mass(_unit_band(c), cfg, zeros)
+    assert abs(mass) <= 10 * floor < 1e-13
 
 
 def test_outside_mass_empty_singular_set():
     cfg = _config(N=32, preset="constant(1)")
-    u = np.random.default_rng(0).standard_normal((32, 32)) + 0j
-    assert outside_mass(_unit_density(u), cfg, zero_locations(cfg)) == 1.0
+    c = _random_band(np.random.default_rng(0), 11)
+    assert outside_mass(_unit_band(c), cfg, zero_locations(cfg)) == (1.0, 0.0)
 
 
 def test_outside_mass_requires_normalization():
     cfg = _config(N=32)
     with pytest.raises(ValueError, match="norm"):
-        outside_mass(np.ones((32, 32)), cfg, zero_locations(cfg))
+        outside_mass(np.ones((1, 11, 11), complex), cfg, zero_locations(cfg))
+
+
+def test_outside_mass_is_a_finite_sum_in_mode_space():
+    # a random band's mass is the mode sum: the same as a brute-force
+    # sum of rhohat_k e^{ik.z} D(|k|) over the autocorrelation of c, with
+    # D from scipy's J_1, and it does not move with the display N
+    rng = np.random.default_rng(5)
+    K = 7
+    bands = np.stack([_random_band(rng, K) for _ in range(3)])
+    bands /= math.sqrt(np.sum(np.abs(bands) ** 2) / 3)
+    m = kernels.band_modes(K)
+    rho = {}
+    for c in bands:
+        for ax, bx in itertools.product(range(K), repeat=2):
+            for ay, by in itertools.product(range(K), repeat=2):
+                key = (m[ax] - m[bx], m[ay] - m[by])
+                rho[key] = rho.get(key, 0) + c[ax, ay] * np.conj(c[bx, by]) / 3
+    masses = set()
+    for N in (16, 64):
+        cfg = SimConfig(N=N, s_values=(4.0,), delta=0.7)
+        inside = 0.0
+        for (zx, zy) in zero_locations(cfg):
+            for (kx, ky), r in rho.items():
+                k = math.hypot(kx, ky)
+                disk = (math.pi * 0.49 if k == 0
+                        else 2 * math.pi * 0.7 * special.j1(0.7 * k) / k)
+                inside += (r * np.exp(1j * (kx * zx + ky * zy)) * disk).real
+        mass, floor = outside_mass(bands, cfg, zero_locations(cfg))
+        assert abs(mass - (1.0 - inside / (4 * math.pi ** 2))) <= 1e-13
+        masses.add(mass)
+    assert len(masses) == 1
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1.5])
+def test_numpy_j1_is_scipy_j1(delta):
+    # every |k| of the widest alias-free grid, L = 2K - 1 = 341 at N = 1024,
+    # and the disk transform built from it
+    L = 341
+    m = kernels.band_modes(L)
+    k = np.hypot(m[:, None], m[None, :])
+    x = delta * np.unique(k)
+    assert np.max(np.abs(sweep._bessel_j1(x) - special.j1(x))) <= 1e-14
+    disk = sweep.disk_transform(L, delta)
+    assert not disk.flags.writeable and sweep.disk_transform(L, delta) is disk
+    want = np.where(k > 0, 2 * math.pi * delta * special.j1(delta * k)
+                    / np.where(k > 0, k, 1.0), math.pi * delta ** 2)
+    assert np.max(np.abs(disk - want)) <= 1e-14 * 2 * math.pi * delta
+
+
+def test_the_outside_mass_reads_no_display_grid():
+    # no pixel mask: the mass and its disk transform read neither the grid
+    # side N nor its spacing
+    assert not hasattr(sweep, "_inside")
+    for fn in (sweep.outside_mass, sweep.disk_transform, sweep._bessel_j1):
+        tree = ast.parse(inspect.getsource(inspect.unwrap(fn)).strip())
+        grid = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in ("N", "spacing")}
+        assert grid == set(), fn.__name__
 
 
 # -- sweep ----------------------------------------------------------------------
@@ -857,6 +941,38 @@ def test_run_sweep_concentration_small():
     assert "backend" not in body
     assert len(body["results"]) == 3
     assert body["fit"] is not None and body["fit"]["slope"] < 0
+
+
+def test_run_sweep_refuses_overlapping_disks_before_any_solve(monkeypatch):
+    # the zeros of sin_zeros lie pi apart: delta = pi/2 makes two disks
+    # touch, and the mode sum would count their common part twice
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking the disks")
+    monkeypatch.setattr("cldirac.torus.sweep.normal_eigenpairs", no_solve)
+    for delta in (math.pi / 2, 2.0, 3.0):
+        cfg = SimConfig(N=16, s_values=(4.0, 8.0), delta=delta, eig_count=2)
+        with pytest.raises(ConfigError, match="overlap: they lie 3.1416 apart"):
+            run_sweep(cfg)
+    cfg = SimConfig(N=16, s_values=(4.0, 8.0), delta=1.5, eig_count=2)
+    with pytest.raises(AssertionError, match="solved before"):
+        run_sweep(cfg)
+
+
+def test_a_mass_below_its_rounding_floor_is_noted(monkeypatch):
+    # a row whose mass is below the floor of 1 - (inside) gets a note, and
+    # no verdict changes
+    def floored(bands, config, zeros):
+        mass, _floor = outside_mass(bands, config, zeros)
+        return mass, 2 * mass if mass < 0.1 else 0.0
+    monkeypatch.setattr("cldirac.torus.sweep.outside_mass", floored)
+    cfg = SimConfig(N=32, s_values=(4.0, 8.0, 16.0), phi_preset="sin_zeros",
+                    delta=0.5, eig_count=4, eig_tol=1e-8, seed=3)
+    report = run_sweep(cfg)
+    floored_rows = [r.s for r in report.rows if r.outside_mass < 0.1]
+    assert floored_rows and len(floored_rows) < len(report.rows)
+    assert [note.split(":")[0] for note in report.notes
+            if "rounding floor" in note] == [f"s = {s:g}" for s in floored_rows]
+    assert report.verdicts() == [True] * 3
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -940,15 +1056,73 @@ def test_constant_spectrum_has_no_doublers(N):
         assert np.allclose(r.eigenvalues, want, rtol=1e-9, atol=0.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _continuum_mass(s, delta=0.5):
+    """Outside mass of the sin_zeros kernel in the continuum, from
+    scipy.integrate.  The kernel is span_R{u1, u2}, u1 = exp(s(cos y -
+    cos x)) and u2 = i exp(s(cos x - cos y)); u2's density mirrors u1's,
+    which factors as f(x - pi) f(y) with f(a) = exp(2s cos a), peaked at
+    the zero (pi, 0).  Outside that disk is |a| > delta, or |a| <= delta
+    and |y| > sqrt(delta^2 - a^2): a sum of positive tail integrals, with
+    no cancellation.  The mass in the other three disks, of order
+    exp(-4s), is dropped."""
+    def f(a):  # exp(2s cos a), scaled by exp(-2s)
+        return math.exp(2.0 * s * (math.cos(a) - 1.0))
+
+    def tail(b):  # integral of f over b < |a| < pi
+        return 2.0 * integrate.quad(f, b, math.pi, epsabs=0.0, epsrel=1e-11,
+                                    limit=200)[0]
+    total = 2.0 * math.pi * special.ive(0, 2.0 * s)  # integral of f
+    outside = tail(delta) * total + integrate.quad(
+        lambda a: f(a) * tail(math.sqrt(delta * delta - a * a)), -delta, delta,
+        epsabs=0.0, epsrel=1e-11, limit=200)[0]
+    return outside / total ** 2
+
+
 def _closed_form_mass(cfg, s):
-    """Outside mass of the sin_zeros kernel, |u|^2 = exp(2s(cos y - cos x)),
-    on the grid mask that outside_mass uses."""
-    x = np.arange(cfg.N) * cfg.spacing
-    inside = np.zeros((cfg.N, cfg.N), dtype=bool)
-    for (zx, zy) in zero_locations(cfg):
-        inside |= torus_distance_sq(x[:, None], x[None, :], zx, zy) <= cfg.delta ** 2
-    density = np.exp(2.0 * s * (np.cos(x)[None, :] - np.cos(x)[:, None]))
-    return float(np.sum(density[~inside]) / np.sum(density))
+    """Outside mass of the sin_zeros kernel at cfg's delta: the continuum
+    value, which no display grid enters."""
+    return _continuum_mass(s, cfg.delta)
+
+
+def test_the_continuum_masses():
+    # the oracle itself, against the values it gives to 7 digits
+    for s, want in ((8.0, 0.1441982), (16.0, 0.02012435), (32.0, 3.922812e-4),
+                    (64.0, 1.491955e-7), (128.0, 2.163887e-14)):
+        assert abs(_continuum_mass(s) - want) <= 5e-7 * want
+
+
+def test_resolved_rows_read_the_continuum_mass():
+    # rows solved on the band M = 42, which resolves s <= 64, read the
+    # continuum mass to 1e-6 relative
+    cfg = SimConfig(N=128, s_values=(8.0, 16.0, 32.0), phi_preset="sin_zeros",
+                    delta=0.5, eig_count=3, eig_tol=1e-8)
+    zeros = zero_locations(cfg)
+    start = None
+    for s in cfg.s_values:
+        op = TorusOperator(cfg, s, 42)
+        result = normal_eigenpairs(op, cfg, start=start)
+        start = result.block
+        assert result.all_converged
+        size = lowest_cluster(op, result)
+        assert size == 2
+        mass, floor = outside_mass(flat_to_complex(result.vectors[:, :size], op.K),
+                                   cfg, zeros)
+        want = _continuum_mass(s)
+        assert abs(mass - want) <= 1e-6 * want
+        assert floor < 1e-9 * mass
+
+
+def test_the_mass_does_not_depend_on_the_display_grid():
+    # the same solves at N = 64 and N = 128 land on the same bands, and
+    # their masses are the same bits: the mass reads no grid
+    reports = [run_sweep(SimConfig(N=N, s_values=(4.0, 8.0), phi_preset="sin_zeros",
+                                   delta=0.5, eig_count=3, eig_tol=1e-8))
+               for N in (64, 128)]
+    a, b = ([(r.band_limit, r.eigenvalues, r.outside_mass) for r in rep.rows]
+            for rep in reports)
+    assert [band for band, _v, _m in a] == [12, 16]
+    assert a == b
 
 
 @functools.lru_cache(maxsize=2)
@@ -1054,7 +1228,8 @@ def _matches_the_full_band(cfg, rows):
         assert np.array_equal(values > 1e-6, big) and np.sum(big) >= 1
         assert np.all(np.abs(values[big] - ref.values[big]) <= 1e-12 * ref.values[big])
         size = lowest_cluster(op, ref)
-        mass = outside_mass(lowest_density(op, ref, size), cfg, zeros)
+        mass, _floor = outside_mass(flat_to_complex(ref.vectors[:, :size], op.K),
+                                    cfg, zeros)
         assert r.cluster_dim == size
         assert abs(r.outside_mass - mass) <= 1e-6 * mass
 
@@ -1126,7 +1301,8 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
     size = lowest_cluster(op, result)
     assert size == 2
     density = lowest_density(op, result, size)
-    mass = outside_mass(density, cfg, zero_locations(cfg))
+    mass, _floor = outside_mass(flat_to_complex(result.vectors[:, :size], op.K),
+                                cfg, zero_locations(cfg))
     angle = np.random.default_rng(11).uniform(0.0, TWO_PI)
     rotation = np.array([[math.cos(angle), -math.sin(angle)],
                          [math.sin(angle), math.cos(angle)]])
@@ -1137,7 +1313,9 @@ def test_lowest_density_does_not_depend_on_the_cluster_basis():
     assert np.max(np.abs(rotated - density)) <= 1e-12 * np.max(density)
     tail = band_tail(op, result, size)
     assert abs(band_tail(op, rotated_result, size) - tail) <= 1e-12 * tail
-    assert abs(outside_mass(rotated, cfg, zero_locations(cfg)) - mass) <= 1e-12 * mass
+    rotated_mass, _floor = outside_mass(flat_to_complex(vectors[:, :size], op.K),
+                                        cfg, zero_locations(cfg))
+    assert abs(rotated_mass - mass) <= 1e-12 * mass
     # the first vector alone, which a single-field measurement would read,
     # does not agree with its rotated copy
     single = [np.abs(kernels.to_grid(flat_to_complex(v[:, 0], op.K), cfg.N)) ** 2

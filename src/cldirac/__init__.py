@@ -26,7 +26,6 @@ from .fiber import (
 )
 from .hodge import (
     bar_star,
-    epsilon,
     epsilon_shift_identity,
     tau,
     tau_adjoint_defect,
@@ -38,9 +37,7 @@ from .clifford import (
     MIXED,
     ODD,
     Spinor,
-    SymbolOperator,
     clifford,
-    random_spinor,
     spinor_basis,
     symbol,
 )
@@ -82,7 +79,6 @@ __all__ = [
     "PhiMap",
     "SingularVerdict",
     "Spinor",
-    "SymbolOperator",
     "SYMMETRIC",
     "apply_A",
     "apply_A_adjoint",
@@ -92,7 +88,6 @@ __all__ = [
     "concentrating_defect",
     "contract",
     "defect_vanishes",
-    "epsilon",
     "epsilon_shift_identity",
     "inner",
     "matched_class",
@@ -101,7 +96,6 @@ __all__ = [
     "random_covector",
     "random_form",
     "random_phi",
-    "random_spinor",
     "random_unit_scalar",
     "scalar_form",
     "singular_verdict",

@@ -1,4 +1,4 @@
-"""Clifford action on antiholomorphic forms, spinors, and symbol operators.
+"""Clifford action on antiholomorphic forms, spinors, and principal symbols.
 
 The spinor space of the fiber is S = Lambda^{0,*} with chiral halves
 S+ = even and S- = odd antiholomorphic degree.  Clifford multiplication by a
@@ -12,9 +12,10 @@ sqrt2 factor lives in the formal sqrt2 slot of the scalar tower, so these
 relations hold with exactly zero defect.
 
 Spinors with values in a rank-r twisting bundle are vectors of r forms in a
-unitary frame.  Symbol operators wrap c(gamma) (x) Id as chirality-labelled
-real-linear maps; the symbols of the operator and of its adjoint share the
-same formula.
+unitary frame.  symbol(g, r, which) is c(gamma) (x) Id as a real-linear map
+on spinors that checks its input's context, rank and chirality; the symbols
+of the operator and of its adjoint share the same formula, and two symbols
+compose by calling one on the other's image.
 
 The public Spinor(ctx, parts, chirality) checks its parts and infers or
 checks the chirality.  The constructions whose parity this module fixes
@@ -28,8 +29,6 @@ goes through the check and raises as before.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .fiber import (
     ChiralityError,
@@ -38,12 +37,10 @@ from .fiber import (
     FiberContext,
     Form,
     _monomial,
-    _rng,
     _same_ctx,
     _subset_keys,
     clifford,
     inner,
-    random_form,
     zero_form,
 )
 
@@ -184,56 +181,14 @@ def spinor_basis(ctx: FiberContext, r: int, chirality: str):
     return basis
 
 
-def random_spinor(ctx: FiberContext, r: int, chirality: str, seed) -> Spinor:
-    if chirality not in (EVEN, ODD):
-        raise ChiralityError("random spinor needs chirality 'even' or 'odd'")
-    rng = _rng(seed)
-    rem = 0 if chirality == EVEN else 1
-    parts = []
-    for _ in range(r):
-        f = zero_form(ctx)
-        for q in range(rem, ctx.n + 1, 2):
-            f = f + random_form(ctx, 0, q, rng)
-        parts.append(f)
-    return Spinor(ctx, parts, chirality=chirality)
-
-
-@dataclass(frozen=True)
-class SymbolOperator:
-    """Chirality-labelled real-linear operator on spinors."""
-
-    ctx: FiberContext
-    rank: int
-    source: str
-    target: str
-    fn: Callable[[Spinor], Spinor] = field(repr=False)
-    name: str = ""
-
-    def __call__(self, z: Spinor) -> Spinor:
-        _same_ctx(self.ctx, z.ctx)
-        if z.rank != self.rank:
-            raise ValueError(f"rank mismatch: operator {self.rank}, spinor {z.rank}")
-        if z.chirality != self.source:
-            raise ChiralityError(
-                f"{self.name or 'operator'} expects {self.source} input, "
-                f"got {z.chirality}")
-        return self.fn(z)
-
-    def compose(self, first: "SymbolOperator") -> "SymbolOperator":
-        """self after first; chirality labels must chain."""
-        if first.target != self.source:
-            raise ChiralityError(
-                f"cannot compose: {first.name or 'first'} targets "
-                f"{first.target}, {self.name or 'second'} expects {self.source}")
-        return SymbolOperator(self.ctx, self.rank, first.source, self.target,
-                              lambda z: self(first(z)),
-                              name=f"{self.name}.{first.name}")
-
-
-def symbol(g: Covector, r: int, which: str) -> SymbolOperator:
+def symbol(g: Covector, r: int, which: str):
     """Principal symbol c(gamma) (x) Id of the twisted Dirac operator
-    ('D': S+ -> S-) or of its adjoint ('D_star': S- -> S+); both use the
-    same Clifford formula."""
+    ('D': S+ -> S-) or of its adjoint ('D_star': S- -> S+), as the map
+    itself.  Both use the same Clifford formula.  The map checks the
+    context, the rank and the source chirality of its spinor, then returns
+    the image with the target chirality.  Symbols compose by calling one on
+    the other's image, so a chain whose chiralities do not match raises
+    ChiralityError at the call."""
     if r < 1:
         raise ValueError("rank must be >= 1")
     if which == "D":
@@ -242,12 +197,16 @@ def symbol(g: Covector, r: int, which: str) -> SymbolOperator:
         source, target = ODD, EVEN
     else:
         raise ValueError("which must be 'D' or 'D_star'")
+    ctx = g.ctx
 
-    def fn(z: Spinor) -> Spinor:
-        parts = tuple(clifford(g, f) for f in z.parts)
-        if z.chirality == source:
-            return Spinor._trusted(z.ctx, parts, target)
-        # reached only by calling fn directly, past __call__'s check
-        return Spinor(z.ctx, parts, chirality=target)
+    def apply(z: Spinor) -> Spinor:
+        _same_ctx(ctx, z.ctx)
+        if z.rank != r:
+            raise ValueError(f"rank mismatch: symbol {r}, spinor {z.rank}")
+        if z.chirality != source:
+            raise ChiralityError(
+                f"symbol_{which} expects {source} input, got {z.chirality}")
+        return Spinor._trusted(z.ctx, tuple(clifford(g, f) for f in z.parts),
+                               target)
 
-    return SymbolOperator(g.ctx, r, source, target, fn, name=f"symbol_{which}")
+    return apply

@@ -71,7 +71,6 @@ from .scalars import (
     _signed,
     _sub,
     _unit_exponent,
-    conj,
     is_zero,
 )
 
@@ -321,21 +320,6 @@ class Form:
         # a product of nonzero field elements is nonzero
         return Form._exact(self.ctx, {k: _mul(v, t) for k, v in self._terms.items()})
 
-    def __rmul__(self, other):
-        if isinstance(other, Form):
-            return NotImplemented
-        return self.scale(other)
-
-    def conjugate(self):
-        """Structural conjugation th <-> thb with conjugated coefficients."""
-        n = self.ctx.n
-        terms = {}
-        for key, c in self._terms.items():
-            ti, tj = _halves(key, n)
-            terms[_key(tj, ti, n)] = _phase(c, 2 * (ti.bit_count() * tj.bit_count()),
-                                            True)
-        return Form._exact(self.ctx, terms)
-
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
@@ -442,10 +426,8 @@ class Covector:
 
     def norm_sq(self):
         """|gamma|^2 = 2 sum |a_i|^2 for the real covector."""
-        acc = self.ctx.zero
-        for c in self.a:
-            acc = acc + c * conj(c)
-        return acc + acc
+        s = _dot_conj((c._t, c._t) for c in self.a)
+        return _make(_add(s, s))
 
     def is_zero(self) -> bool:
         return all(is_zero(c) for c in self.a)

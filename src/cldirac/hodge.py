@@ -14,9 +14,10 @@ followed by its complement (`fiber._complement`, computed from the
 reordering count, not hand-maintained), and the total degree is
 key.bit_count().
 
-tau = eps_k * star on total degree k, with eps_k = i^(k(k-1)+n); tau is an
-isometry, squares to (-1)^n, and is self-adjoint up to (-1)^n for the real
-part of the hermitian metric.
+tau = eps_k * star on total degree k, with eps_k = i^(k(k-1)+n), held as
+its i-exponent (`epsilon_exponent`); tau is an isometry, squares to
+(-1)^n, and is self-adjoint up to (-1)^n for the real part of the
+hermitian metric.
 
 So star, tau and tau_graded are phase maps: each sends a monomial to its
 complement times a power of i, after conjugating the coefficient.  That
@@ -70,16 +71,10 @@ def bar_star(x: Form) -> Form:
     return _star_terms(x, _degree_exponents(x.ctx.n, False))
 
 
-def epsilon(k: int, n: int) -> complex:
-    """eps_k = i^(k(k-1)+n), a fourth root of unity."""
-    if not 0 <= k <= 2 * n:
-        raise DegreeError(f"degree k = {k} out of range 0..{2 * n}")
-    return (1 + 0j, 1j, -1 + 0j, -1j)[epsilon_exponent(k, n)]
-
-
 def epsilon_exponent(k: int, n: int) -> int:
-    """i-exponent of eps_k mod 4; no range check, so the degree-shift
-    identity below can be evaluated at k = -1 as a formal power."""
+    """The i-exponent of eps_k = i^(k(k-1)+n), mod 4: the one name of
+    eps_k.  No range check, so the degree-shift identity below can be
+    evaluated at k = -1 as a formal power."""
     return (k * (k - 1) + n) % 4
 
 

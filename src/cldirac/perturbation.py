@@ -51,12 +51,10 @@ from .fiber import (
 )
 from .hodge import tau_graded
 from .scalars import (
-    _ZERO,
     ExactComplex,
     _conj,
-    _finish,
+    _dot_conj,
     _make,
-    _mul_into,
     conj,
     is_zero,
     real_to_float,
@@ -179,7 +177,8 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
 
     Per basis monomial e_J it builds F_J and G_J and takes three inner
     products; the r values of that monomial follow from them, so a consumer
-    that stops early builds no later image.
+    that stops early builds no later image.  Each weight col_j, row_j,
+    mix_j and each value is one exact sum, ``scalars._dot_conj``.
 
     |F_J|^2 and |G_J|^2 are computed, not taken as |gamma|^2, although a
     correct tau and Clifford action make both equal to it.  With that
@@ -191,19 +190,13 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
     _same_ctx(phi.ctx, g.ctx)
     ctx, r, n = phi.ctx, phi.r, phi.ctx.n
     # col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2 and
-    # mix_j = sum_i conj(phi_ij) phi_ji, in one accumulator
+    # mix_j = sum_i conj(phi_ij) phi_ji
     t = [[x._t for x in row] for row in phi.entries]
-    tbar = [[_conj(x) for x in row] for row in t]
-    acc = {}
-    for j in range(r):
-        for i in range(r):
-            _mul_into(acc, (0, j), t[i][j], tbar[i][j])
-            _mul_into(acc, (1, j), t[j][i], tbar[j][i])
-            _mul_into(acc, (2, j), t[j][i], tbar[i][j])
-    sums = _finish(acc)
     weights = []
     for j in range(r):
-        col, row, mix = (sums.get((k, j), _ZERO) for k in range(3))
+        col = _dot_conj((t[i][j], t[i][j]) for i in range(r))
+        row = _dot_conj((t[j][i], t[j][i]) for i in range(r))
+        mix = _dot_conj((t[j][i], t[i][j]) for i in range(r))
         weights.append((col, row, mix, _conj(mix)))
     eta = phi.eta()
     ubar = _adjoint_unit(phi)
@@ -216,20 +209,13 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
             ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)._t
             fhbar = _conj(fh)
             for col, row, mix, mixbar in weights:
-                # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>)
-                acc = {}
-                _mul_into(acc, 0, col, ff)
-                _mul_into(acc, 0, row, hh)
-                _mul_into(acc, 0, mix, fh)
-                _mul_into(acc, 0, mixbar, fhbar)
-                yield _make(_finish(acc).get(0, _ZERO))
+                # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>);
+                # _dot_conj conjugates each second entry, and |F|^2 and
+                # |G|^2 are real, so each is its own conjugate
+                yield _make(_dot_conj(((col, ff), (row, hh), (mix, fhbar),
+                                       (mixbar, fh))))
 
     return norms_sq()
-
-
-def _defect_norms_sq(phi: PhiMap, g: Covector) -> list:
-    """Every value of _defect_norms_sq_iter, as a list."""
-    return list(_defect_norms_sq_iter(phi, g))
 
 
 def concentrating_defect(phi: PhiMap, g: Covector) -> float:
@@ -260,7 +246,7 @@ def concentrating_defect(phi: PhiMap, g: Covector) -> float:
     The zero test is exact, and real_to_float has no cancellation, so a
     nonzero defect never returns 0.0.  This evaluates every basis image;
     defect_vanishes stops at the first nonzero one."""
-    nsqs = _defect_norms_sq(phi, g)
+    nsqs = list(_defect_norms_sq_iter(phi, g))
     if not any(nsqs):
         return 0.0
     return max(map(real_to_float, nsqs)) ** 0.5

@@ -15,16 +15,19 @@ display.
 The arithmetic is written once, on tuples: ``_add``, ``_sub``, ``_mul``,
 ``_neg``, ``_conj``, ``_inv`` and ``_phase`` take canonical tuples and
 return one.  ExactComplex is a one-slot wrapper of a canonical tuple whose
-operators call those helpers.  The Forms of fiber.py store the tuples
+operators call those helpers; each operation has one spelling, so a
+quotient is ``x * y.inverse()``.  The Forms of fiber.py store the tuples
 themselves, so the exact kernels of fiber.py, hodge.py, clifford.py and
 perturbation.py make an ExactComplex only where a value leaves them.  A
 kernel sums raw products in a private accumulator (``_mul_into``), whose
 tuples are unnormalised: q is any positive common denominator and no
 common factor is removed.  ``_finish`` canonicalises each entry once and
-drops the zeros, so nothing unnormalised is ever stored in a Form.  A
-phase (``_phase``: a power of i, after an optional conjugation) permutes
-the slots of a tuple and flips their signs, so it keeps a canonical tuple
-canonical without a gcd.
+drops the zeros, so nothing unnormalised is ever stored in a Form.  A sum
+of products that is one scalar (an inner product, a squared norm, a
+weighted sum of them) goes through ``_dot_conj``, the one accumulation
+over a single key.  A phase (``_phase``: a power of i, after an optional
+conjugation) permutes the slots of a tuple and flips their signs, so it
+keeps a canonical tuple canonical without a gcd.
 """
 
 from __future__ import annotations
@@ -226,18 +229,6 @@ class ExactComplex:
         """Field inverse; ZeroDivisionError at zero."""
         return _make(_inv(self._t))
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(_mul(self._t, _inv(o._t)))
-
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _make(_mul(o._t, _inv(self._t)))
-
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
@@ -366,7 +357,8 @@ def _finish(acc, sqrt2=False) -> dict:
 
 
 def _dot_conj(pairs) -> tuple:
-    """sum of s * conj(t) over the (s, t) tuple pairs, canonicalised once."""
+    """sum of s * conj(t) over the (s, t) tuple pairs, canonicalised once:
+    the one sum of exact products into one scalar."""
     acc = {}
     for s, (a, b, c, d, q) in pairs:
         _mul_into(acc, 0, s, (a, -b, c, -d, q))

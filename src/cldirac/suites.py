@@ -344,11 +344,11 @@ def _symbol_clifford_relation(ctx, r, rng):
     # sigma_D*(gamma) sigma_D(gamma) z + |gamma|^2 z; each term is a norm,
     # so the sum is zero exactly when every image is
     g = random_covector(ctx, rng)
-    comp = symbol(g, r, "D_star").compose(symbol(g, r, "D"))
+    sigma_d_star, sigma_d = symbol(g, r, "D_star"), symbol(g, r, "D")
     norm_sq = g.norm_sq()
     total = ctx.zero
     for z in spinor_basis(ctx, r, EVEN):
-        total = total + (comp(z) + z.scale(norm_sq)).norm_sq()
+        total = total + (sigma_d_star(sigma_d(z)) + z.scale(norm_sq)).norm_sq()
     return total, ctx.zero, functools.partial(_describe, gamma=g, r=r)
 
 

@@ -1,12 +1,29 @@
 """Reference constructions that only the tests use.
 
 ``example_phi`` builds the standard nondegenerate pairings of the fiber
-calculus as ``PhiMap``s; the commands never call it, so it lives beside the
-tests that check it.  ``split_key`` reads the private key layout of a
-``Form``'s stored terms, for the tests that check the kernels term by term.
+calculus as ``PhiMap``s, ``random_spinor`` a random spinor of one
+chirality and ``conjugate`` the structural conjugate of a form; the
+commands never call them, so they live beside the tests that use them,
+written on the public API.  ``split_key`` reads the private key layout of
+a ``Form``'s stored terms, for the tests that check the kernels term by
+term.
 """
 
-from cldirac import ANTISYMMETRIC, SYMMETRIC, FiberContext, PhiMap
+import random
+
+from cldirac import (
+    ANTISYMMETRIC,
+    EVEN,
+    ODD,
+    SYMMETRIC,
+    ChiralityError,
+    FiberContext,
+    Form,
+    PhiMap,
+    Spinor,
+    random_form,
+    zero_form,
+)
 
 
 def example_phi(ctx: FiberContext, kind: str, w: int | None = None) -> PhiMap:
@@ -61,6 +78,31 @@ def example_phi(ctx: FiberContext, kind: str, w: int | None = None) -> PhiMap:
         return PhiMap(ctx, r, tuple(tuple(row) for row in entries),
                       declared_class=ANTISYMMETRIC)
     raise ValueError(f"unknown example kind {kind!r}")
+
+
+def random_spinor(ctx: FiberContext, r: int, chirality: str, seed) -> Spinor:
+    """Random spinor of rank r in S+ (even) or S- (odd): each of its r parts
+    sums random_form(ctx, 0, q) over the q of that parity, all drawn from
+    one generator, so it is deterministic in seed (an int or a Random)."""
+    if chirality not in (EVEN, ODD):
+        raise ChiralityError("random spinor needs chirality 'even' or 'odd'")
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rem = 0 if chirality == EVEN else 1
+    parts = []
+    for _ in range(r):
+        f = zero_form(ctx)
+        for q in range(rem, ctx.n + 1, 2):
+            f = f + random_form(ctx, 0, q, rng)
+        parts.append(f)
+    return Spinor(ctx, parts, chirality=chirality)
+
+
+def conjugate(x: Form) -> Form:
+    """Structural conjugation th <-> thb with conjugated coefficients:
+    conj(c th^I ^ thb^J) = conj(c) thb^I ^ th^J
+    = (-1)^(|I| |J|) conj(c) th^J ^ thb^I."""
+    return Form(x.ctx, {(tj, ti): c.conjugate() * (-1) ** (len(ti) * len(tj))
+                        for (ti, tj), c in x.items()})
 
 
 def split_key(key: int, n: int) -> tuple:

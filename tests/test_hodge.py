@@ -10,7 +10,6 @@ from cldirac import (
     Form,
     bar_star,
     contract,
-    epsilon,
     epsilon_shift_identity,
     inner,
     monomial,
@@ -25,7 +24,10 @@ from cldirac import (
     zero_form,
 )
 from cldirac.fiber import basis_forms, random_unit_scalar
+from cldirac.hodge import epsilon_exponent
 from cldirac.scalars import ExactComplex, is_zero
+
+from _reference import conjugate
 
 
 def test_volume_form_normalized():
@@ -33,7 +35,7 @@ def test_volume_form_normalized():
         ctx = FiberContext(n)
         dv = volume_form(ctx)
         assert inner(dv, dv) == 1
-        assert dv.conjugate() == dv  # real
+        assert conjugate(dv) == dv  # real
 
 
 def test_star_n1_closed_forms():
@@ -89,24 +91,18 @@ def test_star_square_sign():
 
 
 def test_epsilon_values():
-    assert epsilon(0, 1) == 1j
-    assert epsilon(1, 1) == 1j
-    assert epsilon(2, 1) == -1j
-    assert epsilon(2, 3) == 1j
-
-
-def test_epsilon_range_error():
-    with pytest.raises(DegreeError):
-        epsilon(3, 1)
-    with pytest.raises(DegreeError):
-        epsilon(-1, 2)
+    # eps_k = i^epsilon_exponent(k, n): i, i, -i, i
+    assert epsilon_exponent(0, 1) == 1
+    assert epsilon_exponent(1, 1) == 1
+    assert epsilon_exponent(2, 1) == 3
+    assert epsilon_exponent(2, 3) == 1
 
 
 def test_epsilon_period_four():
     for n in (1, 2, 3):
         for k in range(2 * n - 3):
             if k + 4 <= 2 * n:
-                assert epsilon(k, n) == epsilon(k + 4, n)
+                assert epsilon_exponent(k, n) == epsilon_exponent(k + 4, n)
 
 
 def test_epsilon_shift_identity_exhaustive():

@@ -14,6 +14,8 @@ from cldirac.scalars import (
     EC_ONE,
     EC_SQRT2,
     ExactComplex,
+    _dot_conj,
+    _make,
     real_part,
     real_to_float,
 )
@@ -78,7 +80,8 @@ def test_real_part_and_text():
 
 
 def test_division_example():
-    assert EC_ONE / EC_SQRT2 == ExactComplex(0, 0, Fraction(1, 2), 0)
+    # a quotient has one spelling, the product with the inverse
+    assert EC_ONE * EC_SQRT2.inverse() == ExactComplex(0, 0, Fraction(1, 2), 0)
 
 
 def test_int_interop():
@@ -241,3 +244,30 @@ def test_random_scalars_draw_the_fraction_values(seed):
         assert _parts(u) == _ref_random_unit_scalar(ref)
         _assert_canonical(u)
     assert rng.getstate() == ref.getstate()
+
+
+# -- the one scalar sum -------------------------------------------------------
+
+@pytest.mark.parametrize("pairs", [
+    # unequal denominators: the products sit over 6, 24 and 18, so the
+    # accumulator puts them over their lcm
+    [(ExactComplex(Fraction(1, 2), 1), ExactComplex(1, Fraction(-1, 3))),
+     (ExactComplex(Fraction(1, 4)), ExactComplex(0, Fraction(5, 6))),
+     (ExactComplex(Fraction(2, 3), Fraction(1, 9)), ExactComplex(Fraction(3, 2)))],
+    # nonzero sqrt2 slots on both sides of a pair
+    [(ExactComplex(1, 2, Fraction(1, 2), -1), ExactComplex(Fraction(1, 3), 0, 1, 1)),
+     (EC_SQRT2, ExactComplex(0, 1, Fraction(2, 5), 0)),
+     (ExactComplex(0, 0, 0, Fraction(1, 7)), EC_I)],
+    # 1/3 - 1/3 + 2 - 2: a sum over unequal denominators that cancels
+    [(ExactComplex(Fraction(1, 2)), ExactComplex(Fraction(2, 3))),
+     (ExactComplex(Fraction(-1, 3)), EC_ONE),
+     (EC_SQRT2, EC_SQRT2),
+     (ExactComplex(-2), EC_ONE)],
+], ids=["lcm", "sqrt2", "cancels"])
+def test_dot_conj_equals_the_exact_complex_sum(pairs):
+    want = ExactComplex()
+    for s, t in pairs:
+        want = want + s * t.conjugate()
+    got = _dot_conj((s._t, t._t) for s, t in pairs)
+    assert got == want._t
+    _assert_canonical(_make(got))

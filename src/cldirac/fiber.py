@@ -37,8 +37,12 @@ that sends each input term to its own output key writes each coefficient
 directly, already canonical: the star, tau and tau_graded of hodge.py,
 Form.scale, and a wedge with a one-term side, whose coefficient is a
 phase when the one term's coefficient is a power of i and one exact
-product otherwise.  A phase takes no gcd.  A covector makes its Clifford
-and contraction factors once, when it is made.
+product otherwise.  A phase takes no gcd.  A wedge of two multi-term
+sides buckets x's terms by their th half and lets each key of y visit
+only the buckets whose th half is disjoint from its own (the list is
+made once per th half of y), so at n = 7 most of the key pairs that
+cannot multiply are never tested.  A covector makes its Clifford and
+contraction factors once, when it is made.
 Everything here is an immutable value and every operation is a pure
 function, so trial sweeps can share objects freely across threads.
 """
@@ -448,20 +452,39 @@ def wedge(x: Form, y: Form) -> Form:
     """Exterior product; bilinear, graded-anticommutative, associative.
 
     The product of the words kx and ky is the word kx | ky, up to the sign
-    of sorting the letters of kx followed by those of ky."""
+    of sorting the letters of kx followed by those of ky.  With two
+    multi-term sides, x's terms are bucketed by their th half, and each
+    key of y visits only the buckets whose th half is disjoint from its
+    own, listed once per th half of y; within a bucket the th letters are
+    disjoint, so the key test rejects on thb letters only."""
     _same_ctx(x.ctx, y.ctx)
     if len(x._terms) <= 1 or len(y._terms) <= 1:
         return Form._exact(x.ctx, _wedge_one_term(x._terms, y._terms))
     odd_below = _ODD_BELOW
-    xs = list(x._terms.items())
+    th_bits = (1 << x.ctx.n) - 1
+    buckets = {}
+    for term in x._terms.items():
+        xi = term[0] & th_bits
+        bucket = buckets.get(xi)
+        if bucket is None:
+            buckets[xi] = [term]
+        else:
+            bucket.append(term)
+    buckets = buckets.items()
+    disjoint = {}       # th half of y: the buckets disjoint from it
     acc = {}
     for ky, d in y._terms.items():
+        yi = ky & th_bits
+        visit = disjoint.get(yi)
+        if visit is None:
+            visit = disjoint[yi] = [b for xi, b in buckets if not xi & yi]
         ob = odd_below[ky]
         d = (d, _neg(d))
-        for kx, c in xs:
-            if kx & ky:
-                continue
-            _mul_into(acc, kx | ky, c, d[(kx & ob).bit_count() & 1])
+        for bucket in visit:
+            for kx, c in bucket:
+                if kx & ky:
+                    continue
+                _mul_into(acc, kx | ky, c, d[(kx & ob).bit_count() & 1])
     return Form._exact(x.ctx, _finish(acc))
 
 
@@ -599,11 +622,24 @@ _RANDOM_SCALARS = tuple(
     ExactComplex(Fraction(ra, qa), Fraction(rb, qb))
     for ra in range(-3, 4) for qa in (1, 2, 3)
     for rb in range(-3, 4) for qb in (1, 2, 3))
-# z^2 / |z|^2 for z = a + b i, at 7 (a + 3) + (b + 3); None at z = 0
-_UNIT_SCALARS = tuple(
-    ExactComplex(Fraction(a * a - b * b, a * a + b * b),
-                 Fraction(2 * a * b, a * a + b * b)) if a or b else None
-    for a in range(-3, 4) for b in range(-3, 4))
+
+
+def _unit_table() -> tuple:
+    """z^2 / |z|^2 for z = a + b i, at 7 (a + 3) + (b + 3); None at z = 0.
+    Each entry is checked for modulus exactly 1 here, once, so a module
+    with a wrong entry fails to import: random_phi builds its PhiMap
+    trusted, with a framing drawn from this table."""
+    table = tuple(
+        ExactComplex(Fraction(a * a - b * b, a * a + b * b),
+                     Fraction(2 * a * b, a * a + b * b)) if a or b else None
+        for a in range(-3, 4) for b in range(-3, 4))
+    for z in table:
+        if z is not None and z * z.conjugate() != 1:
+            raise ValueError(f"unit table entry {z.text()} has modulus != 1")
+    return table
+
+
+_UNIT_SCALARS = _unit_table()
 
 
 # the stored tuple of each, None at zero

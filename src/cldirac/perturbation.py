@@ -25,7 +25,15 @@ monomial of S+, whatever the rank; whether it is zero is decided exactly.
 and stops at the first nonzero one: a wrong-class draw usually ends at the
 first monomial.  Its answer is `concentrating_defect(...) == 0.0`, since
 a nonzero squared norm is a positive real that `real_to_float` never
-rounds to 0.0.
+rounds to 0.0.  The values read one weight (col_j, row_j, mix_j) per
+E index, and each weight is made the first time a value reads it, so a
+draw stopped at its first value has made one weight, not r.
+
+`random_phi` checks the rank and the class name, then draws entries of
+that class by construction and a framing from fiber's table of unit
+scalars, each checked for modulus 1 when the table is made; so it builds
+its PhiMap with the trusted `PhiMap._trusted`, and only the public
+`PhiMap(...)` runs the checks.
 """
 
 from __future__ import annotations
@@ -77,10 +85,7 @@ class PhiMap:
     declared_class: str = GENERAL
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("rank must be >= 1")
-        if self.declared_class not in (SYMMETRIC, ANTISYMMETRIC, GENERAL):
-            raise ValueError(f"unknown symmetry class {self.declared_class!r}")
+        _check_rank_and_class(self.r, self.declared_class)
         rows = tuple(tuple(self.ctx.coerce(x) for x in row) for row in self.entries)
         if len(rows) != self.r or any(len(row) != self.r for row in rows):
             raise ValueError(f"entries must be {self.r}x{self.r}")
@@ -97,6 +102,17 @@ class PhiMap:
                 if self.declared_class == ANTISYMMETRIC and a != -b:
                     raise ValueError(f"not antisymmetric at ({i}, {j})")
 
+    @classmethod
+    def _trusted(cls, ctx: FiberContext, r: int, entries: tuple,
+                 eta_scalar: ExactComplex, declared_class: str) -> "PhiMap":
+        """PhiMap of an internal draw: r x r ExactComplex entries of the
+        declared class and a framing of modulus 1, by construction;
+        nothing is checked."""
+        phi = object.__new__(cls)
+        phi.__dict__.update(ctx=ctx, r=r, entries=entries, eta_scalar=eta_scalar,
+                            declared_class=declared_class)
+        return phi
+
     def is_zero(self) -> bool:
         return all(is_zero(x) for row in self.entries for x in row)
 
@@ -109,6 +125,13 @@ class PhiMap:
 class SingularVerdict:
     det_value: object
     is_singular: bool
+
+
+def _check_rank_and_class(r: int, declared_class: str):
+    if r < 1:
+        raise ValueError("rank must be >= 1")
+    if declared_class not in (SYMMETRIC, ANTISYMMETRIC, GENERAL):
+        raise ValueError(f"unknown symmetry class {declared_class!r}")
 
 
 def _require_odd(ctx: FiberContext):
@@ -168,6 +191,17 @@ def apply_A_adjoint(phi: PhiMap, z: Spinor) -> Spinor:
     return Spinor(phi.ctx, out, chirality=_flip(z.chirality))
 
 
+def _defect_weight(t, j: int) -> tuple:
+    """(col_j, row_j, mix_j, conj mix_j) of the entry tuples t of phi:
+    col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2 and
+    mix_j = sum_i conj(phi_ij) phi_ji, each one exact sum."""
+    r = len(t)
+    col = _dot_conj((t[i][j], t[i][j]) for i in range(r))
+    row = _dot_conj((t[j][i], t[j][i]) for i in range(r))
+    mix = _dot_conj((t[j][i], t[i][j]) for i in range(r))
+    return col, row, mix, _conj(mix)
+
+
 def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
     """Generator of the exact squared norm of the image of each basis spinor
     of S+ (x) E, in spinor_basis(ctx, r, EVEN) order (the monomials of
@@ -177,38 +211,52 @@ def _defect_norms_sq_iter(phi: PhiMap, g: Covector):
 
     Per basis monomial e_J it builds F_J and G_J and takes three inner
     products; the r values of that monomial follow from them, so a consumer
-    that stops early builds no later image.  Each weight col_j, row_j,
-    mix_j and each value is one exact sum, ``scalars._dot_conj``.
+    that stops early builds no later image.  Weight j (``_defect_weight``)
+    is made the first time a value reads it, so a consumer that stops at
+    the first value has made one weight, not r.  Each value is one exact
+    sum, ``scalars._dot_conj``.
 
     |F_J|^2 and |G_J|^2 are computed, not taken as |gamma|^2, although a
     correct tau and Clifford action make both equal to it.  With that
     shortcut the symmetric-class defect would read
     2 col_j (|gamma|^2 + Re <F_J, G_J>), and a broken kernel with
     F_J = -G_J + v, v orthogonal to G_J and nonzero, would read exactly 0
-    where the true defect is col_j |v|^2."""
+    where the true defect is col_j |v|^2.
+
+    <F_J, G_J> is real on working kernels, so each value is
+    col_j |F_J|^2 + row_j |G_J|^2 + 2 Re(mix_j) <F_J, G_J>, and
+    conjugating mix_j or <F_J, G_J> in the sum would not change it.
+    Proof: the matched class cancels exactly when F_J = e G_J for every J
+    and gamma, e = -1 for n = 1 mod 4 and +1 for n = 3 mod 4, since the
+    symmetric phi = (w) has the one value |w|^2 |F_J + G_J|^2 and the
+    antisymmetric ((0, c), (-c, 0)) has |c|^2 |F_J - G_J|^2 in each slot.
+    That cancellation is the paper's theorem, so <F_J, G_J> = e |G_J|^2,
+    a real number.  A test checks F_J = e G_J exactly for every J at
+    n = 1, 3, 5 on the 2n real basis covectors, which covers every gamma
+    since both images are real-linear in gamma, and for several framings
+    u (eta = u th^top and tau is conjugate-linear, so u enters both
+    images as the same factor conj(u)).  The sum keeps the general
+    pairing, so each value stays the true squared norm of the image if
+    a broken kernel makes <F_J, G_J> complex."""
     _require_odd(phi.ctx)
     _same_ctx(phi.ctx, g.ctx)
     ctx, r, n = phi.ctx, phi.r, phi.ctx.n
-    # col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2 and
-    # mix_j = sum_i conj(phi_ij) phi_ji
-    t = [[x._t for x in row] for row in phi.entries]
-    weights = []
-    for j in range(r):
-        col = _dot_conj((t[i][j], t[i][j]) for i in range(r))
-        row = _dot_conj((t[j][i], t[j][i]) for i in range(r))
-        mix = _dot_conj((t[j][i], t[i][j]) for i in range(r))
-        weights.append((col, row, mix, _conj(mix)))
     eta = phi.eta()
     ubar = _adjoint_unit(phi)
 
     def norms_sq():
+        t = [[x._t for x in row] for row in phi.entries]
+        weights = []
         for tj in _chirality_keys(n, EVEN):
             mono = _monomial(ctx, 0, tj)
             f = clifford(g, _A_slot(eta, mono))
             h = _A_adjoint_slot(ubar, clifford(g, mono))
             ff, hh, fh = inner(f, f)._t, inner(h, h)._t, inner(f, h)._t
             fhbar = _conj(fh)
-            for col, row, mix, mixbar in weights:
+            for j in range(r):
+                if j == len(weights):
+                    weights.append(_defect_weight(t, j))
+                col, row, mix, mixbar = weights[j]
                 # col |F|^2 + row |G|^2 + mix <F, G> + conj(mix <F, G>);
                 # _dot_conj conjugates each second entry, and |F|^2 and
                 # |G|^2 are real, so each is its own conjugate
@@ -297,7 +345,11 @@ def singular_verdict(phi: PhiMap) -> SingularVerdict:
 
 def random_phi(ctx: FiberContext, r: int, symmetry: str, seed) -> PhiMap:
     """Random PhiMap of the declared class, with small rational entries and
-    a random unit scalar framing K."""
+    a random unit scalar framing K.  The rank and the class are checked
+    before any draw; the draw is then of the class by construction, and
+    its framing is an entry of fiber's unit table, each checked for
+    modulus 1 when the table is made, so the PhiMap is built trusted."""
+    _check_rank_and_class(r, symmetry)
     rng = _rng(seed)
     entries = [[ctx.zero for _ in range(r)] for _ in range(r)]
     for i in range(r):
@@ -315,8 +367,8 @@ def random_phi(ctx: FiberContext, r: int, symmetry: str, seed) -> PhiMap:
                 entries[i][j] = c
                 if i != j:
                     entries[j][i] = random_scalar(ctx, rng)
-    return PhiMap(ctx, r, tuple(tuple(row) for row in entries),
-                  eta_scalar=random_unit_scalar(ctx, rng), declared_class=symmetry)
+    return PhiMap._trusted(ctx, r, tuple(tuple(row) for row in entries),
+                           random_unit_scalar(ctx, rng), symmetry)
 
 
 def random_nonzero_phi(ctx: FiberContext, r: int, symmetry: str, rng) -> PhiMap:

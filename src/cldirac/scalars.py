@@ -25,9 +25,10 @@ common factor is removed.  ``_finish`` canonicalises each entry once and
 drops the zeros, so nothing unnormalised is ever stored in a Form.  A sum
 of products that is one scalar (an inner product, a squared norm, a
 weighted sum of them) goes through ``_dot_conj``, the one accumulation
-over a single key.  A phase (``_phase``: a power of i, after an optional
-conjugation) permutes the slots of a tuple and flips their signs, so it
-keeps a canonical tuple canonical without a gcd.
+over a single key, which sums in locals with no accumulator dict.  A
+phase (``_phase``: a power of i, after an optional conjugation) permutes
+the slots of a tuple and flips their signs, so it keeps a canonical
+tuple canonical without a gcd.
 """
 
 from __future__ import annotations
@@ -358,11 +359,36 @@ def _finish(acc, sqrt2=False) -> dict:
 
 def _dot_conj(pairs) -> tuple:
     """sum of s * conj(t) over the (s, t) tuple pairs, canonicalised once:
-    the one sum of exact products into one scalar."""
-    acc = {}
-    for s, (a, b, c, d, q) in pairs:
-        _mul_into(acc, 0, s, (a, -b, c, -d, q))
-    return _finish(acc).get(0, _ZERO)
+    the one sum of exact products into one scalar.  It is _mul_into's
+    product and lcm rule with t conjugated, summed in locals, since one
+    key needs no accumulator dict."""
+    sa = sb = sc = sd = 0
+    sq = 1
+    for (a, b, c, d, q), (e, f, g, h, r) in pairs:
+        if c or d or g or h:
+            x0 = a * e + b * f + 2 * (c * g + d * h)
+            x1 = b * e - a * f + 2 * (d * g - c * h)
+            x2 = a * g + b * h + c * e + d * f
+            x3 = b * g - a * h + d * e - c * f
+        else:                             # common case: plain Q(i)
+            x0 = a * e + b * f
+            x1 = b * e - a * f
+            x2 = x3 = 0
+        q *= r
+        if q == sq:
+            sa += x0
+            sb += x1
+            sc += x2
+            sd += x3
+        else:
+            k = _gcd(q, sq)
+            m, n = q // k, sq // k        # lcm = sq * m = q * n
+            sa, sb = sa * m + x0 * n, sb * m + x1 * n
+            sc, sd = sc * m + x2 * n, sd * m + x3 * n
+            sq *= m
+    if sa or sb or sc or sd:
+        return _reduce(sa, sb, sc, sd, sq)
+    return _ZERO
 
 
 def _signed(s, conjugate: bool = False) -> tuple:

@@ -2,9 +2,10 @@
 
 ``example_phi`` builds the standard nondegenerate pairings of the fiber
 calculus as ``PhiMap``s, ``random_spinor`` a random spinor of one
-chirality and ``conjugate`` the structural conjugate of a form; the
-commands never call them, so they live beside the tests that use them,
-written on the public API.  ``split_key`` reads the private key layout of
+chirality, ``conjugate`` the structural conjugate of a form and
+``eager_defect_norms_sq`` the per-basis-vector squared norms of the
+concentrating defect, all weights first; the commands never call them,
+so they live beside the tests that use them, written on the public API.  ``split_key`` reads the private key layout of
 a ``Form``'s stored terms, for the tests that check the kernels term by
 term.
 """
@@ -17,11 +18,17 @@ from cldirac import (
     ODD,
     SYMMETRIC,
     ChiralityError,
+    Covector,
     FiberContext,
     Form,
     PhiMap,
     Spinor,
+    clifford,
+    inner,
     random_form,
+    spinor_basis,
+    tau_graded,
+    wedge,
     zero_form,
 )
 
@@ -103,6 +110,45 @@ def conjugate(x: Form) -> Form:
     = (-1)^(|I| |J|) conj(c) th^J ^ thb^I."""
     return Form(x.ctx, {(tj, ti): c.conjugate() * (-1) ** (len(ti) * len(tj))
                         for (ti, tj), c in x.items()})
+
+
+def eager_defect_norms_sq(phi: PhiMap, g: Covector) -> list:
+    """The values of ``perturbation._defect_norms_sq_iter``, in its order,
+    with every weight made before the first value:
+
+        col_j = sum_i |phi_ij|^2, row_j = sum_i |phi_ji|^2,
+        mix_j = sum_i conj(phi_ij) phi_ji
+
+    for every j, then for each monomial e_J of S+ (the order of
+    ``spinor_basis``) the images F_J = c(gamma) tau(eta ^ e_J) and
+    G_J = (-1)^n conj(u) tau(c(gamma) e_J) / th^top, and the r values
+    col_j |F_J|^2 + row_j |G_J|^2 + 2 Re(mix_j <F_J, G_J>)."""
+    ctx, r, n = phi.ctx, phi.r, phi.ctx.n
+    e = phi.entries
+
+    def total(values):
+        return sum(values, ctx.zero)
+
+    weights = [(total(e[i][j] * e[i][j].conjugate() for i in range(r)),
+                total(e[j][i] * e[j][i].conjugate() for i in range(r)),
+                total(e[i][j].conjugate() * e[j][i] for i in range(r)))
+               for j in range(r)]
+    ubar = phi.eta_scalar.conjugate()
+    if n % 2:
+        ubar = -ubar
+    top = tuple(range(1, n + 1))
+    out = []
+    for z in spinor_basis(ctx, 1, EVEN):
+        mono = z.parts[0]
+        f = clifford(g, tau_graded(wedge(phi.eta(), mono)))
+        terms = tau_graded(clifford(g, mono)).items()
+        assert all(ti == top for (ti, _), _ in terms)
+        h = Form(ctx, {((), tj): c * ubar for (_, tj), c in terms})
+        ff, hh, fh = inner(f, f), inner(h, h), inner(f, h)
+        for col, row, mix in weights:
+            w = mix * fh
+            out.append(col * ff + row * hh + w + w.conjugate())
+    return out
 
 
 def split_key(key: int, n: int) -> tuple:

@@ -198,6 +198,25 @@ def test_wedge_matches_reference(n):
     _check(wedge(mixed, mixed), ref_wedge(mixed, mixed))
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_bucketed_wedge_of_mixed_sides_matches_reference(n):
+    # both sides multi-term and of mixed bidegree, over many th halves, so
+    # each y key meets disjoint and overlapping buckets of x, and disjoint
+    # buckets hold terms whose thb letters overlap
+    ctx = FiberContext(n)
+    rng = random.Random(170 + n)
+    th_bits = (1 << n) - 1
+    for _ in range(3):
+        x = _form(ctx, [(0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1)], rng, 8)
+        y = _form(ctx, [(0, 1), (1, 0), (1, 2), (2, 1), (3, 3)], rng, 8)
+        for a, b in ((x, y), (y, x), (x, x)):
+            halves = {key & th_bits for key in a._terms}
+            assert len(a._terms) > 1 and len(b._terms) > 1 and len(halves) > 4
+            got = wedge(a, b)
+            assert not got.is_zero()
+            _check(got, ref_wedge(a, b))
+
+
 # the phase branch (powers of i), then the product branch: a non-unit Q(i)
 # value and a value with a sqrt2 part
 _ONE_TERM_COEFFS = (EC_ONE, EC_I, -EC_ONE, -EC_I,

@@ -1,12 +1,15 @@
 """Conjugate-linear perturbation: component formulas, adjoint, defect, examples."""
 
 import decimal
+import inspect
 import random
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
-from cldirac import perturbation
+from cldirac import fiber, perturbation
 from cldirac import (
     ANTISYMMETRIC,
     ChiralityError,
@@ -21,8 +24,10 @@ from cldirac import (
     Spinor,
     apply_A,
     apply_A_adjoint,
+    clifford,
     concentrating_defect,
     defect_vanishes,
+    inner,
     matched_class,
     monomial,
     opposite_class,
@@ -37,7 +42,7 @@ from cldirac.fiber import ContextMismatchError, random_nonzero_covector
 from cldirac.perturbation import _defect_norms_sq_iter, random_nonzero_phi
 from cldirac.scalars import ExactComplex, is_zero, real_part, real_to_float
 
-from _reference import example_phi, random_spinor
+from _reference import eager_defect_norms_sq, example_phi, random_spinor
 
 
 def test_phimap_symmetry_validation():
@@ -366,3 +371,131 @@ def test_random_eta_scalar_invariance():
         phi = random_phi(ctx, 2, SYMMETRIC, rng)
         g = random_covector(ctx, rng)
         assert concentrating_defect(phi, g) == 0.0
+
+
+# -- trusted draws ------------------------------------------------------------
+
+def test_random_phi_equals_the_checked_phimap():
+    # random_phi builds its PhiMap trusted; the public constructor checks
+    # the class, the shape and the framing of the same data
+    for n in (1, 3, 5):
+        ctx = FiberContext(n)
+        for cls in (SYMMETRIC, ANTISYMMETRIC, GENERAL):
+            for r in (1, 2, 3, 4):
+                for seed in range(50):
+                    phi = random_phi(ctx, r, cls, seed)
+                    checked = PhiMap(ctx, r, phi.entries, eta_scalar=phi.eta_scalar,
+                                     declared_class=cls)
+                    assert phi == checked
+                    assert all(type(x) is ExactComplex
+                               for row in phi.entries for x in row)
+                    assert type(phi.eta_scalar) is ExactComplex
+
+
+@pytest.mark.parametrize("r, cls, message", [
+    (0, SYMMETRIC, "rank must be >= 1"),
+    (-2, GENERAL, "rank must be >= 1"),
+    (2, "hermitian", "unknown symmetry class 'hermitian'"),
+])
+def test_random_phi_checks_rank_and_class_before_any_draw(r, cls, message):
+    # the messages of the public constructor, and no draw is made
+    ctx = FiberContext(3)
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError) as raised:
+        random_phi(ctx, r, cls, rng)
+    assert str(raised.value) == message
+    assert rng.getstate() == state
+    with pytest.raises(ValueError) as raised:
+        PhiMap(ctx, r, (), declared_class=cls)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        random_nonzero_phi(ctx, r, cls, rng)
+    assert str(raised.value) == message
+
+
+def _load_fiber(source: str, monkeypatch):
+    """A fresh module from the source text of cldirac.fiber, as an import
+    runs it (registered in sys.modules, as dataclasses needs)."""
+    module = types.ModuleType("cldirac._fiber_copy")
+    module.__package__ = "cldirac"
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source, fiber.__file__, "exec"), module.__dict__)
+    return module
+
+
+def test_a_unit_table_entry_off_the_unit_circle_fails_the_import(monkeypatch):
+    # random_phi trusts its framing because the table is checked when it
+    # is made; one entry off the unit circle (z = 3 + 3i) stops the import
+    source = inspect.getsource(fiber)
+    entry = "Fraction(2 * a * b, a * a + b * b)"
+    assert source.count(entry) == 1
+    assert _load_fiber(source, monkeypatch)._UNIT_SCALARS == fiber._UNIT_SCALARS
+    broken = "Fraction(2 * a * b + (a == b == 3), a * a + b * b)"
+    with pytest.raises(ValueError, match="modulus != 1"):
+        _load_fiber(source.replace(entry, broken), monkeypatch)
+    units = [u for u in fiber._UNIT_SCALARS if u is not None]
+    assert len(units) == 48 and all(u * u.conjugate() == 1 for u in units)
+
+
+# -- lazy weights -------------------------------------------------------------
+
+def test_lazy_weights_give_the_eager_values_in_order():
+    rng = random.Random(101)
+    for n in (1, 3, 5):
+        ctx = FiberContext(n)
+        for cls in (SYMMETRIC, ANTISYMMETRIC, GENERAL):
+            for r in (1, 2, 3, 4):
+                for _ in range(1 if n == 5 else 3):
+                    phi = random_phi(ctx, r, cls, rng)
+                    g = random_covector(ctx, rng)
+                    assert (list(_defect_norms_sq_iter(phi, g))
+                            == eager_defect_norms_sq(phi, g))
+
+
+def test_a_first_value_stop_builds_one_weight(monkeypatch):
+    ctx = FiberContext(3)
+    rng = random.Random(103)
+    phi = random_nonzero_phi(ctx, 4, opposite_class(3), rng)
+    g = random_nonzero_covector(ctx, rng)
+    assert next(_defect_norms_sq_iter(phi, g))
+    made = []
+    weight = perturbation._defect_weight
+
+    def counting(t, j):
+        made.append(j)
+        return weight(t, j)
+
+    monkeypatch.setattr(perturbation, "_defect_weight", counting)
+    assert not defect_vanishes(phi, g)
+    assert made == [0]
+    made.clear()
+    assert concentrating_defect(phi, g) > 0.0
+    assert made == [0, 1, 2, 3]
+
+
+# -- <F_J, G_J> is real --------------------------------------------------------
+
+def test_F_J_is_plus_or_minus_G_J_so_their_inner_product_is_real():
+    # the proof in _defect_norms_sq_iter's docstring, checked exactly: both
+    # images are real-linear in gamma, so the 2n real basis covectors cover
+    # every gamma; F_J = e G_J, e = -1 for n = 1 mod 4 and +1 for n = 3 mod 4
+    framings = [ExactComplex(1), ExactComplex(0, 1), ExactComplex(0, -1),
+                ExactComplex(Fraction(3, 5), Fraction(4, 5)),
+                ExactComplex(Fraction(-5, 13), Fraction(12, 13))]
+    for n in (1, 3, 5):
+        ctx = FiberContext(n)
+        e = -1 if n % 4 == 1 else 1
+        basis = [Covector(ctx, tuple(unit if k == m else 0 for k in range(n)))
+                 for m in range(n) for unit in (ExactComplex(1), ExactComplex(0, 1))]
+        for u in framings:
+            phi = PhiMap(ctx, 1, ((1,),), eta_scalar=u)
+            eta, ubar = phi.eta(), perturbation._adjoint_unit(phi)
+            for g in basis:
+                for z in spinor_basis(ctx, 1, EVEN):
+                    mono = z.parts[0]
+                    f = clifford(g, perturbation._A_slot(eta, mono))
+                    h = perturbation._A_adjoint_slot(ubar, clifford(g, mono))
+                    assert not h.is_zero()
+                    assert f == h.scale(e)
+                    assert inner(f, h).conjugate() == inner(f, h)

@@ -172,6 +172,8 @@ def test_report_set_runs_the_fixed_set():
         **{f"condition_seed{i}": ["condition", "--seed", str(i)] for i in (1, 2, 3)},
         "verify_n7": ["verify", "--n-max", "7", "--trials", "3"],
         "condition_long": ["condition", "--long"],
+        "condition_n9": ["condition", "--n-list", "9", "--trials", "2",
+                         "--wrong-trials", "4"],
         "sin_zeros": ["simulate", "sin_zeros.cfg"],
         "constant": ["simulate", "constant.cfg"],
         "torus_large": ["simulate", "configs/torus_large.cfg"],

@@ -265,6 +265,17 @@ def test_random_scalars_draw_the_fraction_values(seed):
      (ExactComplex(-2), EC_ONE)],
 ], ids=["lcm", "sqrt2", "cancels"])
 def test_dot_conj_equals_the_exact_complex_sum(pairs):
+    _assert_dot_conj_is_the_sum(pairs)
+
+
+@given(st.lists(st.tuples(exact_scalars(), exact_scalars()), max_size=6))
+@settings(max_examples=200)
+def test_dot_conj_equals_the_exact_complex_sum_on_random_pairs(pairs):
+    # mixed denominators, sqrt2 slots, sums that cancel and empty sums
+    _assert_dot_conj_is_the_sum(pairs)
+
+
+def _assert_dot_conj_is_the_sum(pairs):
     want = ExactComplex()
     for s, t in pairs:
         want = want + s * t.conjugate()

@@ -10,6 +10,9 @@ its reports into ``OUT/<case>``:
   ``condition_seed3``: both commands at their defaults and seeds 1-3;
 * ``verify_n7``: ``verify --n-max 7 --trials 3``;
 * ``condition_long``: ``condition --long``;
+* ``condition_n9``: ``condition --n-list 9 --trials 2 --wrong-trials 4``,
+  the one case at n = 9, where each wrong-class draw stops after its
+  first weight;
 * ``sin_zeros`` and ``constant``: the bundled presets;
 * ``torus_large``: ``sin_zeros`` at N = 256, s = 8, 32 (perfbench's
   ``torus_large`` workload);
@@ -49,6 +52,8 @@ def cases() -> list[tuple[str, list[str]]]:
                 for seed in (1, 2, 3)]
     out += [("verify_n7", ["verify", "--n-max", "7", "--trials", "3"]),
             ("condition_long", ["condition", "--long"]),
+            ("condition_n9", ["condition", "--n-list", "9", "--trials", "2",
+                              "--wrong-trials", "4"]),
             ("sin_zeros", ["simulate", "sin_zeros.cfg"]),
             ("constant", ["simulate", "constant.cfg"])]
     out += [(case, ["simulate", f"configs/{case}.cfg"]) for case in DERIVED]
